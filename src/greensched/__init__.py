@@ -31,7 +31,6 @@ from .model import (
     Schedule,
     SimConfig,
     commit,
-    feasible_windows,
     nonpreemptive_starts,
     preemptive_slots,
 )
@@ -65,9 +64,7 @@ from .schedulers import (
     LogEntry,
     OnlineState,
     SchedulerKind,
-    bf_place,
-    ff_place,
-    rf_place,
+    place,
     run_online,
     write_log_csv,
 )
@@ -106,14 +103,11 @@ __all__ = [
     "WorkloadSpec",
     "account",
     "bf_lower_bound_instance",
-    "bf_place",
     "brown_cost_vector",
     "brown_unit_cost",
     "commit",
     "emit_lp",
-    "feasible_windows",
     "ff_lower_bound_instance",
-    "ff_place",
     "generate",
     "ingest_swf",
     "is_on_peak",
@@ -124,11 +118,11 @@ __all__ = [
     "node_assignment",
     "nonpreemptive_starts",
     "normalized_values",
+    "place",
     "preemption_comparison",
     "preemptive_slots",
     "random_fit_params",
     "read_jobs",
-    "rf_place",
     "rf_worst_case_suite",
     "run_online",
     "run_suite",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .model import SimConfig
@@ -228,38 +228,30 @@ def preemption_comparison(cfg: ExperimentConfig) -> list[dict]:
     (preemptive over base) per family, point, and base policy.
     """
     bases = [a for a in cfg.algorithms if not a.startswith("P")]
-    names = list(bases) + ["P" + a for a in bases]
-    kinds = {name: _kind(name, cfg) for name in names}
-    green = resolve_green(cfg)
-    sums: dict[tuple, dict[str, float]] = {}
-    for family in cfg.families:
-        for point in _points(cfg, family):
-            for rep in range(cfg.repetitions):
-                wseed = stable_seed(cfg.master_seed, family, point, rep)
-                jobs = generate(_spec_for(cfg, family, point, wseed), cfg.sim, cfg.tariff)
-                for name in names:
-                    aseed = stable_seed(cfg.master_seed, family, point, rep, name)
-                    _, report, _ = run_online(
-                        jobs, kinds[name], green, cfg.tariff, cfg.sim, seed=aseed
-                    )
-                    cell = sums.setdefault((family, point), {})
-                    cell[name] = cell.get(name, 0.0) + report.net_profit
+    sweep = replace(
+        cfg,
+        algorithms=tuple(bases) + tuple("P" + a for a in bases),
+        include_offline=False,
+        output_dir=None,
+    )
+    means = run_suite(sweep)["means"]
+    profit = {(r["family"], r["point"], r["algorithm"]): r["net_profit"] for r in means}
     rows = []
-    for (family, point), cell in sums.items():
-        for base in bases:
-            base_mean = cell[base] / cfg.repetitions
-            pre_mean = cell["P" + base] / cfg.repetitions
-            rows.append(
-                {
-                    "family": family,
-                    "point": point,
-                    "algorithm": base,
-                    "base_net_profit": base_mean,
-                    "preemptive_net_profit": pre_mean,
-                    "ratio": pre_mean / base_mean if base_mean > 0 else float("inf"),
-                }
-            )
-    rows.sort(key=_row_key)
+    for r in means:  # already in row-key order
+        if r["algorithm"] not in bases:
+            continue
+        base_mean = r["net_profit"]
+        pre_mean = profit[r["family"], r["point"], "P" + r["algorithm"]]
+        rows.append(
+            {
+                "family": r["family"],
+                "point": r["point"],
+                "algorithm": r["algorithm"],
+                "base_net_profit": base_mean,
+                "preemptive_net_profit": pre_mean,
+                "ratio": pre_mean / base_mean if base_mean > 0 else float("inf"),
+            }
+        )
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -132,14 +132,6 @@ class Schedule:
     def has_job(self, job_id: int) -> bool:
         return job_id in self._placed
 
-    def recomputed_demand(self) -> np.ndarray:
-        """Demand rebuilt from placements alone (consistency checks)."""
-        demand = np.zeros(self.horizon, dtype=np.int64)
-        for p in self.placements:
-            for t in p.active_slots:
-                demand[t] += p.nodes
-        return demand
-
     def copy(self) -> "Schedule":
         return Schedule(
             self.machines, self.horizon, list(self.placements), self.demand.copy()
@@ -175,28 +167,6 @@ def preemptive_slots(job: Job, schedule: Schedule) -> np.ndarray:
     if spare.size < job.proc_time:
         return np.empty(0, dtype=np.int64)
     return spare[: job.proc_time]
-
-
-def feasible_windows(
-    job: Job, schedule: Schedule, preemptive: bool = False
-) -> list[tuple[int, ...]]:
-    """All placements open to the job under current demand.
-
-    Non-preemptive: every contiguous window of proc_time slots inside
-    [release, deadline] with spare capacity at each slot, ordered by start.
-    Preemptive: the single greedy earliest set of proc_time spare slots
-    (one candidate or none); policy-specific slot picks are a scheduler
-    concern, not a feasibility one.
-    """
-    if preemptive:
-        slots = preemptive_slots(job, schedule)
-        if slots.size == 0:
-            return []
-        return [tuple(int(t) for t in slots)]
-    p = job.proc_time
-    return [
-        tuple(range(int(s), int(s) + p)) for s in nonpreemptive_starts(job, schedule)
-    ]
 
 
 def commit(job: Job, slots: tuple[int, ...], schedule: Schedule) -> Schedule:

@@ -57,14 +57,25 @@ def _check_limits(
         )
 
 
-def _ordered(jobs: list[Job], config: SimConfig) -> list[Job]:
+def _prepared(
+    jobs: list[Job], green: GreenTrace, tariff: Tariff, config: SimConfig
+) -> tuple[list[Job], list[int], list[float], list[float]]:
+    """Jobs in release order, plus per-slot green g, per-slot brown price b
+    and per-job revenue rev as plain Python numbers."""
     for job in jobs:
         if job.deadline >= config.horizon_slots:
             raise ValueError(
                 f"job {job.id}: deadline {job.deadline} outside horizon "
                 f"{config.horizon_slots}"
             )
-    return sorted(jobs, key=lambda j: (j.release, j.deadline, j.id))
+    order = sorted(jobs, key=lambda j: (j.release, j.deadline, j.id))
+    T = config.horizon_slots
+    if green.supply.size < T:
+        raise ValueError("green trace shorter than horizon")
+    g = [int(v) for v in green.supply[:T]]
+    b = [float(v) for v in brown_cost_vector(tariff, config)]
+    rev = [job_revenue(j, tariff, config) for j in order]
+    return order, g, b, rev
 
 
 def _canonical_profit(
@@ -114,6 +125,132 @@ def _marginal_cost(slots, demand, g, b, q) -> float:
     return mc
 
 
+# Each variant of the search is one option generator plus one empty-grid
+# bound. A generator lists the job's placements under the current demand in
+# ascending lexicographic order; a bound is the best profit the job could add
+# on an empty grid, never below zero (rejection).
+
+
+def _contiguous_options(job: Job, demand: list[int], M: int):
+    """Every window of proc_time consecutive slots with q spare nodes each."""
+    p, q = job.proc_time, job.nodes
+    if q > M:
+        return
+    for s in range(job.release, job.deadline - p + 2):
+        end = s + p
+        for t in range(s, end):
+            if demand[t] + q > M:
+                break
+        else:
+            yield range(s, end)
+
+
+def _scattered_options(job: Job, demand: list[int], M: int):
+    """Every proc_time-subset of the slots with q spare nodes."""
+    q = job.nodes
+    if q > M:
+        return ()
+    spare = [t for t in range(job.release, job.deadline + 1) if demand[t] + q <= M]
+    return itertools.combinations(spare, job.proc_time)
+
+
+def _contiguous_bound(job: Job, rev: float, g: list[int], b: list[float], M: int) -> float:
+    """Best single window's profit."""
+    best = 0.0
+    if job.nodes > M:
+        return best
+    for s in range(job.release, job.deadline - job.proc_time + 2):
+        c = 0.0
+        for t in range(s, s + job.proc_time):
+            short = job.nodes - g[t]
+            if short > 0:
+                c += b[t] * short
+        if rev - c > best:
+            best = rev - c
+    return best
+
+
+def _scattered_bound(job: Job, rev: float, g: list[int], b: list[float], M: int) -> float:
+    """Revenue less the proc_time cheapest slots in the window."""
+    if job.nodes > M:
+        return 0.0
+    costs = sorted(
+        b[t] * max(0, job.nodes - g[t]) for t in range(job.release, job.deadline + 1)
+    )
+    return max(0.0, rev - sum(costs[: job.proc_time]))
+
+
+def _solve(
+    jobs: list[Job],
+    green: GreenTrace,
+    tariff: Tariff,
+    config: SimConfig,
+    limits: SolveLimits,
+    preemptive: bool,
+    options,
+    bound,
+) -> tuple[float, Schedule]:
+    """Depth-first branch and bound shared by both exact solvers.
+
+    Job i branches over ``options`` in order, then rejection; a subtree is
+    cut when its value so far plus the remaining jobs' ``bound`` sum cannot
+    beat the incumbent, and only strict improvements replace it.
+    """
+    _check_limits(
+        len(jobs), config, limits, "preemptive" if preemptive else "non-preemptive"
+    )
+    order, g, b, rev = _prepared(jobs, green, tariff, config)
+    n = len(order)
+    T = config.horizon_slots
+    M = config.machines
+    suffix = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + bound(order[i], rev[i], g, b, M)
+
+    # Seeding the incumbent value just below the greedy profit keeps pruning
+    # strong without ever discarding the lexicographically first optimum.
+    best_value = _greedy_seed(order, green, tariff, config, preemptive) - 1e-9
+    best_assign: list | None = None
+    demand = [0] * T
+    chosen: list = [None] * n
+
+    def dfs(i: int, cur: float) -> None:
+        nonlocal best_value, best_assign
+        if cur + suffix[i] <= best_value:
+            return
+        if i == n:
+            best_value = cur
+            best_assign = chosen.copy()
+            return
+        job = order[i]
+        q = job.nodes
+        for slots in options(job, demand, M):
+            # a deeper leaf may have raised the incumbent since the check above
+            if cur + suffix[i] <= best_value:
+                break
+            mc = _marginal_cost(slots, demand, g, b, q)
+            for t in slots:
+                demand[t] += q
+            chosen[i] = slots
+            dfs(i + 1, cur + rev[i] - mc)
+            for t in slots:
+                demand[t] -= q
+        chosen[i] = None
+        dfs(i + 1, cur)
+
+    dfs(0, 0.0)
+    if best_assign is None:
+        raise RuntimeError("search lost its incumbent (internal error)")
+
+    schedule = Schedule(M, T)
+    rev_selected = []
+    for i, slots in enumerate(best_assign):
+        if slots is not None:
+            commit(order[i], slots, schedule)
+            rev_selected.append(rev[i])
+    return _canonical_profit(rev_selected, schedule.demand, g, b), schedule
+
+
 def solve_nonpreemptive_exact(
     jobs: list[Job],
     green: GreenTrace,
@@ -129,84 +266,9 @@ def solve_nonpreemptive_exact(
     sorting last) is lexicographically smallest in release order is returned.
     """
     limits = NONPREEMPTIVE_LIMITS if limits is None else limits
-    _check_limits(len(jobs), config, limits, "non-preemptive")
-    order = _ordered(jobs, config)
-    n = len(order)
-    T = config.horizon_slots
-    M = config.machines
-    if green.supply.size < T:
-        raise ValueError("green trace shorter than horizon")
-    g = [int(v) for v in green.supply[:T]]
-    b = [float(v) for v in brown_cost_vector(tariff, config)]
-    rev = [job_revenue(j, tariff, config) for j in order]
-    starts = [
-        list(range(j.release, j.deadline - j.proc_time + 2)) if j.nodes <= M else []
-        for j in order
-    ]
-
-    ub = []
-    for i, job in enumerate(order):
-        best = 0.0
-        for s in starts[i]:
-            c = 0.0
-            for t in range(s, s + job.proc_time):
-                short = job.nodes - g[t]
-                if short > 0:
-                    c += b[t] * short
-            if rev[i] - c > best:
-                best = rev[i] - c
-        ub.append(best)
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + ub[i]
-
-    # Seeding the incumbent value just below the greedy profit keeps pruning
-    # strong without ever discarding the lexicographically first optimum.
-    best_value = _greedy_seed(order, green, tariff, config, preemptive=False) - 1e-9
-    best_assign: list[int | None] | None = None
-    demand = [0] * T
-    chosen: list[int | None] = [None] * n
-
-    def dfs(i: int, cur: float) -> None:
-        nonlocal best_value, best_assign
-        if cur + suffix[i] <= best_value:
-            return
-        if i == n:
-            best_value = cur
-            best_assign = chosen.copy()
-            return
-        job = order[i]
-        p, q = job.proc_time, job.nodes
-        for s in starts[i]:
-            end = s + p
-            feasible = True
-            for t in range(s, end):
-                if demand[t] + q > M:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            mc = _marginal_cost(range(s, end), demand, g, b, q)
-            for t in range(s, end):
-                demand[t] += q
-            chosen[i] = s
-            dfs(i + 1, cur + rev[i] - mc)
-            for t in range(s, end):
-                demand[t] -= q
-        chosen[i] = None
-        dfs(i + 1, cur)
-
-    dfs(0, 0.0)
-    if best_assign is None:
-        raise RuntimeError("search lost its incumbent (internal error)")
-
-    schedule = Schedule(M, T)
-    rev_selected = []
-    for i, s in enumerate(best_assign):
-        if s is not None:
-            commit(order[i], tuple(range(s, s + order[i].proc_time)), schedule)
-            rev_selected.append(rev[i])
-    return _canonical_profit(rev_selected, schedule.demand, g, b), schedule
+    return _solve(
+        jobs, green, tariff, config, limits, False, _contiguous_options, _contiguous_bound
+    )
 
 
 def solve_preemptive_exact(
@@ -226,83 +288,15 @@ def solve_preemptive_exact(
     fixed per-job node set exists).
     """
     limits = PREEMPTIVE_LIMITS if limits is None else limits
-    _check_limits(len(jobs), config, limits, "preemptive")
-    order = _ordered(jobs, config)
-    n = len(order)
-    T = config.horizon_slots
-    M = config.machines
-    if green.supply.size < T:
-        raise ValueError("green trace shorter than horizon")
-    g = [int(v) for v in green.supply[:T]]
-    b = [float(v) for v in brown_cost_vector(tariff, config)]
-    rev = [job_revenue(j, tariff, config) for j in order]
-
-    ub = []
-    for i, job in enumerate(order):
-        if job.nodes > M:
-            ub.append(0.0)
-            continue
-        costs = sorted(
-            b[t] * max(0, job.nodes - g[t])
-            for t in range(job.release, job.deadline + 1)
-        )
-        if len(costs) < job.proc_time:
-            ub.append(0.0)
-            continue
-        ub.append(max(0.0, rev[i] - sum(costs[: job.proc_time])))
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + ub[i]
-
-    best_value = _greedy_seed(order, green, tariff, config, preemptive=True) - 1e-9
-    best_assign: list[tuple[int, ...] | None] | None = None
-    demand = [0] * T
-    chosen: list[tuple[int, ...] | None] = [None] * n
-
-    def dfs(i: int, cur: float) -> None:
-        nonlocal best_value, best_assign
-        if cur + suffix[i] <= best_value:
-            return
-        if i == n:
-            best_value = cur
-            best_assign = chosen.copy()
-            return
-        job = order[i]
-        p, q = job.proc_time, job.nodes
-        if q <= M:
-            spare = [
-                t for t in range(job.release, job.deadline + 1) if demand[t] + q <= M
-            ]
-            if len(spare) >= p:
-                for combo in itertools.combinations(spare, p):
-                    if cur + suffix[i] <= best_value:
-                        break
-                    mc = _marginal_cost(combo, demand, g, b, q)
-                    for t in combo:
-                        demand[t] += q
-                    chosen[i] = combo
-                    dfs(i + 1, cur + rev[i] - mc)
-                    for t in combo:
-                        demand[t] -= q
-        chosen[i] = None
-        dfs(i + 1, cur)
-
-    dfs(0, 0.0)
-    if best_assign is None:
-        raise RuntimeError("search lost its incumbent (internal error)")
-
-    schedule = Schedule(M, T)
-    rev_selected = []
-    for i, slots in enumerate(best_assign):
-        if slots is not None:
-            commit(order[i], slots, schedule)
-            rev_selected.append(rev[i])
+    profit, schedule = _solve(
+        jobs, green, tariff, config, limits, True, _scattered_options, _scattered_bound
+    )
     if node_assignment(schedule) is None:
         warnings.warn(
             "no fixed per-job node assignment exists for the optimal schedule",
             stacklevel=2,
         )
-    return _canonical_profit(rev_selected, schedule.demand, g, b), schedule
+    return profit, schedule
 
 
 def node_assignment(
@@ -434,15 +428,9 @@ def emit_lp(
     aux_t >= 0, with objective -b(t) * aux_t (the objective presses aux to
     the shortfall). Output is deterministic byte-for-byte given equal input.
     """
-    order = _ordered(jobs, config)
+    order, g, b, rev = _prepared(jobs, green, tariff, config)
     T = config.horizon_slots
     M = config.machines
-    if green.supply.size < T:
-        raise ValueError("green trace shorter than horizon")
-    g = [int(v) for v in green.supply[:T]]
-    b = [float(v) for v in brown_cost_vector(tariff, config)]
-    rev = [job_revenue(j, tariff, config) for j in order]
-
     if variant == "preemptive":
         return _emit_preemptive(order, g, b, rev, T, M)
     if variant == "equal_jobs":

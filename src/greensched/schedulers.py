@@ -21,7 +21,6 @@ import numpy as np
 
 from .model import (
     Job,
-    Placement,
     Schedule,
     SimConfig,
     commit,
@@ -168,6 +167,12 @@ def _rf_choice(
     params: RandomFitParams,
     preemptive: bool,
 ) -> tuple[int, ...] | None:
+    """First-fit when visible green covers it, else a biased coin.
+
+    The coin keeps first-fit with p_on_to_off when the release slot is
+    on-peak and p_off_to_on otherwise, and switches to best-fit on a miss.
+    No randomness is consumed on the green path.
+    """
     ff = _ff_choice(job, state, preemptive)
     if ff is None:
         return None
@@ -215,54 +220,19 @@ def _admit(
     )
 
 
-def ff_place(
-    job: Job,
-    state: OnlineState,
-    tariff: Tariff,
-    config: SimConfig,
-    preemptive: bool = False,
-) -> Placement | None:
-    """First-fit: earliest feasible slots, or reject."""
-    slots = _ff_choice(job, state, preemptive)
-    if slots is None:
-        return None
-    _admit(job, slots, state, tariff, config)
-    return state.schedule.placements[-1]
+def place(
+    job: Job, state: OnlineState, kind: SchedulerKind, tariff: Tariff, config: SimConfig
+) -> LogEntry | None:
+    """Offer one job to the policy; the admit entry, or None on a reject.
 
-
-def bf_place(
-    job: Job,
-    state: OnlineState,
-    tariff: Tariff,
-    config: SimConfig,
-    preemptive: bool = False,
-) -> Placement | None:
-    """Best-fit: cheapest marginal brown energy, earliest on ties."""
-    slots = _bf_choice(job, state, config, preemptive)
-    if slots is None:
-        return None
-    _admit(job, slots, state, tariff, config)
-    return state.schedule.placements[-1]
-
-
-def rf_place(
-    job: Job,
-    state: OnlineState,
-    tariff: Tariff,
-    config: SimConfig,
-    params: RandomFitParams,
-    preemptive: bool = False,
-) -> Placement | None:
-    """Random-fit: first-fit when green covers it, else a biased coin.
-
-    The coin uses p_on_to_off when the release slot is on-peak and
-    p_off_to_on otherwise. No randomness is consumed on the green path.
+    First-fit takes the earliest feasible slots, best-fit the cheapest
+    marginal brown energy (earliest on ties), random-fit flips the coin of
+    ``kind.rf_params`` between the two (see ``_rf_choice``).
     """
-    slots = _rf_choice(job, state, config, params, preemptive)
+    slots = _choose(job, state, config, kind)
     if slots is None:
         return None
-    _admit(job, slots, state, tariff, config)
-    return state.schedule.placements[-1]
+    return _admit(job, slots, state, tariff, config)
 
 
 def run_online(
@@ -289,13 +259,10 @@ def run_online(
     state = OnlineState.create(green, tariff, config, seed=rng_seed)
     log: list[LogEntry] = []
     for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
-        slots = _choose(job, state, config, kind)
-        if slots is None:
-            log.append(
-                LogEntry(job.id, "reject", None, (), 0, 0, 0.0, 0.0)
-            )
-            continue
-        log.append(_admit(job, slots, state, tariff, config))
+        entry = place(job, state, kind, tariff, config)
+        if entry is None:
+            entry = LogEntry(job.id, "reject", None, (), 0, 0, 0.0, 0.0)
+        log.append(entry)
     report = account(state.schedule, green, tariff, config)
     return state.schedule, report, log
 

@@ -8,7 +8,9 @@ order) so equality assertions can be exact rather than approximate.
 
 import itertools
 
-from greensched.model import Job, SimConfig
+import numpy as np
+
+from greensched.model import Job, SimConfig, nonpreemptive_starts, preemptive_slots
 from greensched.pricing import GreenTrace, Tariff, brown_cost_vector, job_revenue
 
 
@@ -22,6 +24,34 @@ def profit_of(rev_selected, demand, g, b) -> float:
         if over > 0:
             cost += b[t] * over
     return revenue - cost
+
+
+def recomputed_demand(schedule) -> np.ndarray:
+    """Demand rebuilt from placements alone."""
+    demand = np.zeros(schedule.horizon, dtype=np.int64)
+    for p in schedule.placements:
+        for t in p.active_slots:
+            demand[t] += p.nodes
+    return demand
+
+
+def feasible_windows(job, schedule, preemptive=False) -> list[tuple[int, ...]]:
+    """All placements open to the job under current demand.
+
+    Non-preemptive: every contiguous window of proc_time slots inside
+    [release, deadline] with spare capacity at each slot, ordered by start.
+    Preemptive: the single greedy earliest set of proc_time spare slots
+    (one candidate or none).
+    """
+    if preemptive:
+        slots = preemptive_slots(job, schedule)
+        if slots.size == 0:
+            return []
+        return [tuple(int(t) for t in slots)]
+    p = job.proc_time
+    return [
+        tuple(range(int(s), int(s) + p)) for s in nonpreemptive_starts(job, schedule)
+    ]
 
 
 def _prepared(jobs, green, tariff, config):

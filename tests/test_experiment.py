@@ -201,6 +201,18 @@ def test_preemption_comparison_longer_jobs_diverge():
     assert rows[0]["ratio"] != pytest.approx(1.0, abs=1e-9)
 
 
+def test_preemption_comparison_failure_names_the_cell(tmp_path):
+    cfg = small_cfg(
+        families=("Real",),
+        job_counts=(4,),
+        swf_path=str(tmp_path / "missing.swf"),
+        utilization=(),
+        repetitions=1,
+    )
+    with pytest.raises(ExperimentError, match="Real point 4 rep 0"):
+        preemption_comparison(cfg)
+
+
 def test_real_family_sweep(tmp_path):
     swf = tmp_path / "trace.swf"
     lines = ["; header comment"]

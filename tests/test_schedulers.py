@@ -13,9 +13,7 @@ from greensched.schedulers import (
     LOG_HEADER,
     OnlineState,
     SchedulerKind,
-    bf_place,
-    ff_place,
-    rf_place,
+    place,
     run_online,
     write_log_csv,
 )
@@ -27,6 +25,7 @@ def small_cfg(machines=2, horizon=10):
 
 TARIFF = Tariff()
 PARAMS = random_fit_params(normalized_values(TARIFF, SimConfig()))
+FF, BF, RF = SchedulerKind("FF"), SchedulerKind("BF"), SchedulerKind("RF", PARAMS)
 
 
 def fresh_state(cfg, green=None, tariff=TARIFF, seed=None):
@@ -47,15 +46,15 @@ def test_kind_validation():
 def test_ff_takes_earliest():
     cfg = small_cfg()
     state = fresh_state(cfg)
-    placed = ff_place(Job(id=0, release=3, deadline=9, proc_time=2, nodes=1), state, TARIFF, cfg)
-    assert placed.active_slots == (3, 4)
+    placed = place(Job(id=0, release=3, deadline=9, proc_time=2, nodes=1), state, FF, TARIFF, cfg)
+    assert placed.slots == (3, 4)
 
 
 def test_ff_rejects_when_full():
     cfg = small_cfg(machines=1, horizon=4)
     state = fresh_state(cfg)
-    ff_place(Job(id=0, release=0, deadline=3, proc_time=4, nodes=1), state, TARIFF, cfg)
-    assert ff_place(Job(id=1, release=0, deadline=3, proc_time=1, nodes=1), state, TARIFF, cfg) is None
+    place(Job(id=0, release=0, deadline=3, proc_time=4, nodes=1), state, FF, TARIFF, cfg)
+    assert place(Job(id=1, release=0, deadline=3, proc_time=1, nodes=1), state, FF, TARIFF, cfg) is None
 
 
 def test_bf_chases_green_slot():
@@ -64,15 +63,15 @@ def test_bf_chases_green_slot():
     g = np.zeros(10, dtype=np.int64)
     g[5] = 2
     state = fresh_state(cfg, GreenTrace(g))
-    placed = bf_place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=2), state, TARIFF, cfg)
-    assert placed.active_slots == (5,)
+    placed = place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=2), state, BF, TARIFF, cfg)
+    assert placed.slots == (5,)
 
 
 def test_bf_tie_breaks_earliest():
     cfg = small_cfg(machines=2, horizon=8)
     state = fresh_state(cfg)  # no green anywhere: all windows cost the same
-    placed = bf_place(Job(id=0, release=2, deadline=7, proc_time=2, nodes=1), state, TARIFF, cfg)
-    assert placed.active_slots == (2, 3)
+    placed = place(Job(id=0, release=2, deadline=7, proc_time=2, nodes=1), state, BF, TARIFF, cfg)
+    assert placed.slots == (2, 3)
 
 
 def test_bf_ignores_green_past_forecast():
@@ -84,47 +83,47 @@ def test_bf_ignores_green_past_forecast():
     # visible costs for q=2: slot0 2*b_off=0.0056, slot1 1*b_on=0.00455,
     # slots 2..4 2*b_off; with foresight slot 3 would be free, but blinded
     # best-fit settles for the half-green on-peak slot
-    placed = bf_place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, tariff, cfg)
-    assert placed.active_slots == (1,)
+    placed = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, BF, tariff, cfg)
+    assert placed.slots == (1,)
     wide = SimConfig(machines=2, horizon_slots=5, forecast_slots=4)
     state2 = OnlineState.create(GreenTrace(g), tariff, wide)
-    placed2 = bf_place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state2, tariff, wide)
-    assert placed2.active_slots == (3,)
+    placed2 = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state2, BF, tariff, wide)
+    assert placed2.slots == (3,)
 
 
 def test_bf_sees_green_inside_forecast():
     cfg = SimConfig(machines=2, horizon_slots=5, forecast_slots=4)
     g = np.array([0, 0, 0, 2, 0])
     state = OnlineState.create(GreenTrace(g), TARIFF, cfg)
-    placed = bf_place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, TARIFF, cfg)
-    assert placed.active_slots == (3,)
+    placed = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, BF, TARIFF, cfg)
+    assert placed.slots == (3,)
 
 
 def test_pff_scatters_greedily():
     cfg = small_cfg(machines=2, horizon=4)
     state = fresh_state(cfg)
-    ff_place(Job(id=9, release=0, deadline=3, proc_time=4, nodes=2), state, TARIFF, cfg)
+    place(Job(id=9, release=0, deadline=3, proc_time=4, nodes=2), state, FF, TARIFF, cfg)
     # grid full except nothing; next job must fail non-preemptively
-    assert ff_place(Job(id=1, release=0, deadline=3, proc_time=1, nodes=1), state, TARIFF, cfg) is None
+    assert place(Job(id=1, release=0, deadline=3, proc_time=1, nodes=1), state, FF, TARIFF, cfg) is None
     cfg2 = small_cfg(machines=2, horizon=4)
     state2 = fresh_state(cfg2)
-    ff_place(Job(id=9, release=1, deadline=1, proc_time=1, nodes=2), state2, TARIFF, cfg2)
-    placed = ff_place(
+    place(Job(id=9, release=1, deadline=1, proc_time=1, nodes=2), state2, FF, TARIFF, cfg2)
+    placed = place(
         Job(id=1, release=0, deadline=3, proc_time=2, nodes=1),
-        state2, TARIFF, cfg2, preemptive=True,
+        state2, SchedulerKind("PFF"), TARIFF, cfg2,
     )
-    assert placed.active_slots == (0, 2)
+    assert placed.slots == (0, 2)
 
 
 def test_pbf_picks_cheapest_slots_tie_earlier():
     cfg = SimConfig(machines=1, horizon_slots=6, forecast_slots=6)
     tariff = Tariff(peak_override=(True, False, True, False, True, False))
     state = OnlineState.create(GreenTrace(np.zeros(6, dtype=np.int64)), tariff, cfg)
-    placed = bf_place(
+    placed = place(
         Job(id=0, release=0, deadline=5, proc_time=3, nodes=1),
-        state, tariff, cfg, preemptive=True,
+        state, SchedulerKind("PBF"), tariff, cfg,
     )
-    assert placed.active_slots == (1, 3, 5)  # the three off-peak slots
+    assert placed.slots == (1, 3, 5)  # the three off-peak slots
 
 
 def test_pbf_prefers_visible_green_over_offpeak():
@@ -132,12 +131,12 @@ def test_pbf_prefers_visible_green_over_offpeak():
     tariff = Tariff(peak_override=(True, False, False, False))
     g = np.array([1, 0, 0, 0])
     state = OnlineState.create(GreenTrace(g), tariff, cfg)
-    placed = bf_place(
+    placed = place(
         Job(id=0, release=0, deadline=3, proc_time=2, nodes=1),
-        state, tariff, cfg, preemptive=True,
+        state, SchedulerKind("PBF"), tariff, cfg,
     )
     # slot 0 is free thanks to green despite being on-peak; then earliest off-peak
-    assert placed.active_slots == (0, 1)
+    assert placed.slots == (0, 1)
 
 
 def test_rf_green_path_spends_no_randomness():
@@ -145,11 +144,11 @@ def test_rf_green_path_spends_no_randomness():
     g = np.full(6, 2, dtype=np.int64)
     state = fresh_state(cfg, GreenTrace(g), seed=123)
     before = state.rng.bit_generator.state
-    placed = rf_place(
+    placed = place(
         Job(id=0, release=0, deadline=5, proc_time=2, nodes=2),
-        state, TARIFF, cfg, PARAMS,
+        state, RF, TARIFF, cfg,
     )
-    assert placed.active_slots == (0, 1)  # deterministic first-fit
+    assert placed.slots == (0, 1)  # deterministic first-fit
     assert state.rng.bit_generator.state == before
 
 
@@ -157,7 +156,7 @@ def test_rf_flips_only_when_green_short():
     cfg = small_cfg(machines=2, horizon=6)
     state = fresh_state(cfg, seed=123)
     before = state.rng.bit_generator.state
-    rf_place(Job(id=0, release=0, deadline=5, proc_time=1, nodes=1), state, TARIFF, cfg, PARAMS)
+    place(Job(id=0, release=0, deadline=5, proc_time=1, nodes=1), state, RF, TARIFF, cfg)
     assert state.rng.bit_generator.state != before
 
 
@@ -165,7 +164,7 @@ def test_rf_unseeded_coin_raises():
     cfg = small_cfg()
     state = fresh_state(cfg)  # no rng
     with pytest.raises(ValueError, match="seeded"):
-        rf_place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=1), state, TARIFF, cfg, PARAMS)
+        place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=1), state, RF, TARIFF, cfg)
 
 
 def _random_jobs(rng, T, M, n):
@@ -253,7 +252,7 @@ def test_green_remaining_matches_residual():
     green = GreenTrace(rng.integers(0, 4, size=8))
     state = OnlineState.create(green, TARIFF, cfg)
     for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
-        ff_place(job, state, TARIFF, cfg)
+        place(job, state, FF, TARIFF, cfg)
     residual = np.maximum(0, green.supply - state.schedule.demand)
     assert np.array_equal(state.green_remaining, residual)
 
