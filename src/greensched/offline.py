@@ -194,7 +194,11 @@ def _solve(
 
     Job i branches over ``options`` in order, then rejection; a subtree is
     cut when its value so far plus the remaining jobs' ``bound`` sum cannot
-    beat the incumbent, and only strict improvements replace it.
+    beat the incumbent, and only strict improvements replace it. A subtree
+    is also cut when an earlier one at the same depth saw the same demand
+    over the slots the remaining jobs can use, at no lower value: each of
+    its leaves is then no better than a leaf already searched, so the
+    returned optimum and its tie rule are the same as without the cut.
     """
     _check_limits(
         len(jobs), config, limits, "preemptive" if preemptive else "non-preemptive"
@@ -213,6 +217,14 @@ def _solve(
     best_assign: list | None = None
     demand = [0] * T
     chosen: list = [None] * n
+    # Jobs are in release order, so jobs i.. only touch slots in window[i]:
+    # their options and marginal costs depend on the demand there alone.
+    window = [
+        slice(order[i].release, max(j.deadline for j in order[i:]) + 1)
+        for i in range(n)
+    ]
+    memo: list[dict] = [{} for _ in range(n)]  # demand in window[i] -> best cur
+    pack = bytes if M < 256 else tuple  # demand never exceeds M
 
     def dfs(i: int, cur: float) -> None:
         nonlocal best_value, best_assign
@@ -222,6 +234,11 @@ def _solve(
             best_value = cur
             best_assign = chosen.copy()
             return
+        key = pack(demand[window[i]])
+        seen = memo[i].get(key)
+        if seen is not None and seen >= cur:
+            return
+        memo[i][key] = cur
         job = order[i]
         q = job.nodes
         for slots in options(job, demand, M):
@@ -239,6 +256,7 @@ def _solve(
         dfs(i + 1, cur)
 
     dfs(0, 0.0)
+    dfs = None  # dfs reaches itself through its closure; unlink to free the search
     if best_assign is None:
         raise RuntimeError("search lost its incumbent (internal error)")
 
@@ -334,7 +352,9 @@ def node_assignment(
         del assign[order[i].job_id]
         return False
 
-    return assign if rec(0) else None
+    found = rec(0)
+    rec = None  # rec reaches itself through its closure; unlink to free it
+    return assign if found else None
 
 
 # ---------------------------------------------------------------------------

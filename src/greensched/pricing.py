@@ -129,13 +129,16 @@ def load_solar_csv(
     Consecutive samples are summed in groups covering one slot, the series is
     rescaled so its peak equals peak_fraction of the cluster's power draw, and
     each slot is converted to whole node-slots (floor). The sample period is
-    inferred from the first two timestamps. Raises if the trace is shorter
+    the step between the first two timestamps, and every later step must
+    equal it (to the millisecond), so a gap or a repeated stamp raises
+    instead of shifting the slots after it. Raises if the trace is shorter
     than the horizon; longer traces are truncated.
     """
     if config.node_power_watts <= 0:
         raise ValueError("node_power_watts must be positive to scale a solar trace")
     times: list[float] = []
     watts: list[float] = []
+    step = 0.0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -151,14 +154,20 @@ def load_solar_csv(
                 if lineno == 1:
                     continue  # header row
                 raise ValueError(f"{path}:{lineno}: cannot parse '{line}'") from None
+            if len(times) == 1:
+                step = stamp - times[0]
+                if step <= 0:
+                    raise ValueError(f"{path}:{lineno}: timestamps must increase")
+            elif times and abs(stamp - times[-1] - step) > 1e-3:
+                raise ValueError(
+                    f"{path}:{lineno}: step of {stamp - times[-1]:g} s differs "
+                    f"from the sample period of {step:g} s"
+                )
             times.append(stamp)
             watts.append(max(0.0, value))
     if len(times) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    sample_seconds = times[1] - times[0]
-    if sample_seconds <= 0:
-        raise ValueError(f"{path}: timestamps must increase")
-    group = max(1, round(config.slot_minutes * 60 / sample_seconds))
+    group = max(1, round(config.slot_minutes * 60 / step))
     n_slots = len(watts) // group
     if n_slots < config.horizon_slots:
         raise ValueError(

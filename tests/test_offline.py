@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,19 @@ from greensched.pricing import (
     GreenTrace,
     Tariff,
     account,
+    brown_cost_vector,
     job_revenue,
     normalized_values,
 )
 from greensched.schedulers import SchedulerKind, run_online
 
 from lputil import solve_lp_text
-from oracles import enumerate_nonpreemptive, enumerate_preemptive, random_instance
+from oracles import (
+    enumerate_nonpreemptive,
+    enumerate_preemptive,
+    profit_of,
+    random_instance,
+)
 
 TARIFF = Tariff()
 
@@ -92,6 +100,82 @@ def test_matches_enumeration_on_random_instances():
             order[i].id: s for i, s in enumerate(assign) if s is not None
         }
         assert got_starts == expect_starts  # lexicographic tie rule agrees
+
+
+def crowded_instance(rng):
+    """Four to six jobs of two shapes on two machines and four to six slots,
+    so many branches reach the same demand and the dominance memo cuts."""
+    T = int(rng.integers(4, 7))
+    config = cfg_of(2, T)
+    shapes = [(int(rng.integers(1, 4)), int(rng.integers(1, 3))) for _ in range(2)]
+    jobs = []
+    for i in range(int(rng.integers(4, 7))):
+        p, q = shapes[int(rng.integers(0, 2))]
+        r = int(rng.integers(0, T - p + 1))
+        d = int(rng.integers(r + p - 1, T))
+        jobs.append(Job(id=i, release=r, deadline=d, proc_time=p, nodes=q))
+    green = GreenTrace(rng.integers(0, 3, size=T))
+    tariff = Tariff(peak_override=tuple(bool(x) for x in rng.random(T) < 0.5))
+    return jobs, green, tariff, config
+
+
+@pytest.mark.filterwarnings("ignore:no fixed per-job node assignment")
+@pytest.mark.parametrize(
+    "solver, oracle",
+    [
+        (solve_nonpreemptive_exact, enumerate_nonpreemptive),
+        (solve_preemptive_exact, enumerate_preemptive),
+    ],
+)
+def test_matches_enumeration_on_crowded_instances(solver, oracle):
+    # Placements are not compared: on rounding ties the solver and the
+    # oracle can pick different optima (see the tie-rule xfail below).
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        jobs, green, tariff, config = crowded_instance(rng)
+        expect, _, order = oracle(jobs, green, tariff, config)
+        got, sched = solver(jobs, green, tariff, config)
+        assert abs(got - expect) <= 1e-12
+        placed = {p.job_id for p in sched.placements}
+        picked = [job_revenue(j, tariff, config) for j in order if j.id in placed]
+        g = [int(v) for v in green.supply]
+        b = [float(v) for v in brown_cost_vector(tariff, config)]
+        assert profit_of(picked, sched.demand, g, b) == got
+
+
+def test_memo_key_covers_every_remaining_job():
+    # Catches a memo keyed on job i's own window instead of every remaining
+    # job's: at job 2 (window [3, 3]) that key cuts job 0 on (1, 5) against
+    # job 0 on (1, 4), same demand in slot 3 at the same value, although job
+    # 1 still needs slot 4. That cut returns 0.014649999999999998 with job 0
+    # on (1, 2).
+    cfg = cfg_of(1, 6)
+    jobs = [Job(*row) for row in [(0, 1, 5, 2, 1), (1, 3, 4, 2, 1), (2, 3, 3, 1, 1)]]
+    green = GreenTrace(np.array([0, 1, 0, 0, 1, 1]))
+    tariff = Tariff(peak_override=(True, False, True, False, True, True))
+    got, sched = solve_preemptive_exact(jobs, green, tariff, cfg)
+    expect, assign, order = enumerate_preemptive(jobs, green, tariff, cfg)
+    assert got == expect == 0.0192
+    expect_slots = {job.id: a for job, a in zip(order, assign) if a is not None}
+    assert {p.job_id: p.active_slots for p in sched.placements} == expect_slots
+    assert expect_slots == {0: (1, 5), 1: (3, 4)}
+
+
+def test_solves_leave_no_reference_cycles():
+    # The searches recurse through closures; a solve that leaves them in a
+    # reference cycle keeps its whole search state alive until a full GC.
+    cfg = cfg_of(2, 5)
+    jobs = [Job(id=i, release=0, deadline=4, proc_time=2, nodes=1) for i in range(4)]
+    green = GreenTrace(np.array([1, 0, 2, 0, 1]))
+    gc.collect()
+    gc.disable()
+    try:
+        solve_nonpreemptive_exact(jobs, green, TARIFF, cfg)
+        _, sched = solve_preemptive_exact(jobs, green, TARIFF, cfg)
+        assert sched.placements  # so node_assignment searched
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_six_jobs_wider_grid_matches_enumeration():
@@ -193,6 +277,13 @@ def test_limits_are_enforced():
     loose = SolveLimits(max_jobs=20, max_slots=60, max_machines=20)
     profit, _ = solve_nonpreemptive_exact(many, zeros(4), TARIFF, cfg, loose)
     assert profit > 0
+    # loose limits admit more nodes per slot than one byte of demand holds
+    fleet = SimConfig(machines=300, horizon_slots=4, forecast_slots=4)
+    roomy = SolveLimits(max_jobs=12, max_slots=48, max_machines=300)
+    wide_jobs = [Job(id=i, release=0, deadline=3, proc_time=2, nodes=260) for i in range(2)]
+    for solver in (solve_nonpreemptive_exact, solve_preemptive_exact):
+        _, sched = solver(wide_jobs, zeros(4), TARIFF, fleet, roomy)
+        assert len(sched.placements) == 2
 
 
 def test_lexicographic_tie_rule():

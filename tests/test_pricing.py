@@ -187,6 +187,16 @@ def test_load_solar_csv_errors(tmp_path):
     bad.write_text("0,100\nnot-a-row,oops\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
         load_solar_csv(bad, cfg)
+    # five-minute samples, then a two-hour step after 00:10
+    stamps = [300 * k for k in range(3)] + [7800 + 300 * k for k in range(100)]
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("timestamp,watts\n" + "".join(f"{t},100\n" for t in stamps))
+    with pytest.raises(ValueError, match=r"gapped.csv:5: step of 7200 s differs"):
+        load_solar_csv(gapped, cfg)
+    backwards = tmp_path / "backwards.csv"
+    backwards.write_text("900,100\n900,100\n1800,100\n")
+    with pytest.raises(ValueError, match="backwards.csv:2: timestamps must increase"):
+        load_solar_csv(backwards, cfg)
 
 
 def test_account_pools_green_by_slot():
