@@ -52,7 +52,6 @@ from .pricing import (
     Tariff,
     account,
     brown_cost_vector,
-    brown_unit_cost,
     is_on_peak,
     job_revenue,
     load_solar_csv,
@@ -104,7 +103,6 @@ __all__ = [
     "account",
     "bf_lower_bound_instance",
     "brown_cost_vector",
-    "brown_unit_cost",
     "commit",
     "emit_lp",
     "ff_lower_bound_instance",

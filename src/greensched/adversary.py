@@ -66,26 +66,45 @@ class RatioMeasurement:
         return math.isinf(self.ratio)
 
 
-def _instance_frame(
-    nv: NormalizedValues, peak_pattern: tuple[bool, bool], machines: int
-) -> tuple[Tariff, SimConfig]:
-    """Two-slot setting whose prices reproduce the given value ladder.
+def _build(
+    name: str,
+    nv: NormalizedValues,
+    machines: int,
+    peak_pattern: tuple[bool, bool],
+    green_units: list[int],
+    jobs: tuple[Job, ...],
+    target: SchedulerKind,
+    expected_opt: float,
+    expected_alg: float,
+    formula_ratio: float,
+) -> AdversarialInstance:
+    """A two-slot instance whose prices reproduce the given value ladder.
 
     Prices are reconstructed from the normalized values so the tariff and nv
     cannot drift apart: price = (1 - v) * slot revenue / node-slot energy.
     """
     config = SimConfig(machines=machines, horizon_slots=2, forecast_slots=192)
-    per_slot_revenue = 0.022 * config.slot_hours
+    charge_rate = Tariff().charge_rate
+    per_slot_revenue = charge_rate * config.slot_hours
     kwh = config.node_slot_kwh
-    onpeak_price = (1.0 - nv.v_on) * per_slot_revenue / kwh
-    offpeak_price = (1.0 - nv.v_off) * per_slot_revenue / kwh
     tariff = Tariff(
-        onpeak_price=onpeak_price,
-        offpeak_price=offpeak_price,
-        charge_rate=0.022,
+        onpeak_price=(1.0 - nv.v_on) * per_slot_revenue / kwh,
+        offpeak_price=(1.0 - nv.v_off) * per_slot_revenue / kwh,
+        charge_rate=charge_rate,
         peak_override=peak_pattern,
     )
-    return tariff, config
+    return AdversarialInstance(
+        name=name,
+        jobs=jobs,
+        green=GreenTrace(np.array(green_units)),
+        tariff=tariff,
+        config=config,
+        target=target,
+        expected_opt=expected_opt,
+        expected_alg=expected_alg,
+        formula_ratio=formula_ratio,
+        unit_value=tariff.charge_rate * config.slot_hours * machines,
+    )
 
 
 def _full_job(jid: int, release: int, machines: int) -> Job:
@@ -106,25 +125,13 @@ def ff_lower_bound_instance(
     if variant not in FF_VARIANTS:
         raise ValueError(f"variant must be one of {FF_VARIANTS}")
     if variant == "green_next":
-        tariff, config = _instance_frame(nv, (True, True), machines)
-        green = GreenTrace(np.array([0, machines]))
-        expected_opt, expected_alg = nv.v_g, nv.v_on
+        peak, green, opt, alg = (True, True), [0, machines], nv.v_g, nv.v_on
     else:
-        tariff, config = _instance_frame(nv, (True, False), machines)
-        green = GreenTrace(np.array([0, 0]))
-        expected_opt, expected_alg = nv.v_off, nv.v_on
-    unit = tariff.charge_rate * config.slot_hours * machines
-    return AdversarialInstance(
-        name=f"ff_{variant}",
-        jobs=(_full_job(0, 0, machines),),
-        green=green,
-        tariff=tariff,
-        config=config,
-        target=SchedulerKind("FF"),
-        expected_opt=expected_opt,
-        expected_alg=expected_alg,
-        formula_ratio=expected_opt / expected_alg,
-        unit_value=unit,
+        peak, green, opt, alg = (True, False), [0, 0], nv.v_off, nv.v_on
+    jobs = (_full_job(0, 0, machines),)
+    return _build(
+        f"ff_{variant}", nv, machines, peak, green, jobs, SchedulerKind("FF"),
+        opt, alg, opt / alg,
     )
 
 
@@ -142,27 +149,13 @@ def bf_lower_bound_instance(
     if variant not in BF_VARIANTS:
         raise ValueError(f"variant must be one of {BF_VARIANTS}")
     if variant == "on_to_off":
-        tariff, config = _instance_frame(nv, (True, False), machines)
-        green = GreenTrace(np.array([0, 0]))
-        expected_opt = nv.v_on + nv.v_off
-        expected_alg = nv.v_off
+        peak, green, opt, alg = (True, False), [0, 0], nv.v_on + nv.v_off, nv.v_off
     else:
-        tariff, config = _instance_frame(nv, (False, True), machines)
-        green = GreenTrace(np.array([0, machines]))
-        expected_opt = nv.v_off + nv.v_g
-        expected_alg = nv.v_g
-    unit = tariff.charge_rate * config.slot_hours * machines
-    return AdversarialInstance(
-        name=f"bf_{variant}",
-        jobs=(_full_job(0, 0, machines), _full_job(1, 1, machines)),
-        green=green,
-        tariff=tariff,
-        config=config,
-        target=SchedulerKind("BF"),
-        expected_opt=expected_opt,
-        expected_alg=expected_alg,
-        formula_ratio=expected_opt / expected_alg,
-        unit_value=unit,
+        peak, green, opt, alg = (False, True), [0, machines], nv.v_off + nv.v_g, nv.v_g
+    jobs = (_full_job(0, 0, machines), _full_job(1, 1, machines))
+    return _build(
+        f"bf_{variant}", nv, machines, peak, green, jobs, SchedulerKind("BF"),
+        opt, alg, opt / alg,
     )
 
 
@@ -179,45 +172,27 @@ def rf_worst_case_suite(
     """
     params = random_fit_params(nv)
     p_on, p_off = params.p_on_to_off, params.p_off_to_on
-    out: list[AdversarialInstance] = []
-
-    def build(name, peak, green_units, jobs, opt, alg, ratio):
-        tariff, config = _instance_frame(nv, peak, machines)
-        unit = tariff.charge_rate * config.slot_hours * machines
-        out.append(
-            AdversarialInstance(
-                name=name,
-                jobs=jobs,
-                green=GreenTrace(np.array(green_units)),
-                tariff=tariff,
-                config=config,
-                target=SchedulerKind("RF", rf_params=params),
-                expected_opt=opt,
-                expected_alg=alg,
-                formula_ratio=ratio,
-                unit_value=unit,
-            )
-        )
-
+    rf = SchedulerKind("RF", rf_params=params)
     one = (_full_job(0, 0, machines),)
     two = (_full_job(0, 0, machines), _full_job(1, 1, machines))
-    build(
-        "rf_on_to_off_single", (True, False), [0, 0], one,
-        nv.v_off, p_on * nv.v_on + (1 - p_on) * nv.v_off, params.ratio_on,
-    )
-    build(
-        "rf_on_to_off_pair", (True, False), [0, 0], two,
-        nv.v_on + nv.v_off, p_on * nv.v_on + nv.v_off, params.ratio_on,
-    )
-    build(
-        "rf_off_to_on_single", (False, True), [0, machines], one,
-        nv.v_g, p_off * nv.v_off + (1 - p_off) * nv.v_g, params.ratio_off,
-    )
-    build(
-        "rf_off_to_on_pair", (False, True), [0, machines], two,
-        nv.v_off + nv.v_g, p_off * nv.v_off + nv.v_g, params.ratio_off,
-    )
-    return out
+    return [
+        _build(
+            "rf_on_to_off_single", nv, machines, (True, False), [0, 0], one, rf,
+            nv.v_off, p_on * nv.v_on + (1 - p_on) * nv.v_off, params.ratio_on,
+        ),
+        _build(
+            "rf_on_to_off_pair", nv, machines, (True, False), [0, 0], two, rf,
+            nv.v_on + nv.v_off, p_on * nv.v_on + nv.v_off, params.ratio_on,
+        ),
+        _build(
+            "rf_off_to_on_single", nv, machines, (False, True), [0, machines], one, rf,
+            nv.v_g, p_off * nv.v_off + (1 - p_off) * nv.v_g, params.ratio_off,
+        ),
+        _build(
+            "rf_off_to_on_pair", nv, machines, (False, True), [0, machines], two, rf,
+            nv.v_off + nv.v_g, p_off * nv.v_off + nv.v_g, params.ratio_off,
+        ),
+    ]
 
 
 def measure_ratio(

@@ -13,7 +13,6 @@ import sys
 
 from .adversary import measure_ratio, standard_suite
 from .experiment import (
-    ExperimentConfig,
     load_config,
     parse_limits,
     preemption_comparison,
@@ -89,15 +88,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _green_for(args: argparse.Namespace, sim: SimConfig):
-    cfg = ExperimentConfig(sim=sim, green=args.green)
-    return resolve_green(cfg)
-
-
 def _cmd_opt(args: argparse.Namespace) -> int:
     sim = _sim_from(args)
     jobs = read_jobs(args.jobs, sim)
-    green = _green_for(args, sim)
+    green = resolve_green(args.green, sim)
     tariff = Tariff()
     if args.action == "emit":
         variant = args.variant.replace("-", "_")

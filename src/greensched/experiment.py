@@ -83,14 +83,15 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
-def resolve_green(cfg: ExperimentConfig) -> GreenTrace:
-    if cfg.green == "synthetic":
-        return synthetic_solar(cfg.sim)
-    if cfg.green == "zero":
-        return GreenTrace.zeros(cfg.sim)
-    if cfg.green.startswith("solar:"):
-        return load_solar_csv(cfg.green.split(":", 1)[1], cfg.sim)
-    raise ValueError(f"unknown green source {cfg.green!r}")
+def resolve_green(source: str, sim: SimConfig) -> GreenTrace:
+    """The green trace named by ``source``: synthetic, zero or solar:<csv>."""
+    if source == "synthetic":
+        return synthetic_solar(sim)
+    if source == "zero":
+        return GreenTrace.zeros(sim)
+    if source.startswith("solar:"):
+        return load_solar_csv(source.split(":", 1)[1], sim)
+    raise ValueError(f"unknown green source {source!r}")
 
 
 def _points(cfg: ExperimentConfig, family: str) -> tuple:
@@ -175,7 +176,7 @@ def run_suite(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     the optimum) divided by each policy's mean. With ``include_offline`` the
     exact solver joins as algorithm OPT at desk-scale points.
     """
-    green = resolve_green(cfg)
+    green = resolve_green(cfg.green, cfg.sim)
     kinds = {name: _kind(name, cfg) for name in cfg.algorithms}
     runs: list[dict] = []
     for family in cfg.families:
@@ -360,7 +361,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         slot_minutes=int(pop("slot_minutes", "15")),
         node_power_watts=float(pop("node_power_watts", "140")),
         forecast_slots=int(pop("forecast_slots", "192")),
-        rng_seed=int(pop("master_seed", "0")),
     )
     tariff = Tariff(
         onpeak_price=float(pop("onpeak_price", "0.13")),
@@ -393,7 +393,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         include_offline=_parse_bool(pop("include_offline", "false")),
         offline_limits=limits,
         output_dir=pop("output_dir"),
-        master_seed=sim.rng_seed,
+        master_seed=int(pop("master_seed", "0")),
     )
     if raw:
         raise ValueError(f"{path}: unknown keys {sorted(raw)}")

@@ -12,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-# Slot ordinals are plain ints; the alias marks intent in signatures.
-SlotIndex = int
 
 
 class CapacityError(RuntimeError):
@@ -36,7 +32,6 @@ class SimConfig:
     slot_minutes: int = 15
     node_power_watts: float = 140.0
     forecast_slots: int = 192
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.machines < 1:
@@ -132,11 +127,6 @@ class Schedule:
     def has_job(self, job_id: int) -> bool:
         return job_id in self._placed
 
-    def copy(self) -> "Schedule":
-        return Schedule(
-            self.machines, self.horizon, list(self.placements), self.demand.copy()
-        )
-
 
 def _capacity_region(job: Job, schedule: Schedule) -> np.ndarray:
     """Bool vector over [release, deadline]: slot can take q more nodes."""
@@ -149,21 +139,29 @@ def _capacity_region(job: Job, schedule: Schedule) -> np.ndarray:
     return schedule.demand[lo:hi] + job.nodes <= schedule.machines
 
 
+def spare_slots(job: Job, schedule: Schedule) -> np.ndarray:
+    """Slots of the job's window that can take its nodes, ascending."""
+    return np.flatnonzero(_capacity_region(job, schedule)) + job.release
+
+
 def nonpreemptive_starts(job: Job, schedule: Schedule) -> np.ndarray:
     """Feasible contiguous start slots, ascending (absolute ordinals)."""
-    region = _capacity_region(job, schedule)
     p = job.proc_time
-    if region.size < p:
-        return np.empty(0, dtype=np.int64)
     if p == 1:
-        return np.flatnonzero(region) + job.release
-    ok = sliding_window_view(region, p).all(axis=1)
-    return np.flatnonzero(ok) + job.release
+        # every spare slot starts a window; the prefix count below would
+        # cost about 4x more per call, and the adversary runs are all p == 1
+        return spare_slots(job, schedule)
+    region = _capacity_region(job, schedule)
+    # full[k] counts the slots before offset k that cannot take the job; a
+    # window holds none of them iff the count does not grow across it
+    full = np.zeros(region.size + 1, dtype=np.int64)
+    np.cumsum(~region, out=full[1:])
+    return np.flatnonzero(full[p:] == full[:-p]) + job.release
 
 
 def preemptive_slots(job: Job, schedule: Schedule) -> np.ndarray:
     """Greedy earliest proc_time spare slots, or empty if too few exist."""
-    spare = np.flatnonzero(_capacity_region(job, schedule)) + job.release
+    spare = spare_slots(job, schedule)
     if spare.size < job.proc_time:
         return np.empty(0, dtype=np.int64)
     return spare[: job.proc_time]

@@ -59,12 +59,6 @@ def onpeak_vector(tariff: Tariff, config: SimConfig, horizon: int | None = None)
     return np.array([is_on_peak(t, tariff, config) for t in range(n)], dtype=bool)
 
 
-def brown_unit_cost(t: int, tariff: Tariff, config: SimConfig) -> float:
-    """Cost in $ of running one node for slot t on brown energy."""
-    price = tariff.onpeak_price if is_on_peak(t, tariff, config) else tariff.offpeak_price
-    return price * config.node_slot_kwh
-
-
 def brown_cost_vector(tariff: Tariff, config: SimConfig, horizon: int | None = None) -> np.ndarray:
     """Per-slot brown cost of one node-slot, over the horizon."""
     peak = onpeak_vector(tariff, config, horizon)

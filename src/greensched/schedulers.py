@@ -25,7 +25,7 @@ from .model import (
     SimConfig,
     commit,
     nonpreemptive_starts,
-    preemptive_slots,
+    spare_slots,
 )
 from .pricing import (
     GreenTrace,
@@ -34,8 +34,8 @@ from .pricing import (
     Tariff,
     account,
     brown_cost_vector,
+    is_on_peak,
     job_revenue,
-    onpeak_vector,
 )
 
 KINDS = ("FF", "BF", "RF", "PFF", "PBF", "PRF")
@@ -67,14 +67,13 @@ class SchedulerKind:
 class OnlineState:
     """Mutable run context: the schedule so far plus pricing lookups.
 
-    green_remaining is the true residual supply; foresight masking happens at
-    decision time. It always equals max(0, g - demand) for the true trace.
+    ``green`` is the true supply and is never written; the residual pool is
+    max(0, green - demand), derived where a decision or a draw needs it.
     """
 
     schedule: Schedule
-    green_remaining: np.ndarray
+    green: np.ndarray  # true supply per slot over the horizon, read-only
     brown_cost: np.ndarray  # $ per node-slot, indexed by slot
-    onpeak: np.ndarray  # bool per slot
     rng: np.random.Generator | None = None
 
     @classmethod
@@ -88,11 +87,12 @@ class OnlineState:
         T = config.horizon_slots
         if green.supply.size < T:
             raise ValueError("green trace shorter than horizon")
+        supply = green.supply[:T]
+        supply.flags.writeable = False
         return cls(
             schedule=Schedule(config.machines, T),
-            green_remaining=green.supply[:T].astype(np.int64).copy(),
+            green=supply,
             brown_cost=brown_cost_vector(tariff, config),
-            onpeak=onpeak_vector(tariff, config),
             rng=None if seed is None else np.random.default_rng(seed),
         )
 
@@ -113,100 +113,75 @@ class LogEntry:
 
 def _visible_green(state: OnlineState, release: int, config: SimConfig) -> np.ndarray:
     """Residual green as the decision may see it: zero past the forecast."""
-    limit = release + config.forecast_slots
-    if limit >= state.green_remaining.size:
-        return state.green_remaining
-    vis = state.green_remaining.copy()
-    vis[limit:] = 0
+    vis = np.maximum(state.green - state.schedule.demand, 0)
+    vis[release + config.forecast_slots :] = 0
     return vis
 
 
-def _ff_choice(job: Job, state: OnlineState, preemptive: bool) -> tuple[int, ...] | None:
-    if preemptive:
-        slots = preemptive_slots(job, state.schedule)
-        if slots.size == 0:
-            return None
-        return tuple(int(t) for t in slots)
-    starts = nonpreemptive_starts(job, state.schedule)
-    if starts.size == 0:
-        return None
-    s = int(starts[0])
-    return tuple(range(s, s + job.proc_time))
-
-
-def _bf_choice(
-    job: Job, state: OnlineState, config: SimConfig, preemptive: bool
-) -> tuple[int, ...] | None:
-    vis = _visible_green(state, job.release, config)
-    # marginal $ to run q nodes at each slot, given the residual green pool
-    unit = state.brown_cost * np.maximum(0, job.nodes - vis)
-    if preemptive:
-        spare = np.flatnonzero(
-            state.schedule.demand[job.release : job.deadline + 1] + job.nodes
-            <= state.schedule.machines
-        )
-        if spare.size < job.proc_time:
-            return None
-        spare = spare + job.release
-        order = np.lexsort((spare, unit[spare]))  # cheapest first, then earlier
-        chosen = np.sort(spare[order[: job.proc_time]])
-        return tuple(int(t) for t in chosen)
-    starts = nonpreemptive_starts(job, state.schedule)
-    if starts.size == 0:
-        return None
-    csum = np.concatenate(([0.0], np.cumsum(unit)))
-    window_cost = csum[starts + job.proc_time] - csum[starts]
-    s = int(starts[int(np.argmin(window_cost))])  # argmin keeps earliest tie
-    return tuple(range(s, s + job.proc_time))
-
-
-def _rf_choice(
-    job: Job,
-    state: OnlineState,
-    config: SimConfig,
-    params: RandomFitParams,
-    preemptive: bool,
-) -> tuple[int, ...] | None:
-    """First-fit when visible green covers it, else a biased coin.
-
-    The coin keeps first-fit with p_on_to_off when the release slot is
-    on-peak and p_off_to_on otherwise, and switches to best-fit on a miss.
-    No randomness is consumed on the green path.
-    """
-    ff = _ff_choice(job, state, preemptive)
-    if ff is None:
-        return None
-    vis = _visible_green(state, job.release, config)
-    if all(vis[t] >= job.nodes for t in ff):
-        return ff  # fully green, no coin spent
-    keep_ff = params.p_on_to_off if state.onpeak[job.release] else params.p_off_to_on
-    if state.rng is None:
-        raise ValueError("randomized placement needs a seeded state")
-    if state.rng.random() < keep_ff:
-        return ff
-    return _bf_choice(job, state, config, preemptive)
-
-
 def _choose(
-    job: Job, state: OnlineState, config: SimConfig, kind: SchedulerKind
+    job: Job, state: OnlineState, kind: SchedulerKind, tariff: Tariff, config: SimConfig
 ) -> tuple[int, ...] | None:
+    """The slots the policy picks for the job, or None when none can take it.
+
+    One capacity scan yields the candidates: the feasible contiguous starts,
+    or the spare slots for the preemptive variants. First-fit takes the
+    earliest, best-fit the cheapest marginal brown energy given the visible
+    green (earliest on ties). Random-fit takes first-fit's pick when visible
+    green covers all of it; otherwise its coin keeps that pick with
+    p_on_to_off when the release slot is on-peak and p_off_to_on otherwise,
+    and takes best-fit's pick on a miss. No randomness is consumed on the
+    green path.
+    """
+    p = job.proc_time
+    if kind.preemptive:
+        spare = spare_slots(job, state.schedule)
+        if spare.size < p:
+            return None
+        first = tuple(int(t) for t in spare[:p])
+    else:
+        starts = nonpreemptive_starts(job, state.schedule)
+        if starts.size == 0:
+            return None
+        s = int(starts[0])
+        first = tuple(range(s, s + p))
     base = kind.kind[-2:]
     if base == "FF":
-        return _ff_choice(job, state, kind.preemptive)
-    if base == "BF":
-        return _bf_choice(job, state, config, kind.preemptive)
-    return _rf_choice(job, state, config, kind.rf_params, kind.preemptive)
+        return first
+    vis = _visible_green(state, job.release, config)
+    if base == "RF":
+        if all(vis[t] >= job.nodes for t in first):
+            return first  # fully green, no coin spent
+        params = kind.rf_params
+        on_peak = is_on_peak(job.release, tariff, config)
+        keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
+        if state.rng is None:
+            raise ValueError("randomized placement needs a seeded state")
+        if state.rng.random() < keep_first:
+            return first
+    # marginal $ to run q nodes at each slot, given the residual green pool
+    unit = state.brown_cost * np.maximum(0, job.nodes - vis)
+    if kind.preemptive:
+        order = np.lexsort((spare, unit[spare]))  # cheapest first, then earlier
+        return tuple(int(t) for t in np.sort(spare[order[:p]]))
+    csum = np.concatenate(([0.0], np.cumsum(unit)))
+    window_cost = csum[starts + p] - csum[starts]
+    s = int(starts[int(np.argmin(window_cost))])  # argmin keeps earliest tie
+    return tuple(range(s, s + p))
 
 
 def _admit(
     job: Job, slots: tuple[int, ...], state: OnlineState, tariff: Tariff, config: SimConfig
 ) -> LogEntry:
-    """Commit the placement and draw green from the shared pool."""
-    commit(job, slots, state.schedule)
+    """Commit the placement and draw green from the residual pool.
+
+    The draw is priced before ``commit``, so a CapacityError leaves the
+    state untouched.
+    """
     idx = list(slots)
-    take = np.minimum(job.nodes, state.green_remaining[idx])
+    residual = np.maximum(state.green[idx] - state.schedule.demand[idx], 0)
+    take = np.minimum(job.nodes, residual)
     cost = float(state.brown_cost[idx] @ (job.nodes - take))
-    state.green_remaining[idx] -= take
+    commit(job, slots, state.schedule)
     green_units = int(take.sum())
     return LogEntry(
         job_id=job.id,
@@ -227,9 +202,9 @@ def place(
 
     First-fit takes the earliest feasible slots, best-fit the cheapest
     marginal brown energy (earliest on ties), random-fit flips the coin of
-    ``kind.rf_params`` between the two (see ``_rf_choice``).
+    ``kind.rf_params`` between the two (see ``_choose``).
     """
-    slots = _choose(job, state, config, kind)
+    slots = _choose(job, state, kind, tariff, config)
     if slots is None:
         return None
     return _admit(job, slots, state, tariff, config)
@@ -247,16 +222,19 @@ def run_online(
 
     Jobs are processed sorted by (release, deadline, id); commitments are
     irrevocable. The returned log holds one entry per job in processing
-    order. ``seed`` feeds the RF/PRF coin only (defaults to config.rng_seed).
+    order. ``seed`` feeds the RF/PRF coin only, and those kinds require it.
     """
+    if kind.randomized and seed is None:
+        raise ValueError(f"{kind.kind} needs a seed for its coin")
     for job in jobs:
         if job.deadline >= config.horizon_slots:
             raise ValueError(
                 f"job {job.id}: deadline {job.deadline} outside horizon "
                 f"{config.horizon_slots}"
             )
-    rng_seed = (config.rng_seed if seed is None else seed) if kind.randomized else None
-    state = OnlineState.create(green, tariff, config, seed=rng_seed)
+    state = OnlineState.create(
+        green, tariff, config, seed=seed if kind.randomized else None
+    )
     log: list[LogEntry] = []
     for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
         entry = place(job, state, kind, tariff, config)

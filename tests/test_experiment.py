@@ -63,19 +63,19 @@ def test_stable_seed_is_deterministic_and_keyed():
 
 
 def test_resolve_green_sources(tmp_path):
-    zero = resolve_green(small_cfg(green="zero"))
+    zero = resolve_green("zero", SMALL)
     assert not zero.supply.any()
-    syn = resolve_green(small_cfg(green="synthetic"))
+    syn = resolve_green("synthetic", SMALL)
     assert (syn.supply == synthetic_solar(SMALL).supply).all()
     csv_path = tmp_path / "trace.csv"
     lines = ["timestamp,watts"]
     for k in range(48):
         lines.append(f"{900 * k},{560 if 10 <= k < 20 else 0}")
     csv_path.write_text("\n".join(lines) + "\n")
-    solar = resolve_green(small_cfg(green=f"solar:{csv_path}"))
+    solar = resolve_green(f"solar:{csv_path}", SMALL)
     assert solar.supply.max() == 3  # peak rescaled to 0.75 * 4 nodes
     with pytest.raises(ValueError, match="green source"):
-        resolve_green(small_cfg(green="wind"))
+        resolve_green("wind", SMALL)
 
 
 def test_run_suite_shape_and_pairing():

@@ -193,13 +193,3 @@ def test_preemptive_slots_are_earliest_spares(data):
         assert got == []
     else:
         assert got == spare[: probe.proc_time]
-
-
-def test_schedule_copy_is_independent():
-    sched = Schedule(machines=2, horizon=3)
-    commit(Job(id=0, release=0, deadline=2, proc_time=1, nodes=1), (0,), sched)
-    dup = sched.copy()
-    commit(Job(id=1, release=0, deadline=2, proc_time=1, nodes=1), (1,), dup)
-    assert len(sched.placements) == 1
-    assert sched.demand[1] == 0
-    assert dup.has_job(1) and not sched.has_job(1)

@@ -9,7 +9,6 @@ from greensched.pricing import (
     Tariff,
     account,
     brown_cost_vector,
-    brown_unit_cost,
     is_on_peak,
     job_revenue,
     load_solar_csv,
@@ -58,8 +57,9 @@ def test_peak_override_wins_then_falls_back():
 
 
 def test_unit_economics():
-    assert brown_unit_cost(40, TARIFF, CFG) == pytest.approx(0.00455, abs=1e-15)
-    assert brown_unit_cost(0, TARIFF, CFG) == pytest.approx(0.0028, abs=1e-15)
+    cost = brown_cost_vector(TARIFF, CFG)
+    assert cost[40] == pytest.approx(0.00455, abs=1e-15)
+    assert cost[0] == pytest.approx(0.0028, abs=1e-15)
     job = Job(id=0, release=0, deadline=9, proc_time=4, nodes=3)
     assert job_revenue(job, TARIFF, CFG) == pytest.approx(0.0055 * 12, abs=1e-15)
 

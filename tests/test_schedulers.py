@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from greensched.model import Job, SimConfig
+from greensched import schedulers
+from greensched.model import Job, SimConfig, nonpreemptive_starts
 from greensched.pricing import (
     GreenTrace,
     RandomFitParams,
@@ -10,6 +11,7 @@ from greensched.pricing import (
     random_fit_params,
 )
 from greensched.schedulers import (
+    KINDS,
     LOG_HEADER,
     OnlineState,
     SchedulerKind,
@@ -245,16 +247,54 @@ def test_run_online_sorts_arrivals_and_logs_every_job():
     assert report.revenue == pytest.approx(0.0055 * 3, abs=1e-15)
 
 
-def test_green_remaining_matches_residual():
-    cfg = small_cfg(machines=3, horizon=8)
+@pytest.mark.parametrize("name", KINDS)
+def test_admit_draws_true_residual_green(name):
+    # forecast shorter than the horizon: decisions are blinded past it, but
+    # the draw at commit time still takes the true residual of every slot
+    cfg = SimConfig(machines=3, horizon_slots=8, forecast_slots=3)
     rng = np.random.default_rng(5)
-    jobs = _random_jobs(rng, 8, 3, 6)
+    jobs = _random_jobs(rng, 8, 3, 8)
     green = GreenTrace(rng.integers(0, 4, size=8))
-    state = OnlineState.create(green, TARIFF, cfg)
+    kind = SchedulerKind(name, PARAMS if name in ("RF", "PRF") else None)
+    state = fresh_state(cfg, green, seed=7)
+    admitted = 0
     for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
-        place(job, state, FF, TARIFF, cfg)
-    residual = np.maximum(0, green.supply - state.schedule.demand)
-    assert np.array_equal(state.green_remaining, residual)
+        before = state.schedule.demand.copy()
+        entry = place(job, state, kind, TARIFF, cfg)
+        if entry is None:
+            continue
+        admitted += 1
+        residual = np.maximum(0, green.supply - before)
+        assert entry.green_units == sum(min(job.nodes, residual[t]) for t in entry.slots)
+    assert admitted > 1
+
+
+def test_rf_scans_capacity_once_per_job(monkeypatch):
+    # zero green and a coin that never keeps first-fit: every job takes the
+    # best-fit branch, which must reuse first-fit's scan
+    calls = []
+
+    def counting(job, schedule):
+        calls.append(job.id)
+        return nonpreemptive_starts(job, schedule)
+
+    monkeypatch.setattr(schedulers, "nonpreemptive_starts", counting)
+    cfg = small_cfg(machines=2, horizon=10)
+    jobs = [Job(id=i, release=i, deadline=9, proc_time=2, nodes=1) for i in range(4)]
+    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    green = GreenTrace(np.zeros(10, dtype=np.int64))
+    _, _, log = run_online(jobs, SchedulerKind("RF", always_bf), green, TARIFF, cfg, seed=1)
+    assert [e.decision for e in log] == ["admit"] * 4
+    assert calls == [0, 1, 2, 3]
+
+
+def test_run_online_needs_seed_for_randomized_kinds():
+    cfg = small_cfg()
+    jobs = [Job(id=0, release=0, deadline=9, proc_time=1, nodes=1)]
+    green = GreenTrace(np.zeros(10, dtype=np.int64))
+    for kind in (RF, SchedulerKind("PRF", PARAMS)):
+        with pytest.raises(ValueError, match="seed"):
+            run_online(jobs, kind, green, TARIFF, cfg)
 
 
 def test_sequential_green_draw_sums_to_pooled_usage():
