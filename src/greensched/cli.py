@@ -3,7 +3,8 @@
 Four subcommands: ``run`` executes a sweep config, ``gen`` emits a workload
 file, ``opt`` solves or exports an exact model, ``adversary`` prints the
 worst-case construction table. All of them are thin wrappers over the
-library; anything scriptable here is scriptable in Python.
+library; anything scriptable here is scriptable in Python. ``run``, ``gen``
+and ``opt`` take their settings from one config file (see ``load_config``).
 """
 
 from __future__ import annotations
@@ -13,41 +14,35 @@ import sys
 
 from .adversary import measure_ratio, standard_suite
 from .experiment import (
+    ExperimentConfig,
+    cell_spec,
     load_config,
     parse_limits,
     preemption_comparison,
     resolve_green,
     run_suite,
 )
-from .model import SimConfig
 from .offline import (
-    NONPREEMPTIVE_LIMITS,
     PREEMPTIVE_LIMITS,
     emit_lp,
     node_assignment,
     solve_nonpreemptive_exact,
     solve_preemptive_exact,
 )
-from .pricing import Tariff, account
-from .workload import WorkloadSpec, generate, read_jobs, write_jobs
+from .pricing import account
+from .workload import generate, read_jobs, write_jobs
 
 
-def _sim_from(args: argparse.Namespace) -> SimConfig:
-    return SimConfig(
-        machines=args.machines,
-        horizon_slots=args.horizon,
-        slot_minutes=args.slot_minutes,
-    )
+_CONFIG_HELP = "sweep config file; without it every setting takes its default"
 
 
-def _add_sim_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--machines", type=int, default=16)
-    parser.add_argument("--horizon", type=int, default=480, help="slots")
-    parser.add_argument("--slot-minutes", type=int, default=15)
+def _config(path: str | None) -> ExperimentConfig:
+    """The settings in the config file at ``path``, or all defaults."""
+    return load_config(path) if path else ExperimentConfig()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args.config)
     if args.output_dir:
         cfg.output_dir = args.output_dir
     result = run_suite(cfg)
@@ -69,30 +64,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    sim = _sim_from(args)
-    spec = WorkloadSpec(
-        family=args.family,
-        target_utilization=args.utilization,
-        fixed_p=args.fixed_p,
-        fixed_q=args.fixed_q,
-        job_count=args.count,
-        swf_path=args.swf,
-        day_fraction=args.day_fraction,
-        span_days=args.span_days,
-        deadline_factor=args.deadline_factor,
-        rng_seed=args.seed,
-    )
-    jobs = generate(spec, sim)
+    cfg = _config(args.config)
+    jobs = generate(cell_spec(cfg, args.family, args.point, args.seed), cfg.sim, cfg.tariff)
     write_jobs(jobs, args.out)
     print(f"{len(jobs)} jobs -> {args.out}")
     return 0
 
 
 def _cmd_opt(args: argparse.Namespace) -> int:
-    sim = _sim_from(args)
+    cfg = _config(args.config)
+    sim, tariff = cfg.sim, cfg.tariff
     jobs = read_jobs(args.jobs, sim)
-    green = resolve_green(args.green, sim)
-    tariff = Tariff()
+    green = resolve_green(cfg.green, sim)
     if args.action == "emit":
         variant = args.variant.replace("-", "_")
         text = emit_lp(jobs, green, tariff, sim, variant=variant)
@@ -104,7 +87,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return 0
     preemptive = args.variant == "preemptive"
-    defaults = PREEMPTIVE_LIMITS if preemptive else NONPREEMPTIVE_LIMITS
+    defaults = PREEMPTIVE_LIMITS if preemptive else cfg.offline_limits
     limits = parse_limits(args.limits, defaults) if args.limits else defaults
     if preemptive:
         profit, schedule = solve_preemptive_exact(jobs, green, tariff, sim, limits)
@@ -156,39 +139,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate a workload file")
+    p_gen.add_argument("--config", default=None, help=_CONFIG_HELP)
     p_gen.add_argument("--family", required=True)
-    p_gen.add_argument("--utilization", type=float, default=None)
-    p_gen.add_argument("--count", type=int, default=None, help="jobs to draw (Real)")
-    p_gen.add_argument("--swf", default=None, help="trace file (Real)")
-    p_gen.add_argument("--fixed-p", type=int, default=5)
-    p_gen.add_argument("--fixed-q", type=int, default=3)
-    p_gen.add_argument("--day-fraction", type=float, default=0.75)
-    p_gen.add_argument("--span-days", type=int, default=2)
-    p_gen.add_argument("--deadline-factor", type=int, default=4)
+    p_gen.add_argument(
+        "--point", required=True, help="target utilization, or job count for Real"
+    )
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
-    _add_sim_args(p_gen)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_opt = sub.add_parser("opt", help="exact solver / model export")
     opt_sub = p_opt.add_subparsers(dest="action", required=True)
     p_solve = opt_sub.add_parser("solve", help="branch and bound to optimality")
+    p_solve.add_argument("--config", default=None, help=_CONFIG_HELP)
     p_solve.add_argument("--jobs", required=True, help="job file from gen")
     p_solve.add_argument(
         "--variant", choices=["nonpreemptive", "preemptive"], default="nonpreemptive"
     )
-    p_solve.add_argument("--green", default="zero", help="zero | synthetic | solar:<csv>")
     p_solve.add_argument("--limits", default=None, help="jobs=..,slots=..,machines=..")
-    _add_sim_args(p_solve)
     p_solve.set_defaults(func=_cmd_opt)
     p_emit = opt_sub.add_parser("emit", help="write the integer program as LP text")
+    p_emit.add_argument("--config", default=None, help=_CONFIG_HELP)
     p_emit.add_argument("--jobs", required=True)
     p_emit.add_argument(
         "--variant", choices=["preemptive", "equal-jobs"], default="preemptive"
     )
-    p_emit.add_argument("--green", default="zero")
     p_emit.add_argument("--out", default=None, help="default stdout")
-    _add_sim_args(p_emit)
     p_emit.set_defaults(func=_cmd_opt)
 
     p_adv = sub.add_parser("adversary", help="worst-case constructions and measured ratios")

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .model import SimConfig
 from .offline import (
@@ -50,11 +51,11 @@ class ExperimentConfig:
     utilization: tuple[float, ...] = (0.1, 0.5, 1.0)
     job_counts: tuple[int, ...] = ()  # Real family sweep points
     swf_path: str | None = None
-    fixed_p: int = 5
-    fixed_q: int = 3
-    day_fraction: float = 0.75
-    span_days: int = 2
-    deadline_factor: int = 4
+    fixed_p: int = WorkloadSpec.fixed_p
+    fixed_q: int = WorkloadSpec.fixed_q
+    day_fraction: float = WorkloadSpec.day_fraction
+    span_days: int = WorkloadSpec.span_days
+    deadline_factor: int = WorkloadSpec.deadline_factor
     algorithms: tuple[str, ...] = ("FF", "BF", "RF")
     repetitions: int = 30
     include_offline: bool = False
@@ -98,7 +99,8 @@ def _points(cfg: ExperimentConfig, family: str) -> tuple:
     return cfg.job_counts if family == "Real" else cfg.utilization
 
 
-def _spec_for(cfg: ExperimentConfig, family: str, point, seed: int) -> WorkloadSpec:
+def cell_spec(cfg: ExperimentConfig, family: str, point, seed: int) -> WorkloadSpec:
+    """One sweep cell's workload; ``point`` is a Real job count, else a utilization."""
     if family == "Real":
         return WorkloadSpec(
             family="Real",
@@ -184,7 +186,7 @@ def run_suite(cfg: ExperimentConfig) -> dict[str, list[dict]]:
             for rep in range(cfg.repetitions):
                 wseed = stable_seed(cfg.master_seed, family, point, rep)
                 try:
-                    jobs = generate(_spec_for(cfg, family, point, wseed), cfg.sim, cfg.tariff)
+                    jobs = generate(cell_spec(cfg, family, point, wseed), cfg.sim, cfg.tariff)
                 except (ValueError, OSError) as exc:
                     raise ExperimentError(
                         f"{family} point {point} rep {rep}: {exc}"
@@ -323,8 +325,6 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 # Config file parsing: flat ``key = value`` lines, '#' comments.
 
-_LIST_KEYS = {"families", "algorithms"}
-
 
 def _parse_bool(text: str) -> bool:
     low = text.lower()
@@ -335,11 +335,38 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
+def _parse_value(annotation, text: str, default):
+    """Read ``text`` as a value of the field type ``annotation``."""
+    args = [a for a in get_args(annotation) if a is not type(None)]
+    if get_origin(annotation) is tuple:  # tuple[T, ...]: a comma list
+        items = (s.strip() for s in text.split(","))
+        return tuple(_parse_value(args[0], s, None) for s in items if s)
+    if args:  # T | None
+        annotation = args[0]
+    if annotation is SolveLimits:
+        return parse_limits(text, default)
+    if annotation is bool:
+        return _parse_bool(text)
+    return annotation(text)  # int, float, str
+
+
+def _pop_fields(cls, raw: dict[str, str], skip: tuple[str, ...] = ()) -> dict:
+    """Constructor arguments for the fields of ``cls`` named in ``raw``."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: _parse_value(hints[f.name], raw.pop(f.name), f.default)
+        for f in fields(cls)
+        if f.name in raw and f.name not in skip
+    }
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse the documented key = value experiment format.
 
-    Unknown keys are an error (typos should not silently change a sweep).
-    Lists are comma separated. See the project README for the key table.
+    Each key names a field of SimConfig, Tariff (except ``peak_override``)
+    or ExperimentConfig, and is read by that field's type; an absent key
+    keeps the field's default. Unknown and repeated keys are errors (typos
+    should not silently change a sweep). Lists are comma separated.
     """
     raw: dict[str, str] = {}
     with open(path) as fh:
@@ -350,50 +377,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-
-    def pop(key: str, default=None) -> str | None:
-        return raw.pop(key) if key in raw else default
-
-    sim = SimConfig(
-        machines=int(pop("machines", "16")),
-        horizon_slots=int(pop("horizon_slots", "480")),
-        slot_minutes=int(pop("slot_minutes", "15")),
-        node_power_watts=float(pop("node_power_watts", "140")),
-        forecast_slots=int(pop("forecast_slots", "192")),
-    )
-    tariff = Tariff(
-        onpeak_price=float(pop("onpeak_price", "0.13")),
-        offpeak_price=float(pop("offpeak_price", "0.08")),
-        onpeak_start_slot=int(pop("onpeak_start_slot", "36")),
-        onpeak_end_slot=int(pop("onpeak_end_slot", "91")),
-        charge_rate=float(pop("charge_rate", "0.022")),
-    )
-    limits_text = pop("offline_limits")
-    limits = parse_limits(limits_text, NONPREEMPTIVE_LIMITS) if limits_text else NONPREEMPTIVE_LIMITS
+            key = key.strip()
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is repeated")
+            raw[key] = value.strip()
+    sim = SimConfig(**_pop_fields(SimConfig, raw))
+    tariff = Tariff(**_pop_fields(Tariff, raw, skip=("peak_override",)))
     cfg = ExperimentConfig(
-        sim=sim,
-        tariff=tariff,
-        green=pop("green", "synthetic"),
-        families=tuple(s.strip() for s in pop("families", "UE").split(",") if s.strip()),
-        utilization=tuple(
-            float(s) for s in pop("utilization", "0.1,0.5,1").split(",") if s.strip()
-        ),
-        job_counts=tuple(int(s) for s in pop("job_counts", "").split(",") if s.strip()),
-        swf_path=pop("swf_path"),
-        fixed_p=int(pop("fixed_p", "5")),
-        fixed_q=int(pop("fixed_q", "3")),
-        day_fraction=float(pop("day_fraction", "0.75")),
-        span_days=int(pop("span_days", "2")),
-        deadline_factor=int(pop("deadline_factor", "4")),
-        algorithms=tuple(
-            s.strip() for s in pop("algorithms", "FF,BF,RF").split(",") if s.strip()
-        ),
-        repetitions=int(pop("repetitions", "30")),
-        include_offline=_parse_bool(pop("include_offline", "false")),
-        offline_limits=limits,
-        output_dir=pop("output_dir"),
-        master_seed=int(pop("master_seed", "0")),
+        sim=sim, tariff=tariff, **_pop_fields(ExperimentConfig, raw, skip=("sim", "tariff"))
     )
     if raw:
         raise ValueError(f"{path}: unknown keys {sorted(raw)}")

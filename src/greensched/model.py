@@ -111,18 +111,12 @@ class Schedule:
 
     machines: int
     horizon: int
-    placements: list[Placement] = field(default_factory=list)
-    demand: np.ndarray | None = None
-    _placed: set[int] = field(default_factory=set, repr=False)
+    placements: list[Placement] = field(init=False, default_factory=list)
+    demand: np.ndarray = field(init=False)
+    _placed: set[int] = field(init=False, default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
-        if self.demand is None:
-            self.demand = np.zeros(self.horizon, dtype=np.int64)
-        else:
-            self.demand = np.asarray(self.demand, dtype=np.int64)
-            if self.demand.shape != (self.horizon,):
-                raise ValueError("demand length must equal horizon")
-        self._placed = {p.job_id for p in self.placements}
+        self.demand = np.zeros(self.horizon, dtype=np.int64)
 
     def has_job(self, job_id: int) -> bool:
         return job_id in self._placed

@@ -317,9 +317,7 @@ def solve_preemptive_exact(
     return profit, schedule
 
 
-def node_assignment(
-    schedule: Schedule, machines: int | None = None
-) -> dict[int, tuple[int, ...]] | None:
+def node_assignment(schedule: Schedule) -> dict[int, tuple[int, ...]] | None:
     """Concrete node sets realizing a fungible-capacity schedule.
 
     Each job gets a fixed set of node ids it holds in every active slot,
@@ -328,7 +326,7 @@ def node_assignment(
     scattered placements with odd overlap structure, never for contiguous
     ones).
     """
-    M = schedule.machines if machines is None else machines
+    M = schedule.machines
     order = sorted(schedule.placements, key=lambda p: (p.active_slots[0], p.job_id))
     slot_sets = [set(p.active_slots) for p in order]
     overlaps = [

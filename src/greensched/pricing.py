@@ -10,7 +10,7 @@ scheduler's mixing probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +54,14 @@ def is_on_peak(t: int, tariff: Tariff, config: SimConfig) -> bool:
     return tariff.onpeak_start_slot <= s <= tariff.onpeak_end_slot
 
 
-def onpeak_vector(tariff: Tariff, config: SimConfig, horizon: int | None = None) -> np.ndarray:
-    n = config.horizon_slots if horizon is None else horizon
+def onpeak_vector(tariff: Tariff, config: SimConfig) -> np.ndarray:
+    n = config.horizon_slots
     return np.array([is_on_peak(t, tariff, config) for t in range(n)], dtype=bool)
 
 
-def brown_cost_vector(tariff: Tariff, config: SimConfig, horizon: int | None = None) -> np.ndarray:
+def brown_cost_vector(tariff: Tariff, config: SimConfig) -> np.ndarray:
     """Per-slot brown cost of one node-slot, over the horizon."""
-    peak = onpeak_vector(tariff, config, horizon)
+    peak = onpeak_vector(tariff, config)
     return np.where(peak, tariff.onpeak_price, tariff.offpeak_price) * config.node_slot_kwh
 
 
@@ -89,18 +89,22 @@ class GreenTrace:
         return cls(np.zeros(config.horizon_slots, dtype=np.int64))
 
 
-def synthetic_solar(config: SimConfig, peak_fraction: float = 0.75) -> GreenTrace:
+# Share of the cluster that the brightest slot of a solar trace can power.
+SOLAR_PEAK_FRACTION = 0.75
+
+
+def synthetic_solar(config: SimConfig) -> GreenTrace:
     """Day-shaped synthetic supply: a half sine over 6:00-18:00 each day.
 
-    The per-day peak is peak_fraction of the cluster (floor), matching the
-    convention used when real traces are rescaled.
+    The per-day peak is SOLAR_PEAK_FRACTION of the cluster (floor), matching
+    the convention used when real traces are rescaled.
     """
     spd = config.slots_per_day
     day_start = (6 * 60) // config.slot_minutes
     n_day = (12 * 60) // config.slot_minutes
     shape = np.sin(np.pi * (np.arange(n_day) + 0.5) / n_day)
-    # scale so the brightest slot sits exactly at the requested fraction
-    scaled = shape * (peak_fraction * config.machines / shape.max())
+    # scale so the brightest slot sits exactly at the peak fraction
+    scaled = shape * (SOLAR_PEAK_FRACTION * config.machines / shape.max())
     day = np.zeros(spd, dtype=np.int64)
     day[day_start : day_start + n_day] = np.floor(scaled).astype(np.int64)
     reps = config.horizon_slots // spd + 1
@@ -108,24 +112,27 @@ def synthetic_solar(config: SimConfig, peak_fraction: float = 0.75) -> GreenTrac
 
 
 def _parse_timestamp(text: str) -> float:
-    """Epoch seconds from either a number or an ISO date-time."""
+    """Epoch seconds from either a number or an ISO date-time (UTC if naive)."""
     try:
         return float(text)
     except ValueError:
-        return datetime.fromisoformat(text).timestamp()
+        stamp = datetime.fromisoformat(text)
+    if stamp.tzinfo is None:
+        # local time would repeat or skip an hour at a daylight-saving switch
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp()
 
 
-def load_solar_csv(
-    path: str | Path, config: SimConfig, peak_fraction: float = 0.75
-) -> GreenTrace:
+def load_solar_csv(path: str | Path, config: SimConfig) -> GreenTrace:
     """Ingest a ``timestamp,watts`` sample file into per-slot node units.
 
     Consecutive samples are summed in groups covering one slot, the series is
-    rescaled so its peak equals peak_fraction of the cluster's power draw, and
-    each slot is converted to whole node-slots (floor). The sample period is
-    the step between the first two timestamps, and every later step must
-    equal it (to the millisecond), so a gap or a repeated stamp raises
-    instead of shifting the slots after it. Raises if the trace is shorter
+    rescaled so its peak equals SOLAR_PEAK_FRACTION of the cluster's power
+    draw, and each slot is converted to whole node-slots (floor). Naive ISO
+    timestamps are read as UTC. The sample period is the step between the
+    first two timestamps, and every later step must equal it (to the
+    millisecond), so a gap or a repeated stamp raises instead of shifting
+    the slots after it. Raises if the trace is shorter
     than the horizon; longer traces are truncated.
     """
     if config.node_power_watts <= 0:
@@ -173,7 +180,8 @@ def load_solar_csv(
     top = slotted.max()
     if top <= 0:
         raise ValueError(f"{path}: trace is all zeros")
-    scaled = slotted * (peak_fraction * config.machines * config.node_power_watts / top)
+    peak_watts = SOLAR_PEAK_FRACTION * config.machines * config.node_power_watts
+    scaled = slotted * (peak_watts / top)
     units = np.floor(scaled / config.node_power_watts).astype(np.int64)
     return GreenTrace(units[: config.horizon_slots])
 

@@ -288,6 +288,17 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text("machnes = 4\n")
     with pytest.raises(ValueError, match="machnes"):
         load_config(path)
+    # fields that are not settings: nested configs and the code-only override
+    path.write_text("sim = 1\ntariff = 2\npeak_override = true\nmachines = 4\n")
+    with pytest.raises(ValueError, match=r"\['peak_override', 'sim', 'tariff'\]"):
+        load_config(path)
+
+
+def test_load_config_rejects_repeated_keys(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("machines = 4\nrepetitions = 2\nmachines = 8\n")
+    with pytest.raises(ValueError, match=r"twice\.cfg:3: key 'machines' is repeated"):
+        load_config(path)
 
 
 def test_load_config_reports_line_numbers(tmp_path):

@@ -55,7 +55,10 @@ def test_starts_blocked_by_capacity():
 
 def test_partial_demand_grid():
     # demand [1,2,1,0] on two machines: contiguous room only at 2, scattered at {0,2}
-    sched = Schedule(machines=2, horizon=4, demand=np.array([1, 2, 1, 0]))
+    sched = Schedule(machines=2, horizon=4)
+    commit(Job(id=8, release=0, deadline=3, proc_time=3, nodes=1), (0, 1, 2), sched)
+    commit(Job(id=9, release=1, deadline=1, proc_time=1, nodes=1), (1,), sched)
+    assert list(sched.demand) == [1, 2, 1, 0]
     job = Job(id=0, release=0, deadline=3, proc_time=2, nodes=1)
     assert list(nonpreemptive_starts(job, sched)) == [2]
     assert list(preemptive_slots(job, sched)) == [0, 2]

@@ -1,3 +1,6 @@
+import time
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -175,6 +178,26 @@ def test_load_solar_csv_groups_five_minute_samples(tmp_path):
     g = load_solar_csv(path, cfg)
     # equal slot sums scale to the peak 0.75 * 2 * 140 = 210 W -> 1 node each
     assert list(g.supply) == [1, 1]
+
+
+def test_naive_iso_stamps_read_as_utc(tmp_path, monkeypatch):
+    # five-minute samples over 2021-03-14, when New York clocks skip 02:00-03:00
+    cfg = SimConfig(machines=4, horizon_slots=96, forecast_slots=96)
+    start = datetime(2021, 3, 14, tzinfo=timezone.utc)
+    stamps = [start + timedelta(minutes=5 * k) for k in range(288)]
+    watts = [(k * 37) % 500 for k in range(288)]
+    iso = tmp_path / "iso.csv"
+    iso.write_text("".join(f"{t:%Y-%m-%dT%H:%M:%S},{w}\n" for t, w in zip(stamps, watts)))
+    epoch = tmp_path / "epoch.csv"
+    epoch.write_text("".join(f"{t.timestamp():.0f},{w}\n" for t, w in zip(stamps, watts)))
+    try:
+        with monkeypatch.context() as mp:
+            mp.setenv("TZ", "America/New_York")
+            time.tzset()
+            g = load_solar_csv(iso, cfg)
+    finally:
+        time.tzset()
+    assert np.array_equal(g.supply, load_solar_csv(epoch, cfg).supply)
 
 
 def test_load_solar_csv_errors(tmp_path):
