@@ -24,6 +24,7 @@ from .experiment import (
 )
 from .offline import (
     PREEMPTIVE_LIMITS,
+    InstanceLimitError,
     emit_lp,
     node_assignment,
     solve_nonpreemptive_exact,
@@ -89,10 +90,14 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     preemptive = args.variant == "preemptive"
     defaults = PREEMPTIVE_LIMITS if preemptive else cfg.offline_limits
     limits = parse_limits(args.limits, defaults) if args.limits else defaults
-    if preemptive:
-        profit, schedule = solve_preemptive_exact(jobs, green, tariff, sim, limits)
-    else:
-        profit, schedule = solve_nonpreemptive_exact(jobs, green, tariff, sim, limits)
+    solve = solve_preemptive_exact if preemptive else solve_nonpreemptive_exact
+    try:
+        profit, schedule = solve(jobs, green, tariff, sim, limits)
+    except InstanceLimitError as exc:
+        raise InstanceLimitError(
+            f"{exc}; set a smaller horizon_slots or machines in --config, "
+            "or raise the caps with --limits jobs=..,slots=..,machines=.."
+        ) from None
     report = account(schedule, green, tariff, sim)
     print(f"optimal net profit {profit:.10g}")
     print(

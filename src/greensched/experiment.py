@@ -76,6 +76,13 @@ class ExperimentConfig:
             raise ValueError("utilization sweep must not be empty")
         if "Real" in self.families and not self.job_counts:
             raise ValueError("Real family needs job_counts")
+        if "Real" in self.families and not self.swf_path:
+            raise ValueError("Real family needs swf_path")
+        source, _, path = self.green.partition(":")
+        if self.green not in ("synthetic", "zero") and not (source == "solar" and path):
+            raise ValueError(
+                f"green must be synthetic, zero or solar:<csv path>, got {self.green!r}"
+            )
 
 
 def stable_seed(*parts) -> int:

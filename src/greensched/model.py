@@ -9,6 +9,7 @@ into a horizon of ``horizon_slots`` slots of ``slot_minutes`` minutes each.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +136,7 @@ def _capacity_region(job: Job, schedule: Schedule) -> np.ndarray:
 
 def spare_slots(job: Job, schedule: Schedule) -> np.ndarray:
     """Slots of the job's window that can take its nodes, ascending."""
-    return np.flatnonzero(_capacity_region(job, schedule)) + job.release
+    return _capacity_region(job, schedule).nonzero()[0] + job.release
 
 
 def nonpreemptive_starts(job: Job, schedule: Schedule) -> np.ndarray:
@@ -150,7 +151,7 @@ def nonpreemptive_starts(job: Job, schedule: Schedule) -> np.ndarray:
     # window holds none of them iff the count does not grow across it
     full = np.zeros(region.size + 1, dtype=np.int64)
     np.cumsum(~region, out=full[1:])
-    return np.flatnonzero(full[p:] == full[:-p]) + job.release
+    return (full[p:] == full[:-p]).nonzero()[0] + job.release
 
 
 def preemptive_slots(job: Job, schedule: Schedule) -> np.ndarray:
@@ -161,29 +162,35 @@ def preemptive_slots(job: Job, schedule: Schedule) -> np.ndarray:
     return spare[: job.proc_time]
 
 
+def slot_index(slots: tuple[int, ...]) -> slice | list[int]:
+    """Index for sorted, distinct slots: a slice when they are contiguous."""
+    first, last = slots[0], slots[-1]
+    return slice(first, last + 1) if last - first + 1 == len(slots) else list(slots)
+
+
 def commit(job: Job, slots: tuple[int, ...], schedule: Schedule) -> Schedule:
     """Irrevocably place the job on the given slots, updating demand.
 
     Defensive checks guard every schedule invariant; violations raise
     CapacityError and leave the schedule untouched.
     """
-    slots = tuple(int(t) for t in slots)
-    if len(slots) != job.proc_time:
-        raise CapacityError(
-            f"job {job.id}: {len(slots)} slots given, needs {job.proc_time}"
-        )
-    if len(set(slots)) != len(slots) or list(slots) != sorted(slots):
+    slots = tuple(map(int, slots))
+    n = len(slots)
+    if n != job.proc_time:
+        raise CapacityError(f"job {job.id}: {n} slots given, needs {job.proc_time}")
+    if not all(map(operator.lt, slots, slots[1:])):
         raise CapacityError(f"job {job.id}: slots must be sorted and distinct")
-    if slots[0] < job.release or slots[-1] > job.deadline:
+    first, last = slots[0], slots[-1]
+    if first < job.release or last > job.deadline:
         raise CapacityError(
             f"job {job.id}: slots {slots} leave window "
             f"[{job.release}, {job.deadline}]"
         )
-    if slots[-1] >= schedule.horizon:
-        raise CapacityError(f"job {job.id}: slot {slots[-1]} outside horizon")
+    if last >= schedule.horizon:
+        raise CapacityError(f"job {job.id}: slot {last} outside horizon")
     if schedule.has_job(job.id):
         raise CapacityError(f"job {job.id}: already placed")
-    idx = list(slots)
+    idx = slot_index(slots)
     if (schedule.demand[idx] + job.nodes > schedule.machines).any():
         raise CapacityError(f"job {job.id}: placement exceeds {schedule.machines} nodes")
     schedule.demand[idx] += job.nodes

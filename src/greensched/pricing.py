@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -54,15 +55,28 @@ def is_on_peak(t: int, tariff: Tariff, config: SimConfig) -> bool:
     return tariff.onpeak_start_slot <= s <= tariff.onpeak_end_slot
 
 
+# The two vectors below are built once per (tariff, config) and shared: a
+# Monte Carlo pass prices thousands of runs under one tariff. The cache is
+# bounded, and the arrays are read-only so no caller can alter another's.
+_VECTOR_CACHE = 32
+
+
+@lru_cache(maxsize=_VECTOR_CACHE)
 def onpeak_vector(tariff: Tariff, config: SimConfig) -> np.ndarray:
+    """Per-slot on-peak flag over the horizon (shared, read-only)."""
     n = config.horizon_slots
-    return np.array([is_on_peak(t, tariff, config) for t in range(n)], dtype=bool)
+    peak = np.array([is_on_peak(t, tariff, config) for t in range(n)], dtype=bool)
+    peak.flags.writeable = False
+    return peak
 
 
+@lru_cache(maxsize=_VECTOR_CACHE)
 def brown_cost_vector(tariff: Tariff, config: SimConfig) -> np.ndarray:
-    """Per-slot brown cost of one node-slot, over the horizon."""
+    """Per-slot brown cost of one node-slot, over the horizon (shared, read-only)."""
     peak = onpeak_vector(tariff, config)
-    return np.where(peak, tariff.onpeak_price, tariff.offpeak_price) * config.node_slot_kwh
+    cost = np.where(peak, tariff.onpeak_price, tariff.offpeak_price) * config.node_slot_kwh
+    cost.flags.writeable = False
+    return cost
 
 
 def job_revenue(job: Job, tariff: Tariff, config: SimConfig) -> float:

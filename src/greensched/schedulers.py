@@ -25,6 +25,7 @@ from .model import (
     SimConfig,
     commit,
     nonpreemptive_starts,
+    slot_index,
     spare_slots,
 )
 from .pricing import (
@@ -111,10 +112,15 @@ class LogEntry:
     cost: float
 
 
-def _visible_green(state: OnlineState, release: int, config: SimConfig) -> np.ndarray:
-    """Residual green as the decision may see it: zero past the forecast."""
-    vis = np.maximum(state.green - state.schedule.demand, 0)
-    vis[release + config.forecast_slots :] = 0
+def _visible_green(job: Job, state: OnlineState, config: SimConfig) -> np.ndarray:
+    """Residual green over slots [0, deadline] as the decision may see it.
+
+    Slots past the forecast read zero. The vector stops at the deadline,
+    since no slot after it can take the job.
+    """
+    end = job.deadline + 1
+    vis = np.maximum(state.green[:end] - state.schedule.demand[:end], 0)
+    vis[job.release + config.forecast_slots :] = 0
     return vis
 
 
@@ -137,19 +143,21 @@ def _choose(
         spare = spare_slots(job, state.schedule)
         if spare.size < p:
             return None
-        first = tuple(int(t) for t in spare[:p])
+        first_idx = spare[:p]
+        first = tuple(map(int, first_idx))
     else:
         starts = nonpreemptive_starts(job, state.schedule)
         if starts.size == 0:
             return None
         s = int(starts[0])
+        first_idx = slice(s, s + p)
         first = tuple(range(s, s + p))
     base = kind.kind[-2:]
     if base == "FF":
         return first
-    vis = _visible_green(state, job.release, config)
+    vis = _visible_green(job, state, config)
     if base == "RF":
-        if all(vis[t] >= job.nodes for t in first):
+        if vis[first_idx].min() >= job.nodes:
             return first  # fully green, no coin spent
         params = kind.rf_params
         on_peak = is_on_peak(job.release, tariff, config)
@@ -159,13 +167,15 @@ def _choose(
         if state.rng.random() < keep_first:
             return first
     # marginal $ to run q nodes at each slot, given the residual green pool
-    unit = state.brown_cost * np.maximum(0, job.nodes - vis)
+    unit = state.brown_cost[: vis.size] * np.maximum(0, job.nodes - vis)
     if kind.preemptive:
         order = np.lexsort((spare, unit[spare]))  # cheapest first, then earlier
-        return tuple(int(t) for t in np.sort(spare[order[:p]]))
+        return tuple(map(int, np.sort(spare[order[:p]])))
+    # cumsum adds in slot order, so a window's cost does not depend on where
+    # the priced prefix ends
     csum = np.concatenate(([0.0], np.cumsum(unit)))
     window_cost = csum[starts + p] - csum[starts]
-    s = int(starts[int(np.argmin(window_cost))])  # argmin keeps earliest tie
+    s = int(starts[window_cost.argmin()])  # argmin keeps earliest tie
     return tuple(range(s, s + p))
 
 
@@ -177,7 +187,7 @@ def _admit(
     The draw is priced before ``commit``, so a CapacityError leaves the
     state untouched.
     """
-    idx = list(slots)
+    idx = slot_index(slots)
     residual = np.maximum(state.green[idx] - state.schedule.demand[idx], 0)
     take = np.minimum(job.nodes, residual)
     cost = float(state.brown_cost[idx] @ (job.nodes - take))

@@ -10,8 +10,20 @@ import itertools
 
 import numpy as np
 
-from greensched.model import Job, SimConfig, nonpreemptive_starts, preemptive_slots
-from greensched.pricing import GreenTrace, Tariff, brown_cost_vector, job_revenue
+from greensched.model import (
+    Job,
+    SimConfig,
+    nonpreemptive_starts,
+    preemptive_slots,
+    spare_slots,
+)
+from greensched.pricing import (
+    GreenTrace,
+    Tariff,
+    brown_cost_vector,
+    is_on_peak,
+    job_revenue,
+)
 
 
 def profit_of(rev_selected, demand, g, b) -> float:
@@ -169,3 +181,46 @@ def random_instance(rng, max_jobs=5, max_slots=10, max_machines=3):
     override = rng.random(T) < 0.5
     tariff = Tariff(peak_override=tuple(bool(x) for x in override))
     return jobs, green, tariff, config
+
+
+def full_horizon_choice(job, state, kind, tariff, config):
+    """The online policies' slot choice, priced over the whole horizon.
+
+    A plain restatement of the decision rule: residual green is computed for
+    every slot and zeroed past the forecast, best-fit prices every slot, and
+    random-fit tests its green path slot by slot. The engine prices only
+    [0, deadline]; both must pick the same slots and draw the same coins.
+    """
+    p = job.proc_time
+    if kind.preemptive:
+        spare = spare_slots(job, state.schedule)
+        if spare.size < p:
+            return None
+        first = tuple(int(t) for t in spare[:p])
+    else:
+        starts = nonpreemptive_starts(job, state.schedule)
+        if starts.size == 0:
+            return None
+        s = int(starts[0])
+        first = tuple(range(s, s + p))
+    base = kind.kind[-2:]
+    if base == "FF":
+        return first
+    vis = np.maximum(state.green - state.schedule.demand, 0)
+    vis[job.release + config.forecast_slots :] = 0
+    if base == "RF":
+        if all(vis[t] >= job.nodes for t in first):
+            return first
+        params = kind.rf_params
+        on_peak = is_on_peak(job.release, tariff, config)
+        keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
+        if state.rng.random() < keep_first:
+            return first
+    unit = state.brown_cost * np.maximum(0, job.nodes - vis)
+    if kind.preemptive:
+        order = np.lexsort((spare, unit[spare]))
+        return tuple(int(t) for t in np.sort(spare[order[:p]]))
+    csum = np.concatenate(([0.0], np.cumsum(unit)))
+    window_cost = csum[starts + p] - csum[starts]
+    s = int(starts[int(np.argmin(window_cost))])
+    return tuple(range(s, s + p))

@@ -123,6 +123,17 @@ def test_opt_solve_respects_limit_flag(tmp_path, capsys, small):
     assert "2 jobs" in capsys.readouterr().err
 
 
+def test_opt_solve_on_default_grid_names_the_fix(tmp_path, capsys):
+    # without --config the grid has 480 slots, past the exact search's cap
+    jf = tmp_path / "jobs.txt"
+    write_job_file(jf, [(0, 0, 5, 2, 1), (1, 1, 6, 3, 2)])
+    rc = main(["opt", "solve", "--jobs", str(jf)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "limited to 48 slots, got 480" in err
+    assert "horizon_slots" in err and "--config" in err and "--limits" in err
+
+
 def test_opt_emit_to_file_and_stdout(tmp_path, capsys, small):
     jf = tmp_path / "jobs.txt"
     write_job_file(jf, [(0, 0, 3, 2, 1)])

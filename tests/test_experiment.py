@@ -315,6 +315,25 @@ def test_load_config_rejects_bad_bool(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_real_family_without_trace(tmp_path):
+    # fails at load time, before any cell of the other families runs
+    path = tmp_path / "real.cfg"
+    path.write_text("families = UE, Real\njob_counts = 3\n")
+    with pytest.raises(ValueError, match="swf_path"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("source", ["whatever", "solar:", "solar", "Zero"])
+def test_load_config_rejects_unknown_green_source(tmp_path, source):
+    path = tmp_path / "green.cfg"
+    path.write_text(f"green = {source}\n")
+    with pytest.raises(ValueError, match="green"):
+        load_config(path)
+    # a solar path is checked only when the trace is read
+    path.write_text(f"green = solar:{tmp_path / 'missing.csv'}\n")
+    assert load_config(path).green.startswith("solar:")
+
+
 def test_parse_limits():
     assert parse_limits("jobs=3", NONPREEMPTIVE_LIMITS) == SolveLimits(3, 48, 16)
     assert parse_limits("slots=20, machines=4", NONPREEMPTIVE_LIMITS) == SolveLimits(

@@ -11,6 +11,7 @@ from greensched.model import (
     commit,
     nonpreemptive_starts,
     preemptive_slots,
+    slot_index,
 )
 
 from oracles import feasible_windows, recomputed_demand
@@ -108,6 +109,44 @@ def test_commit_rejects_bad_slot_sets():
     commit(job, (1, 2), sched)
     with pytest.raises(CapacityError):
         commit(job, (3, 4), sched)  # same job twice
+
+
+# (message, contiguous slots, scattered slots): each breaks one check
+_BAD_SLOTS = [
+    ("needs 3", (2, 3, 4, 5), (1, 3, 5, 6)),
+    ("sorted and distinct", (3, 2, 4), (3, 1, 5)),  # unsorted
+    ("sorted and distinct", (2, 2, 3), (1, 3, 3)),  # duplicate
+    ("leave window", (0, 1, 2), (0, 2, 4)),
+    ("outside horizon", (7, 8, 9), (5, 7, 9)),
+    ("already placed", (2, 3, 4), (1, 3, 5)),
+    ("exceeds 2 nodes", (4, 5, 6), (2, 4, 6)),
+]
+_BAD_IDS = ["count", "unsorted", "duplicate", "window", "horizon", "placed", "capacity"]
+
+
+@pytest.mark.parametrize("contiguous", [True, False], ids=["slice", "list"])
+@pytest.mark.parametrize("message, run, scattered", _BAD_SLOTS, ids=_BAD_IDS)
+def test_commit_keeps_every_check_on_both_index_paths(message, run, scattered, contiguous):
+    sched = Schedule(machines=2, horizon=8)
+    commit(Job(id=7, release=0, deadline=7, proc_time=1, nodes=2), (6,), sched)
+    job_id = 7 if message == "already placed" else 0
+    deadline = 9 if message == "outside horizon" else 6
+    job = Job(id=job_id, release=1, deadline=deadline, proc_time=3, nodes=1)
+    demand, placements, placed = sched.demand.copy(), list(sched.placements), set(sched._placed)
+    with pytest.raises(CapacityError, match=message):
+        commit(job, run if contiguous else scattered, sched)
+    assert np.array_equal(sched.demand, demand)
+    assert sched.placements == placements
+    assert sched._placed == placed
+
+
+def test_commit_indexes_runs_by_slice_and_scattered_slots_by_list():
+    assert slot_index((2, 3, 4)) == slice(2, 5)
+    assert slot_index((1, 3, 5)) == [1, 3, 5]
+    for slots in ((2, 3, 4), (1, 3, 5)):
+        sched = Schedule(machines=2, horizon=8)
+        commit(Job(id=0, release=1, deadline=6, proc_time=3, nodes=2), slots, sched)
+        assert np.array_equal(sched.demand, recomputed_demand(sched))
 
 
 def test_deadline_outside_horizon_raises():

@@ -16,6 +16,7 @@ from greensched.pricing import (
     job_revenue,
     load_solar_csv,
     normalized_values,
+    onpeak_vector,
     random_fit_params,
     synthetic_solar,
 )
@@ -50,6 +51,27 @@ def test_onpeak_daily_pattern():
     assert np.isclose(vec[40], 0.00455) and np.isclose(vec[0], 0.0028)
     day = vec[:96]
     assert all(np.array_equal(day, vec[96 * k : 96 * (k + 1)]) for k in range(5))
+
+
+def test_pricing_vectors_are_shared_read_only_and_priced_per_slot():
+    def inputs():
+        return Tariff(peak_override=(True, False, False, True)), SimConfig(horizon_slots=200)
+
+    tariff, cfg = inputs()
+    vec = brown_cost_vector(tariff, cfg)
+    peak = onpeak_vector(tariff, cfg)
+    # equal (tariff, config) values share one array
+    assert vec is brown_cost_vector(*inputs())
+    assert peak is onpeak_vector(*inputs())
+    assert brown_cost_vector(Tariff(), cfg) is not vec
+    for arr in (vec, peak):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    flags = [is_on_peak(t, tariff, cfg) for t in range(200)]
+    assert peak.tolist() == flags
+    price = {True: tariff.onpeak_price, False: tariff.offpeak_price}
+    assert vec.tolist() == [price[f] * cfg.node_slot_kwh for f in flags]
 
 
 def test_peak_override_wins_then_falls_back():

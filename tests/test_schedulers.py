@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from greensched import schedulers
-from greensched.model import Job, SimConfig, nonpreemptive_starts
+from greensched.model import Job, SimConfig, commit, nonpreemptive_starts
 from greensched.pricing import (
     GreenTrace,
     RandomFitParams,
@@ -19,6 +19,8 @@ from greensched.schedulers import (
     run_online,
     write_log_csv,
 )
+
+from oracles import full_horizon_choice
 
 
 def small_cfg(machines=2, horizon=10):
@@ -267,6 +269,41 @@ def test_admit_draws_true_residual_green(name):
         residual = np.maximum(0, green.supply - before)
         assert entry.green_units == sum(min(job.nodes, residual[t]) for t in entry.slots)
     assert admitted > 1
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_choice_priced_to_the_deadline_matches_full_horizon(name):
+    # the engine prices [0, deadline] only; the slots and the coins it draws
+    # must equal pricing over the whole horizon, with the forecast ending
+    # before, inside or after the horizon
+    kind = SchedulerKind(name, PARAMS if name in ("RF", "PRF") else None)
+    rng = np.random.default_rng(17)
+    forecasts = set()
+    decisions = 0
+    for _ in range(120):
+        T = int(rng.integers(4, 25))
+        M = int(rng.integers(1, 4))
+        forecast = int(rng.integers(1, 2 * T))
+        forecasts.add(forecast < T)
+        cfg = SimConfig(machines=M, horizon_slots=T, forecast_slots=forecast)
+        tariff = Tariff(peak_override=tuple(bool(x) for x in rng.random(T) < 0.5))
+        green = GreenTrace(rng.integers(0, M + 1, size=T))
+        state = fresh_state(cfg, green, tariff)
+        jobs = _random_jobs(rng, T, M, int(rng.integers(1, 10)))
+        for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
+            coin = int(rng.integers(2**32))
+            state.rng = np.random.default_rng(coin)
+            want = full_horizon_choice(job, state, kind, tariff, cfg)
+            drawn = state.rng.bit_generator.state
+            state.rng = np.random.default_rng(coin)
+            got = schedulers._choose(job, state, kind, tariff, cfg)
+            assert got == want
+            assert state.rng.bit_generator.state == drawn
+            if got is not None:
+                commit(job, got, state.schedule)
+                decisions += 1
+    assert forecasts == {True, False}
+    assert decisions > 300
 
 
 def test_rf_scans_capacity_once_per_job(monkeypatch):
