@@ -15,12 +15,12 @@ industry LP text format for an external mixed-integer solver.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import Job, Schedule, SimConfig, commit
 from .pricing import GreenTrace, Tariff, brown_cost_vector, job_revenue
-from .schedulers import SchedulerKind, run_online
 
 
 class InstanceLimitError(ValueError):
@@ -98,23 +98,6 @@ def _canonical_profit(
     return revenue - cost
 
 
-def _greedy_seed(
-    jobs: list[Job],
-    green: GreenTrace,
-    tariff: Tariff,
-    config: SimConfig,
-    preemptive: bool,
-) -> float:
-    """Incumbent value from the online policies given full foresight."""
-    cfg = replace(config, forecast_slots=config.horizon_slots)
-    best = 0.0
-    for kind in ("PFF", "PBF") if preemptive else ("FF", "BF"):
-        _, report, _ = run_online(jobs, SchedulerKind(kind), green, tariff, cfg)
-        if report.net_profit > best:
-            best = report.net_profit
-    return best
-
-
 def _marginal_cost(slots, demand, g, b, q) -> float:
     mc = 0.0
     for t in slots:
@@ -125,10 +108,8 @@ def _marginal_cost(slots, demand, g, b, q) -> float:
     return mc
 
 
-# Each variant of the search is one option generator plus one empty-grid
-# bound. A generator lists the job's placements under the current demand in
-# ascending lexicographic order; a bound is the best profit the job could add
-# on an empty grid, never below zero (rejection).
+# Each variant of the search is one option generator: it lists the job's
+# placements under the current demand in ascending lexicographic order.
 
 
 def _contiguous_options(job: Job, demand: list[int], M: int):
@@ -154,24 +135,13 @@ def _scattered_options(job: Job, demand: list[int], M: int):
     return itertools.combinations(spare, job.proc_time)
 
 
-def _contiguous_bound(job: Job, rev: float, g: list[int], b: list[float], M: int) -> float:
-    """Best single window's profit."""
-    best = 0.0
-    if job.nodes > M:
-        return best
-    for s in range(job.release, job.deadline - job.proc_time + 2):
-        c = 0.0
-        for t in range(s, s + job.proc_time):
-            short = job.nodes - g[t]
-            if short > 0:
-                c += b[t] * short
-        if rev - c > best:
-            best = rev - c
-    return best
+def _job_bound(job: Job, rev: float, g: list[int], b: list[float], M: int) -> float:
+    """Best profit the job could add on an empty grid, never below zero.
 
-
-def _scattered_bound(job: Job, rev: float, g: list[int], b: list[float], M: int) -> float:
-    """Revenue less the proc_time cheapest slots in the window."""
+    Revenue less the proc_time cheapest empty-grid slot costs in its window.
+    Any placement, contiguous or not, costs at least that much: on a loaded
+    grid a slot's marginal cost is never below its empty-grid cost.
+    """
     if job.nodes > M:
         return 0.0
     costs = sorted(
@@ -186,35 +156,31 @@ def _solve(
     tariff: Tariff,
     config: SimConfig,
     limits: SolveLimits,
-    preemptive: bool,
+    label: str,
     options,
-    bound,
 ) -> tuple[float, Schedule]:
     """Depth-first branch and bound shared by both exact solvers.
 
-    Job i branches over ``options`` in order, then rejection; a subtree is
-    cut when its value so far plus the remaining jobs' ``bound`` sum cannot
-    beat the incumbent, and only strict improvements replace it. A subtree
-    is also cut when an earlier one at the same depth saw the same demand
-    over the slots the remaining jobs can use, at no lower value: each of
-    its leaves is then no better than a leaf already searched, so the
-    returned optimum and its tie rule are the same as without the cut.
+    Job i branches over ``options`` in order, then rejection. There is no
+    starting incumbent: the first leaf sets it and only strict improvements
+    replace it. A subtree is cut when its value so far plus the remaining
+    jobs' ``_job_bound`` sum cannot beat the incumbent. A subtree is also
+    cut when an earlier one at the same depth saw the same demand over the
+    slots the remaining jobs can use, at no lower value: each of its leaves
+    is then no better than a leaf already searched, so the returned optimum
+    and its tie rule are the same as without the cut.
     """
-    _check_limits(
-        len(jobs), config, limits, "preemptive" if preemptive else "non-preemptive"
-    )
+    _check_limits(len(jobs), config, limits, label)
     order, g, b, rev = _prepared(jobs, green, tariff, config)
     n = len(order)
     T = config.horizon_slots
     M = config.machines
     suffix = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bound(order[i], rev[i], g, b, M)
+        suffix[i] = suffix[i + 1] + _job_bound(order[i], rev[i], g, b, M)
 
-    # Seeding the incumbent value just below the greedy profit keeps pruning
-    # strong without ever discarding the lexicographically first optimum.
-    best_value = _greedy_seed(order, green, tariff, config, preemptive) - 1e-9
-    best_assign: list | None = None
+    best_value = -math.inf
+    best_assign: list = []
     demand = [0] * T
     chosen: list = [None] * n
     # Jobs are in release order, so jobs i.. only touch slots in window[i]:
@@ -224,7 +190,6 @@ def _solve(
         for i in range(n)
     ]
     memo: list[dict] = [{} for _ in range(n)]  # demand in window[i] -> best cur
-    pack = bytes if M < 256 else tuple  # demand never exceeds M
 
     def dfs(i: int, cur: float) -> None:
         nonlocal best_value, best_assign
@@ -234,7 +199,7 @@ def _solve(
             best_value = cur
             best_assign = chosen.copy()
             return
-        key = pack(demand[window[i]])
+        key = tuple(demand[window[i]])
         seen = memo[i].get(key)
         if seen is not None and seen >= cur:
             return
@@ -257,8 +222,6 @@ def _solve(
 
     dfs(0, 0.0)
     dfs = None  # dfs reaches itself through its closure; unlink to free the search
-    if best_assign is None:
-        raise RuntimeError("search lost its incumbent (internal error)")
 
     schedule = Schedule(M, T)
     rev_selected = []
@@ -285,7 +248,7 @@ def solve_nonpreemptive_exact(
     """
     limits = NONPREEMPTIVE_LIMITS if limits is None else limits
     return _solve(
-        jobs, green, tariff, config, limits, False, _contiguous_options, _contiguous_bound
+        jobs, green, tariff, config, limits, "non-preemptive", _contiguous_options
     )
 
 
@@ -307,7 +270,7 @@ def solve_preemptive_exact(
     """
     limits = PREEMPTIVE_LIMITS if limits is None else limits
     profit, schedule = _solve(
-        jobs, green, tariff, config, limits, True, _scattered_options, _scattered_bound
+        jobs, green, tariff, config, limits, "preemptive", _scattered_options
     )
     if node_assignment(schedule) is None:
         warnings.warn(

@@ -142,23 +142,26 @@ def load_solar_csv(path: str | Path, config: SimConfig) -> GreenTrace:
 
     Consecutive samples are summed in groups covering one slot, the series is
     rescaled so its peak equals SOLAR_PEAK_FRACTION of the cluster's power
-    draw, and each slot is converted to whole node-slots (floor). Naive ISO
-    timestamps are read as UTC. The sample period is the step between the
-    first two timestamps, and every later step must equal it (to the
-    millisecond), so a gap or a repeated stamp raises instead of shifting
-    the slots after it. Raises if the trace is shorter
-    than the horizon; longer traces are truncated.
+    draw, and each slot is converted to whole node-slots (floor). Blank
+    lines and ``#`` comments are skipped, and the first other line may be a
+    header. Naive ISO timestamps are read as UTC. The sample period is the
+    step between the first two timestamps, and every later step must equal
+    it (to the millisecond), so a gap or a repeated stamp raises instead of
+    shifting the slots after it. Raises if the trace is shorter than the
+    horizon; longer traces are truncated.
     """
     if config.node_power_watts <= 0:
         raise ValueError("node_power_watts must be positive to scale a solar trace")
     times: list[float] = []
     watts: list[float] = []
     step = 0.0
+    rows = 0  # non-comment lines; the first may be a header
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            rows += 1
             parts = [p.strip() for p in line.split(",")]
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected 'timestamp,watts'")
@@ -166,7 +169,7 @@ def load_solar_csv(path: str | Path, config: SimConfig) -> GreenTrace:
                 stamp = _parse_timestamp(parts[0])
                 value = float(parts[1])
             except ValueError:
-                if lineno == 1:
+                if rows == 1:
                     continue  # header row
                 raise ValueError(f"{path}:{lineno}: cannot parse '{line}'") from None
             if len(times) == 1:

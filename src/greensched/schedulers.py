@@ -94,7 +94,7 @@ class OnlineState:
             schedule=Schedule(config.machines, T),
             green=supply,
             brown_cost=brown_cost_vector(tariff, config),
-            rng=None if seed is None else np.random.default_rng(seed),
+            rng=None if seed is None else np.random.Generator(np.random.PCG64(seed)),
         )
 
 

@@ -115,6 +115,27 @@ def test_opt_solve_preemptive_lists_node_witness(tmp_path, capsys, small):
     assert "job 1: slots 2..4 on 2 nodes [0, 1]" in captured
 
 
+def test_opt_solve_prints_split_placement(tmp_path, capsys):
+    # one node, slots 1..2 on-peak, no green: the preemptive optimum skips
+    # the peak, the contiguous one takes the earliest window
+    path = tmp_path / "split.cfg"
+    path.write_text(
+        "machines = 1\nhorizon_slots = 4\nslot_minutes = 360\n"
+        "onpeak_start_slot = 1\nonpeak_end_slot = 2\ngreen = zero\n"
+    )
+    jf = tmp_path / "jobs.txt"
+    write_job_file(jf, [(0, 0, 3, 2, 1)])
+    args = ["opt", "solve", "--config", str(path), "--jobs", str(jf)]
+    assert main(args + ["--variant", "preemptive"]) == 0
+    out = capsys.readouterr().out
+    assert "optimal net profit 0.1296\n" in out
+    assert "job 0: slots 0,3 on 1 nodes [0]\n" in out
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "optimal net profit 0.0876\n" in out
+    assert "job 0: slots 0..1 on 1 nodes\n" in out
+
+
 def test_opt_solve_respects_limit_flag(tmp_path, capsys, small):
     jf = tmp_path / "jobs.txt"
     write_job_file(jf, [(i, 0, 7, 1, 1) for i in range(3)])

@@ -1,0 +1,58 @@
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "greensched"
+
+# package modules each module may import; the exact optimum must not depend
+# on the online policies it is the benchmark for
+ALLOWED = {
+    "model": set(),
+    "pricing": {"model"},
+    "schedulers": {"model", "pricing"},
+    "offline": {"model", "pricing"},
+    "workload": {"model", "pricing"},
+    "adversary": {"model", "offline", "pricing", "schedulers"},
+    "experiment": {"model", "offline", "pricing", "schedulers", "workload"},
+    "cli": {"adversary", "experiment", "offline", "pricing", "workload"},
+    "__init__": {
+        "adversary", "experiment", "model", "offline", "pricing", "schedulers", "workload",
+    },
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """Names of the greensched modules a module's source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                names = [node.module or ""]
+            elif node.module:
+                names = ["greensched." + node.module]
+            else:
+                names = ["greensched." + alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith("greensched."):
+                found.add(name.split(".")[1])
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
+    assert set(modules) == set(ALLOWED)
+    for name, path in sorted(modules.items()):
+        extra = package_imports(path.read_text()) - ALLOWED[name]
+        assert not extra, f"{name} imports {sorted(extra)}"
+
+
+def test_import_scan_sees_every_form():
+    # relative, relative-package, absolute and nested forms all count
+    source = (
+        "import numpy\nfrom .schedulers import run_online\nfrom . import cli\n"
+        "import greensched.workload\ndef f():\n    from greensched.adversary import x\n"
+    )
+    assert package_imports(source) == {"schedulers", "cli", "workload", "adversary"}

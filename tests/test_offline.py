@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from greensched.offline import (
     NONPREEMPTIVE_LIMITS,
     PREEMPTIVE_LIMITS,
     SolveLimits,
+    _contiguous_options,
+    _job_bound,
+    _marginal_cost,
+    _prepared,
+    _scattered_options,
     emit_lp,
     node_assignment,
     solve_nonpreemptive_exact,
@@ -277,13 +283,37 @@ def test_limits_are_enforced():
     loose = SolveLimits(max_jobs=20, max_slots=60, max_machines=20)
     profit, _ = solve_nonpreemptive_exact(many, zeros(4), TARIFF, cfg, loose)
     assert profit > 0
-    # loose limits admit more nodes per slot than one byte of demand holds
+    # loose limits admit more than 255 nodes per slot
     fleet = SimConfig(machines=300, horizon_slots=4, forecast_slots=4)
     roomy = SolveLimits(max_jobs=12, max_slots=48, max_machines=300)
     wide_jobs = [Job(id=i, release=0, deadline=3, proc_time=2, nodes=260) for i in range(2)]
     for solver in (solve_nonpreemptive_exact, solve_preemptive_exact):
         _, sched = solver(wide_jobs, zeros(4), TARIFF, fleet, roomy)
         assert len(sched.placements) == 2
+
+
+def test_job_bound_covers_every_option_on_an_empty_grid():
+    # one bound serves both variants: no contiguous or scattered placement
+    # may earn more than it, and it never drops below rejection's zero. The
+    # bound sums its costs cheapest first and an option sums them in slot
+    # order, so the two can round apart; an ulp of revenue covers that
+    # until money is compared exactly (ROADMAP item 2)
+    rng = np.random.default_rng(77)
+    checked = 0
+    for _ in range(200):
+        jobs, green, tariff, config = random_instance(rng, max_slots=12)
+        order, g, b, rev = _prepared(jobs, green, tariff, config)
+        M = config.machines
+        empty = [0] * config.horizon_slots
+        for job, r in zip(order, rev):
+            bound = _job_bound(job, r, g, b, M)
+            assert bound >= 0.0
+            for options in (_contiguous_options, _scattered_options):
+                for slots in options(job, empty, M):
+                    cost = _marginal_cost(slots, empty, g, b, job.nodes)
+                    assert bound >= max(0.0, r - cost) - math.ulp(r)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_lexicographic_tie_rule():

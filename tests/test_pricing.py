@@ -222,6 +222,26 @@ def test_naive_iso_stamps_read_as_utc(tmp_path, monkeypatch):
     assert np.array_equal(g.supply, load_solar_csv(epoch, cfg).supply)
 
 
+def test_load_solar_csv_header_after_comments(tmp_path):
+    cfg = SimConfig(machines=4, horizon_slots=4, forecast_slots=4)
+    rows = "".join(f"{i * 900},{w}\n" for i, w in enumerate([0.0, 280.0, 560.0, 140.0]))
+    plain = tmp_path / "a.csv"
+    plain.write_text(rows)
+    commented = tmp_path / "b.csv"
+    commented.write_text("# site 7\n\ntimestamp,watts\n" + rows)
+    g = load_solar_csv(commented, cfg)
+    assert np.array_equal(g.supply, load_solar_csv(plain, cfg).supply)
+    # only the first non-comment line may be a header
+    twice = tmp_path / "c.csv"
+    twice.write_text("# site 7\ntimestamp,watts\ntimestamp,watts\n" + rows)
+    with pytest.raises(ValueError, match="c.csv:3: cannot parse"):
+        load_solar_csv(twice, cfg)
+    late = tmp_path / "d.csv"
+    late.write_text("# site 7\n" + rows + "not-a-row,oops\n")
+    with pytest.raises(ValueError, match="d.csv:6: cannot parse"):
+        load_solar_csv(late, cfg)
+
+
 def test_load_solar_csv_errors(tmp_path):
     cfg = SimConfig(machines=2, horizon_slots=8, forecast_slots=8)
     short = tmp_path / "short.csv"

@@ -171,6 +171,12 @@ def test_rf_unseeded_coin_raises():
         place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=1), state, RF, TARIFF, cfg)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])
+def test_state_coin_stream_equals_default_rng(seed):
+    state = fresh_state(small_cfg(), seed=seed)
+    assert np.array_equal(state.rng.random(100), np.random.default_rng(seed).random(100))
+
+
 def _random_jobs(rng, T, M, n):
     jobs = []
     for i in range(n):
