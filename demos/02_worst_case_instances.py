@@ -7,15 +7,18 @@ is baited into hogging the good slot so a later job dies, and the coin
 policy splits the difference.
 """
 
-from greensched.adversary import measure_ratio, standard_suite
+from greensched.adversary import expected_ratio, measure_ratio, standard_suite
 
-print(f"{'construction':<22} {'policy':<6} {'formula':>9} {'measured':>9} {'stderr':>8}")
+print(
+    f"{'construction':<22} {'policy':<6} {'formula':>9} {'exact':>9} "
+    f"{'measured':>9} {'stderr':>8}"
+)
 for inst in standard_suite():
     trials = 30000 if inst.target.randomized else 1
     m = measure_ratio(inst, trials=trials, base_seed=1)
     print(
         f"{inst.name:<22} {inst.target.kind:<6} {inst.formula_ratio:>9.5f} "
-        f"{m.ratio:>9.5f} {m.stderr:>8.2g}"
+        f"{expected_ratio(inst):>9.5f} {m.ratio:>9.5f} {m.stderr:>8.2g}"
     )
 
 # walk through the first-fit trap by hand

@@ -29,7 +29,7 @@ from .pricing import (
     normalized_values,
     random_fit_params,
 )
-from .schedulers import SchedulerKind, run_online
+from .schedulers import SchedulerKind, expected_profit, run_trials
 
 FF_VARIANTS = ("green_next", "offpeak_next")
 BF_VARIANTS = ("on_to_off", "off_to_on")
@@ -195,6 +195,14 @@ def rf_worst_case_suite(
     ]
 
 
+def _opt(instance: AdversarialInstance) -> float:
+    """The construction's offline optimum (the exact solver caps it at 12 jobs)."""
+    opt, _ = solve_nonpreemptive_exact(
+        list(instance.jobs), instance.green, instance.tariff, instance.config
+    )
+    return opt
+
+
 def measure_ratio(
     instance: AdversarialInstance,
     kind: SchedulerKind | None = None,
@@ -204,25 +212,24 @@ def measure_ratio(
     """Run a policy on the construction and report OPT over its mean profit.
 
     The optimum comes from the exact offline solver. Deterministic policies
-    need one trial; randomized ones get fresh seeds base_seed + i. A policy
-    that earns nothing on every trial reports an infinite ratio (flagged via
-    ``infinite``); the standard error follows the delta method.
+    need one trial; randomized ones get fresh seeds base_seed + i, and
+    trials whose coins come out alike share one run (``run_trials``), so
+    the cost grows with the distinct coin paths, not with ``trials``. A
+    policy that earns nothing on every trial reports an infinite ratio
+    (flagged via ``infinite``); the standard error follows the delta method.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     kind = instance.target if kind is None else kind
-    opt, _ = solve_nonpreemptive_exact(
-        list(instance.jobs), instance.green, instance.tariff, instance.config
+    opt = _opt(instance)
+    profits = run_trials(
+        list(instance.jobs),
+        kind,
+        instance.green,
+        instance.tariff,
+        instance.config,
+        range(base_seed, base_seed + trials),
     )
-    profits = np.empty(trials)
-    for i in range(trials):
-        _, report, _ = run_online(
-            list(instance.jobs),
-            kind,
-            instance.green,
-            instance.tariff,
-            instance.config,
-            seed=base_seed + i,
-        )
-        profits[i] = report.net_profit
     mean = float(profits.mean())
     se_mean = float(profits.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     if mean <= 0:
@@ -234,6 +241,23 @@ def measure_ratio(
         mean_alg_profit=mean,
         trials=trials,
     )
+
+
+def expected_ratio(
+    instance: AdversarialInstance, kind: SchedulerKind | None = None
+) -> float:
+    """OPT over the policy's exact expected profit on the construction.
+
+    The expectation enumerates every coin path (``expected_profit``); the
+    optimum's 12-job cap bounds them at 2^12. A policy whose expected profit
+    is not positive gives an infinite ratio.
+    """
+    kind = instance.target if kind is None else kind
+    opt = _opt(instance)
+    mean = expected_profit(
+        list(instance.jobs), kind, instance.green, instance.tariff, instance.config
+    )
+    return opt / mean if mean > 0 else math.inf
 
 
 def standard_suite(machines: int = 16) -> list[AdversarialInstance]:

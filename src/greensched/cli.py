@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .adversary import measure_ratio, standard_suite
+from .adversary import expected_ratio, measure_ratio, standard_suite
 from .experiment import (
     ExperimentConfig,
     cell_spec,
@@ -117,15 +117,28 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
-    print(f"{'construction':<22} {'policy':<6} {'formula':>10} {'measured':>10} {'stderr':>9}")
+    print(
+        f"{'construction':<22} {'policy':<6} {'formula':>10} {'exact':>10} "
+        f"{'measured':>10} {'stderr':>9}"
+    )
     for inst in standard_suite(machines=args.machines):
         trials = args.trials if inst.target.randomized else 1
         m = measure_ratio(inst, trials=trials, base_seed=args.seed)
         print(
             f"{inst.name:<22} {inst.target.kind:<6} {inst.formula_ratio:>10.6f} "
-            f"{m.ratio:>10.6f} {m.stderr:>9.2g}"
+            f"{expected_ratio(inst):>10.6f} {m.ratio:>10.6f} {m.stderr:>9.2g}"
         )
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.set_defaults(func=_cmd_opt)
 
     p_adv = sub.add_parser("adversary", help="worst-case constructions and measured ratios")
-    p_adv.add_argument("--trials", type=int, default=20000)
+    p_adv.add_argument("--trials", type=_positive_int, default=20000)
     p_adv.add_argument("--seed", type=int, default=0)
     p_adv.add_argument("--machines", type=int, default=16)
     p_adv.set_defaults(func=_cmd_adversary)

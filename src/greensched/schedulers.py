@@ -9,11 +9,17 @@ variants (PFF, PBF, PRF) may scatter a job over non-contiguous slots.
 Decisions may look at green supply only within the forecast window of the
 job's release; slots past the forecast are priced as if no green existed.
 Final accounting always uses the true trace.
+
+The coin is random-fit's only randomness, so a run is fixed by its coin
+outcomes: ``run_trials`` (many seeds) and ``expected_profit`` (every coin
+path) play each distinct path once.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,12 +76,14 @@ class OnlineState:
 
     ``green`` is the true supply and is never written; the residual pool is
     max(0, green - demand), derived where a decision or a draw needs it.
+    ``coin(keep_first)`` is random-fit's coin: it returns True to keep
+    first-fit's pick, which a fair draw does with probability ``keep_first``.
     """
 
     schedule: Schedule
     green: np.ndarray  # true supply per slot over the horizon, read-only
     brown_cost: np.ndarray  # $ per node-slot, indexed by slot
-    rng: np.random.Generator | None = None
+    coin: Callable[[float], bool] | None = None
 
     @classmethod
     def create(
@@ -94,8 +102,25 @@ class OnlineState:
             schedule=Schedule(config.machines, T),
             green=supply,
             brown_cost=brown_cost_vector(tariff, config),
-            rng=None if seed is None else np.random.Generator(np.random.PCG64(seed)),
+            coin=None if seed is None else _seeded_coin(seed),
         )
+
+
+def _seeded_coin(seed: int) -> Callable[[float], bool]:
+    """The coin of a run seeded with ``seed``: one uniform draw per flip.
+
+    The stream is ``np.random.default_rng(seed)``'s; the generator is built
+    at the first flip, so a run that never flips never pays for it.
+    """
+    rng = None
+
+    def coin(keep_first: float) -> bool:
+        nonlocal rng
+        if rng is None:
+            rng = np.random.Generator(np.random.PCG64(seed))
+        return rng.random() < keep_first
+
+    return coin
 
 
 @dataclass(frozen=True)
@@ -162,9 +187,9 @@ def _choose(
         params = kind.rf_params
         on_peak = is_on_peak(job.release, tariff, config)
         keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
-        if state.rng is None:
+        if state.coin is None:
             raise ValueError("randomized placement needs a seeded state")
-        if state.rng.random() < keep_first:
+        if state.coin(keep_first):
             return first
     # marginal $ to run q nodes at each slot, given the residual green pool
     unit = state.brown_cost[: vis.size] * np.maximum(0, job.nodes - vis)
@@ -220,6 +245,32 @@ def place(
     return _admit(job, slots, state, tariff, config)
 
 
+def _check_horizon(jobs: list[Job], config: SimConfig) -> None:
+    for job in jobs:
+        if job.deadline >= config.horizon_slots:
+            raise ValueError(
+                f"job {job.id}: deadline {job.deadline} outside horizon "
+                f"{config.horizon_slots}"
+            )
+
+
+def _play(
+    jobs: list[Job],
+    kind: SchedulerKind,
+    state: OnlineState,
+    tariff: Tariff,
+    config: SimConfig,
+) -> list[LogEntry]:
+    """Offer the jobs to the policy in (release, deadline, id) order."""
+    log: list[LogEntry] = []
+    for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
+        entry = place(job, state, kind, tariff, config)
+        if entry is None:
+            entry = LogEntry(job.id, "reject", None, (), 0, 0, 0.0, 0.0)
+        log.append(entry)
+    return log
+
+
 def run_online(
     jobs: list[Job],
     kind: SchedulerKind,
@@ -236,23 +287,128 @@ def run_online(
     """
     if kind.randomized and seed is None:
         raise ValueError(f"{kind.kind} needs a seed for its coin")
-    for job in jobs:
-        if job.deadline >= config.horizon_slots:
-            raise ValueError(
-                f"job {job.id}: deadline {job.deadline} outside horizon "
-                f"{config.horizon_slots}"
-            )
+    _check_horizon(jobs, config)
     state = OnlineState.create(
         green, tariff, config, seed=seed if kind.randomized else None
     )
-    log: list[LogEntry] = []
-    for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
-        entry = place(job, state, kind, tariff, config)
-        if entry is None:
-            entry = LogEntry(job.id, "reject", None, (), 0, 0, 0.0, 0.0)
-        log.append(entry)
+    log = _play(jobs, kind, state, tariff, config)
     report = account(state.schedule, green, tariff, config)
     return state.schedule, report, log
+
+
+def _play_path(
+    jobs: list[Job],
+    kind: SchedulerKind,
+    green: GreenTrace,
+    tariff: Tariff,
+    config: SimConfig,
+    path: list[bool],
+    draw: Callable[[float], bool],
+) -> tuple[float, list[tuple[float, bool]]]:
+    """Net profit of the run whose coins come out as ``path``, then as ``draw``.
+
+    Also returns (keep_first, outcome) for each coin flipped past ``path``.
+    """
+    replay = iter(path)
+    fresh: list[tuple[float, bool]] = []
+
+    def coin(keep_first: float) -> bool:
+        outcome = next(replay, None)
+        if outcome is None:
+            outcome = draw(keep_first)
+            fresh.append((keep_first, outcome))
+        return outcome
+
+    state = OnlineState.create(green, tariff, config)
+    state.coin = coin
+    _play(jobs, kind, state, tariff, config)
+    return account(state.schedule, green, tariff, config).net_profit, fresh
+
+
+class _Flip:
+    """A coin some trial flipped, as a node of ``run_trials``'s trie.
+
+    ``keep_first`` is the threshold the engine asked with; ``after[outcome]``
+    is the next _Flip, the finished run's net profit, or None while no trial
+    has taken that branch.
+    """
+
+    __slots__ = ("keep_first", "after")
+
+    def __init__(self, keep_first: float, after_outcome: bool, then: _Flip | float):
+        self.keep_first = keep_first
+        self.after: list[_Flip | float | None] = [None, None]  # [switch, keep]
+        self.after[after_outcome] = then
+
+
+def run_trials(
+    jobs: list[Job],
+    kind: SchedulerKind,
+    green: GreenTrace,
+    tariff: Tariff,
+    config: SimConfig,
+    seeds: Iterable[int],
+) -> np.ndarray:
+    """Net profit of ``run_online(..., seed=s)`` for each seed, bit for bit.
+
+    The coin is random-fit's only randomness, so trials whose coins agree
+    share one run. The flips seen so far form a trie; a trial walks it with
+    the draws of its own seed, and the engine plays only a path no earlier
+    trial took, replaying the known prefix and then drawing from the same
+    generator. Every seed consumes the numbers it would consume alone; a
+    seed whose run never flips builds no generator, and a deterministic
+    kind plays once.
+    """
+    _check_horizon(jobs, config)
+    seeds = list(seeds)
+    profits = np.empty(len(seeds))
+    root: _Flip | float | None = None
+    for i, seed in enumerate(seeds):
+        coin = _seeded_coin(seed)
+        path: list[bool] = []
+        parent, node = None, root
+        while isinstance(node, _Flip):
+            path.append(coin(node.keep_first))
+            parent, node = node, node.after[path[-1]]
+        if node is None:
+            node, fresh = _play_path(jobs, kind, green, tariff, config, path, coin)
+            branch = node
+            for keep_first, outcome in reversed(fresh):
+                branch = _Flip(keep_first, outcome, branch)
+            if parent is None:
+                root = branch
+            else:
+                parent.after[path[-1]] = branch
+        profits[i] = node
+    return profits
+
+
+def expected_profit(
+    jobs: list[Job],
+    kind: SchedulerKind,
+    green: GreenTrace,
+    tariff: Tariff,
+    config: SimConfig,
+) -> float:
+    """The policy's exact expected net profit over its coin.
+
+    Every coin path is played once and weighted by the product of its
+    outcomes' probabilities (keep_first for a keep, 1 - keep_first for a
+    switch). A run flips at most one coin per job, so n jobs give at most
+    2^n paths.
+    """
+    _check_horizon(jobs, config)
+    terms = []
+    pending: list[tuple[list[bool], float]] = [([], 1.0)]
+    while pending:
+        path, weight = pending.pop()
+        profit, fresh = _play_path(jobs, kind, green, tariff, config, path, lambda _: True)
+        for keep_first, _ in fresh:
+            pending.append((path + [False], weight * (1.0 - keep_first)))
+            path = path + [True]
+            weight *= keep_first
+        terms.append(weight * profit)
+    return math.fsum(terms)
 
 
 LOG_HEADER = [

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from greensched import schedulers
 
 settings.register_profile(
     "suite",
@@ -8,3 +11,17 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def engine_plays(monkeypatch):
+    """A list that grows by one for every engine run in the test."""
+    plays = []
+    play = schedulers._play
+
+    def counted(*args):
+        plays.append(None)
+        return play(*args)
+
+    monkeypatch.setattr(schedulers, "_play", counted)
+    return plays

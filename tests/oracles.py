@@ -24,6 +24,7 @@ from greensched.pricing import (
     is_on_peak,
     job_revenue,
 )
+from greensched.schedulers import run_online
 
 
 def profit_of(rev_selected, demand, g, b) -> float:
@@ -163,6 +164,16 @@ def enumerate_preemptive(jobs, green, tariff, config):
     return best["value"], best["assign"], order
 
 
+def per_seed_profits(jobs, kind, green, tariff, config, seeds) -> np.ndarray:
+    """Net profit of one full ``run_online`` per seed, trial by trial."""
+    return np.array(
+        [
+            run_online(list(jobs), kind, green, tariff, config, seed=s)[1].net_profit
+            for s in seeds
+        ]
+    )
+
+
 def random_instance(rng, max_jobs=5, max_slots=10, max_machines=3):
     """A small random problem: (jobs, green, tariff, config)."""
     T = int(rng.integers(3, max_slots + 1))
@@ -214,7 +225,7 @@ def full_horizon_choice(job, state, kind, tariff, config):
         params = kind.rf_params
         on_peak = is_on_peak(job.release, tariff, config)
         keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
-        if state.rng.random() < keep_first:
+        if state.coin(keep_first):
             return first
     unit = state.brown_cost * np.maximum(0, job.nodes - vis)
     if kind.preemptive:

@@ -4,6 +4,7 @@ import pytest
 from greensched.adversary import (
     AdversarialInstance,
     bf_lower_bound_instance,
+    expected_ratio,
     ff_lower_bound_instance,
     measure_ratio,
     rf_worst_case_suite,
@@ -11,8 +12,10 @@ from greensched.adversary import (
 )
 from greensched.model import SimConfig
 from greensched.offline import solve_nonpreemptive_exact
-from greensched.pricing import Tariff, normalized_values
-from greensched.schedulers import run_online
+from greensched.pricing import Tariff, normalized_values, random_fit_params
+from greensched.schedulers import SchedulerKind, run_online, run_trials
+
+from oracles import per_seed_profits
 
 # hand-reduced targets for the default tariff, kept here so a silent change
 # in the constructions cannot pass unnoticed
@@ -189,3 +192,46 @@ def test_constructions_keep_jobs_inside_two_slot_grid():
         for job in inst.jobs:
             assert 0 <= job.release <= job.deadline < 2
             assert job.nodes <= inst.config.machines
+
+
+def test_measure_ratio_rejects_fewer_than_one_trial():
+    inst = rf_worst_case_suite(NV)[0]
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            measure_ratio(inst, trials=trials)
+
+
+@pytest.mark.parametrize("machines", [1, 3, 16])
+def test_run_trials_equals_per_seed_runs_on_the_suite(machines):
+    nv = normalized_values(Tariff(), SimConfig(machines=machines))
+    rf = SchedulerKind("RF", random_fit_params(nv))
+    for inst in standard_suite(machines):
+        jobs = list(inst.jobs)
+        for kind in (inst.target, rf):
+            for trials, base in ((1, 0), (3, 5), (2000, 2000), (777, 12345)):
+                seeds = range(base, base + trials)
+                got = run_trials(jobs, kind, inst.green, inst.tariff, inst.config, seeds)
+                want = per_seed_profits(
+                    jobs, kind, inst.green, inst.tariff, inst.config, seeds
+                )
+                assert got.tobytes() == want.tobytes(), (inst.name, kind.kind, trials)
+
+
+def test_monte_carlo_plays_each_coin_path_once(engine_plays):
+    inst = next(i for i in rf_worst_case_suite(NV) if i.name == "rf_on_to_off_pair")
+    m = measure_ratio(inst, trials=2000, base_seed=3)
+    assert m.trials == 2000 and m.stderr > 0
+    assert 2 <= len(engine_plays) <= 3
+
+
+@pytest.mark.parametrize("machines", [3, 16])
+def test_expected_ratio_equals_formula(machines):
+    nv = normalized_values(Tariff(), SimConfig(machines=machines))
+    for inst in rf_worst_case_suite(nv, machines):
+        assert abs(expected_ratio(inst) - inst.formula_ratio) <= 1e-12, inst.name
+
+
+def test_expected_ratio_of_a_deterministic_policy_is_its_one_run():
+    for inst in standard_suite():
+        if not inst.target.randomized:
+            assert expected_ratio(inst) == measure_ratio(inst).ratio, inst.name

@@ -175,9 +175,18 @@ def test_adversary_table(capsys):
     assert rc == 0
     lines = captured.strip().splitlines()
     assert len(lines) == 9  # header plus eight constructions
-    assert lines[0].split()[:2] == ["construction", "policy"]
+    assert lines[0].split() == [
+        "construction", "policy", "formula", "exact", "measured", "stderr"
+    ]
     assert any(line.startswith("ff_green_next") for line in lines)
     assert any(line.startswith("rf_off_to_on_pair") for line in lines)
+
+
+def test_adversary_rejects_fewer_than_one_trial(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["adversary", "--trials", "0"])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_run_sweep_end_to_end(tmp_path, capsys):

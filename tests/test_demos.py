@@ -12,9 +12,9 @@ import greensched
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 SRC = Path(greensched.__file__).resolve().parents[1]
 
-# 02 is left out: it is 15 s of Monte Carlo over the adversary API only.
 SMOKE = [
     "01_online_policies.py",
+    "02_worst_case_instances.py",
     "03_exact_solver_and_lp.py",
     "04_workload_families.py",
     "05_experiment_sweep.py",

@@ -2,25 +2,31 @@ import numpy as np
 import pytest
 
 from greensched import schedulers
+from greensched.experiment import stable_seed
 from greensched.model import Job, SimConfig, commit, nonpreemptive_starts
+from greensched.offline import solve_nonpreemptive_exact
 from greensched.pricing import (
     GreenTrace,
     RandomFitParams,
     Tariff,
     normalized_values,
     random_fit_params,
+    synthetic_solar,
 )
 from greensched.schedulers import (
     KINDS,
     LOG_HEADER,
     OnlineState,
     SchedulerKind,
+    expected_profit,
     place,
     run_online,
+    run_trials,
     write_log_csv,
 )
+from greensched.workload import WorkloadSpec, generate
 
-from oracles import full_horizon_choice
+from oracles import full_horizon_choice, per_seed_profits, random_instance
 
 
 def small_cfg(machines=2, horizon=10):
@@ -35,6 +41,16 @@ FF, BF, RF = SchedulerKind("FF"), SchedulerKind("BF"), SchedulerKind("RF", PARAM
 def fresh_state(cfg, green=None, tariff=TARIFF, seed=None):
     g = GreenTrace(np.zeros(cfg.horizon_slots, dtype=np.int64)) if green is None else green
     return OnlineState.create(g, tariff, cfg, seed=seed)
+
+
+def counting(coin, asked):
+    """The coin, appending each flip's keep threshold to ``asked``."""
+
+    def flip(keep_first):
+        asked.append(keep_first)
+        return coin(keep_first)
+
+    return flip
 
 
 def test_kind_validation():
@@ -147,21 +163,23 @@ def test_rf_green_path_spends_no_randomness():
     cfg = small_cfg(machines=2, horizon=6)
     g = np.full(6, 2, dtype=np.int64)
     state = fresh_state(cfg, GreenTrace(g), seed=123)
-    before = state.rng.bit_generator.state
+    asked = []
+    state.coin = counting(state.coin, asked)
     placed = place(
         Job(id=0, release=0, deadline=5, proc_time=2, nodes=2),
         state, RF, TARIFF, cfg,
     )
     assert placed.slots == (0, 1)  # deterministic first-fit
-    assert state.rng.bit_generator.state == before
+    assert asked == []
 
 
 def test_rf_flips_only_when_green_short():
     cfg = small_cfg(machines=2, horizon=6)
     state = fresh_state(cfg, seed=123)
-    before = state.rng.bit_generator.state
+    asked = []
+    state.coin = counting(state.coin, asked)
     place(Job(id=0, release=0, deadline=5, proc_time=1, nodes=1), state, RF, TARIFF, cfg)
-    assert state.rng.bit_generator.state != before
+    assert asked == [PARAMS.p_off_to_on]  # slot 0 is off-peak under the stock tariff
 
 
 def test_rf_unseeded_coin_raises():
@@ -173,8 +191,11 @@ def test_rf_unseeded_coin_raises():
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])
 def test_state_coin_stream_equals_default_rng(seed):
+    # one uniform draw per flip, compared with the flip's keep threshold
     state = fresh_state(small_cfg(), seed=seed)
-    assert np.array_equal(state.rng.random(100), np.random.default_rng(seed).random(100))
+    keep = np.random.default_rng(99).random(1000)
+    flips = [state.coin(float(k)) for k in keep]
+    assert flips == (np.random.default_rng(seed).random(1000) < keep).tolist()
 
 
 def _random_jobs(rng, T, M, n):
@@ -234,6 +255,9 @@ def test_rf_expected_profit_on_dilemma():
     # binomial noise: sigma = unit * |v_off - v_on| * sqrt(p(1-p)/n)
     sigma = unit * (nv.v_off - nv.v_on) * (p * (1 - p) / trials) ** 0.5
     assert abs(mean - expect) < 4 * sigma
+    # the coin-path enumeration has no sampling noise
+    exact = expected_profit([job], kind, green, tariff, cfg)
+    assert exact == pytest.approx(expect, rel=1e-12)
 
 
 def test_run_online_sorts_arrivals_and_logs_every_job():
@@ -297,14 +321,14 @@ def test_choice_priced_to_the_deadline_matches_full_horizon(name):
         state = fresh_state(cfg, green, tariff)
         jobs = _random_jobs(rng, T, M, int(rng.integers(1, 10)))
         for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
-            coin = int(rng.integers(2**32))
-            state.rng = np.random.default_rng(coin)
+            seed = int(rng.integers(2**32))
+            drawn, asked = [], []
+            state.coin = counting(schedulers._seeded_coin(seed), drawn)
             want = full_horizon_choice(job, state, kind, tariff, cfg)
-            drawn = state.rng.bit_generator.state
-            state.rng = np.random.default_rng(coin)
+            state.coin = counting(schedulers._seeded_coin(seed), asked)
             got = schedulers._choose(job, state, kind, tariff, cfg)
             assert got == want
-            assert state.rng.bit_generator.state == drawn
+            assert asked == drawn
             if got is not None:
                 commit(job, got, state.schedule)
                 decisions += 1
@@ -370,3 +394,86 @@ def test_log_csv_format(tmp_path):
     lines = path.read_text().split("\n")
     assert lines[0] == ",".join(LOG_HEADER)
     assert lines[1].startswith("0,admit,0,0;1,1,1,")
+
+
+@pytest.mark.parametrize("name", ["RF", "PRF"])
+def test_run_trials_equals_per_seed_runs(name, engine_plays):
+    kind = SchedulerKind(name, PARAMS)
+    rng = np.random.default_rng(31)
+    seeds = range(40, 140)
+    most_paths = 0
+    for _ in range(60):
+        jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
+        want = per_seed_profits(jobs, kind, green, tariff, cfg, seeds)
+        engine_plays.clear()
+        got = run_trials(jobs, kind, green, tariff, cfg, seeds)
+        assert got.tobytes() == want.tobytes()
+        most_paths = max(most_paths, len(engine_plays))
+    # the instances flip several coins per run, so trials do share paths
+    assert 4 <= most_paths < len(seeds)
+
+
+def test_run_trials_on_all_green_builds_no_generator(monkeypatch, engine_plays):
+    cfg = small_cfg(machines=2, horizon=6)
+    green = GreenTrace(np.full(6, 2, dtype=np.int64))
+    jobs = [
+        Job(id=0, release=0, deadline=3, proc_time=2, nodes=1),
+        Job(id=1, release=1, deadline=5, proc_time=3, nodes=1),
+        Job(id=2, release=2, deadline=5, proc_time=2, nodes=1),
+    ]
+    want = per_seed_profits(jobs, RF, green, TARIFF, cfg, range(50))
+    built = []
+    generator = np.random.Generator
+    monkeypatch.setattr(np.random, "Generator", lambda *a: built.append(a) or generator(*a))
+    engine_plays.clear()
+    got = run_trials(jobs, RF, green, TARIFF, cfg, range(50))
+    assert got.tobytes() == want.tobytes()
+    assert built == []
+    assert len(engine_plays) == 1
+
+
+def test_run_trials_plays_a_deterministic_kind_once(engine_plays):
+    cfg = small_cfg()
+    jobs = [Job(id=0, release=0, deadline=9, proc_time=2, nodes=1)]
+    green = GreenTrace(np.zeros(10, dtype=np.int64))
+    got = run_trials(jobs, BF, green, TARIFF, cfg, [3, 1, 4])
+    assert len(engine_plays) == 1
+    want = per_seed_profits(jobs, BF, green, TARIFF, cfg, [3, 1, 4])
+    assert got.tobytes() == want.tobytes()
+    assert run_trials(jobs, BF, green, TARIFF, cfg, []).size == 0
+
+
+@pytest.mark.parametrize("preemptive", [False, True])
+def test_expected_profit_with_sure_coins_is_the_parent_policy(preemptive):
+    always_ff = RandomFitParams(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    prefix = "P" if preemptive else ""
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
+        for params, parent in ((always_ff, "FF"), (always_bf, "BF")):
+            parent_kind = SchedulerKind(prefix + parent)
+            _, report, _ = run_online(jobs, parent_kind, green, tariff, cfg)
+            kind = SchedulerKind(prefix + "RF", params)
+            assert expected_profit(jobs, kind, green, tariff, cfg) == report.net_profit
+
+
+def test_expected_profit_on_desk_instances(engine_plays):
+    # acceptance 6's instances: eight jobs, so at most 2^8 coin paths, and
+    # OPT over the exact expectation with no Monte Carlo noise
+    sim = SimConfig(machines=4, horizon_slots=42, forecast_slots=42)
+    tariff = Tariff()
+    green = synthetic_solar(sim)
+    rf = SchedulerKind("RF", random_fit_params(normalized_values(tariff, sim)))
+    ratios = []
+    for rep in range(4):
+        spec = WorkloadSpec(
+            family="UE", target_utilization=0.4, fixed_p=4, fixed_q=2,
+            rng_seed=stable_seed(6, rep),
+        )
+        jobs = generate(spec, sim, tariff)
+        opt, _ = solve_nonpreemptive_exact(jobs, green, tariff, sim)
+        engine_plays.clear()
+        ratios.append(opt / expected_profit(jobs, rf, green, tariff, sim))
+        assert len(engine_plays) <= 2 ** len(jobs)
+    assert ratios == pytest.approx([1.09685, 1.14778, 1.06165, 1.14170], abs=5e-6)
