@@ -212,14 +212,17 @@ def measure_ratio(
     """Run a policy on the construction and report OPT over its mean profit.
 
     The optimum comes from the exact offline solver. Deterministic policies
-    need one trial; randomized ones get fresh seeds base_seed + i, and
-    trials whose coins come out alike share one run (``run_trials``), so
-    the cost grows with the distinct coin paths, not with ``trials``. A
-    policy that earns nothing on every trial reports an infinite ratio
-    (flagged via ``infinite``); the standard error follows the delta method.
+    need one trial; randomized ones get seeds base_seed + i (base_seed must
+    be non-negative). ``run_trials`` walks one coin tree with every seed,
+    so trials whose coins come out alike share one run and the cost grows
+    with the distinct coin paths, not with ``trials``. A policy that earns
+    nothing on every trial reports an infinite ratio (flagged via
+    ``infinite``); the standard error follows the delta method.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
     kind = instance.target if kind is None else kind
     opt = _opt(instance)
     profits = run_trials(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 
 from .adversary import expected_ratio, measure_ratio, standard_suite
 from .experiment import (
@@ -131,14 +132,19 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--point", required=True, help="target utilization, or job count for Real"
     )
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -186,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.set_defaults(func=_cmd_opt)
 
     p_adv = sub.add_parser("adversary", help="worst-case constructions and measured ratios")
-    p_adv.add_argument("--trials", type=_positive_int, default=20000)
-    p_adv.add_argument("--seed", type=int, default=0)
-    p_adv.add_argument("--machines", type=int, default=16)
+    p_adv.add_argument("--trials", type=_int_at_least(1), default=20000)
+    p_adv.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_adv.add_argument("--machines", type=_int_at_least(1), default=16)
     p_adv.set_defaults(func=_cmd_adversary)
     return parser
 

@@ -19,8 +19,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .model import Job, Schedule, SimConfig, commit
-from .pricing import GreenTrace, Tariff, brown_cost_vector, job_revenue
+from .model import Job, Schedule, SimConfig, check_deadlines, commit
+from .pricing import GreenTrace, Tariff, brown_cost_vector, horizon_supply, job_revenue
 
 
 class InstanceLimitError(ValueError):
@@ -62,17 +62,9 @@ def _prepared(
 ) -> tuple[list[Job], list[int], list[float], list[float]]:
     """Jobs in release order, plus per-slot green g, per-slot brown price b
     and per-job revenue rev as plain Python numbers."""
-    for job in jobs:
-        if job.deadline >= config.horizon_slots:
-            raise ValueError(
-                f"job {job.id}: deadline {job.deadline} outside horizon "
-                f"{config.horizon_slots}"
-            )
+    check_deadlines(jobs, config)
     order = sorted(jobs, key=lambda j: (j.release, j.deadline, j.id))
-    T = config.horizon_slots
-    if green.supply.size < T:
-        raise ValueError("green trace shorter than horizon")
-    g = [int(v) for v in green.supply[:T]]
+    g = [int(v) for v in horizon_supply(green, config)]
     b = [float(v) for v in brown_cost_vector(tariff, config)]
     rev = [job_revenue(j, tariff, config) for j in order]
     return order, g, b, rev

@@ -103,6 +103,13 @@ class GreenTrace:
         return cls(np.zeros(config.horizon_slots, dtype=np.int64))
 
 
+def horizon_supply(green: GreenTrace, config: SimConfig) -> np.ndarray:
+    """The trace's supply over the horizon; raises if the trace ends early."""
+    if green.supply.size < config.horizon_slots:
+        raise ValueError("green trace shorter than horizon")
+    return green.supply[: config.horizon_slots]
+
+
 # Share of the cluster that the brightest slot of a solar trace can power.
 SOLAR_PEAK_FRACTION = 0.75
 
@@ -231,11 +238,8 @@ def account(
     placement finishes inside its deadline by construction, so all placements
     earn revenue.
     """
-    T = config.horizon_slots
-    if green.supply.size < T:
-        raise ValueError("green trace shorter than horizon")
+    g = horizon_supply(green, config)
     demand = schedule.demand
-    g = green.supply[:T]
     green_used = np.minimum(demand, g)
     brown_used = demand - green_used
     b = brown_cost_vector(tariff, config)

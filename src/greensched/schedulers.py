@@ -10,9 +10,13 @@ Decisions may look at green supply only within the forecast window of the
 job's release; slots past the forecast are priced as if no green existed.
 Final accounting always uses the true trace.
 
-The coin is random-fit's only randomness, so a run is fixed by its coin
-outcomes: ``run_trials`` (many seeds) and ``expected_profit`` (every coin
-path) play each distinct path once.
+An ``OnlineState`` owns the tariff and config it was created under, and
+every decision on it prices with them. The coin is random-fit's only
+randomness, so a run is fixed by its coin outcomes. ``run_trials`` (many
+seeds) and ``expected_profit`` (every coin path) walk one lazily grown coin
+tree: a node per flip, a profit per played run, and a branch no run has
+taken yet is played the first time a walk takes it, so each distinct path
+is played once.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .model import (
     Job,
     Schedule,
     SimConfig,
+    check_deadlines,
     commit,
     nonpreemptive_starts,
     slot_index,
@@ -41,11 +46,15 @@ from .pricing import (
     Tariff,
     account,
     brown_cost_vector,
+    horizon_supply,
     is_on_peak,
     job_revenue,
 )
 
 KINDS = ("FF", "BF", "RF", "PFF", "PBF", "PRF")
+
+# random-fit's coin: given keep_first, True keeps first-fit's pick
+Coin = Callable[[float], bool]
 
 
 @dataclass(frozen=True)
@@ -76,37 +85,35 @@ class OnlineState:
 
     ``green`` is the true supply and is never written; the residual pool is
     max(0, green - demand), derived where a decision or a draw needs it.
-    ``coin(keep_first)`` is random-fit's coin: it returns True to keep
-    first-fit's pick, which a fair draw does with probability ``keep_first``.
+    ``tariff`` and ``config`` are the ones the state was created under, so
+    every decision on it prices with them. ``coin(keep_first)`` is
+    random-fit's coin: it returns True to keep first-fit's pick, which a
+    fair draw does with probability ``keep_first``.
     """
 
     schedule: Schedule
     green: np.ndarray  # true supply per slot over the horizon, read-only
     brown_cost: np.ndarray  # $ per node-slot, indexed by slot
-    coin: Callable[[float], bool] | None = None
+    tariff: Tariff
+    config: SimConfig
+    coin: Coin | None = None
 
     @classmethod
     def create(
-        cls,
-        green: GreenTrace,
-        tariff: Tariff,
-        config: SimConfig,
-        seed: int | None = None,
+        cls, green: GreenTrace, tariff: Tariff, config: SimConfig
     ) -> "OnlineState":
-        T = config.horizon_slots
-        if green.supply.size < T:
-            raise ValueError("green trace shorter than horizon")
-        supply = green.supply[:T]
+        supply = horizon_supply(green, config)
         supply.flags.writeable = False
         return cls(
-            schedule=Schedule(config.machines, T),
+            schedule=Schedule(config.machines, config.horizon_slots),
             green=supply,
             brown_cost=brown_cost_vector(tariff, config),
-            coin=None if seed is None else _seeded_coin(seed),
+            tariff=tariff,
+            config=config,
         )
 
 
-def _seeded_coin(seed: int) -> Callable[[float], bool]:
+def _seeded_coin(seed: int) -> Coin:
     """The coin of a run seeded with ``seed``: one uniform draw per flip.
 
     The stream is ``np.random.default_rng(seed)``'s; the generator is built
@@ -137,7 +144,7 @@ class LogEntry:
     cost: float
 
 
-def _visible_green(job: Job, state: OnlineState, config: SimConfig) -> np.ndarray:
+def _visible_green(job: Job, state: OnlineState) -> np.ndarray:
     """Residual green over slots [0, deadline] as the decision may see it.
 
     Slots past the forecast read zero. The vector stops at the deadline,
@@ -145,13 +152,11 @@ def _visible_green(job: Job, state: OnlineState, config: SimConfig) -> np.ndarra
     """
     end = job.deadline + 1
     vis = np.maximum(state.green[:end] - state.schedule.demand[:end], 0)
-    vis[job.release + config.forecast_slots :] = 0
+    vis[job.release + state.config.forecast_slots :] = 0
     return vis
 
 
-def _choose(
-    job: Job, state: OnlineState, kind: SchedulerKind, tariff: Tariff, config: SimConfig
-) -> tuple[int, ...] | None:
+def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...] | None:
     """The slots the policy picks for the job, or None when none can take it.
 
     One capacity scan yields the candidates: the feasible contiguous starts,
@@ -180,12 +185,12 @@ def _choose(
     base = kind.kind[-2:]
     if base == "FF":
         return first
-    vis = _visible_green(job, state, config)
+    vis = _visible_green(job, state)
     if base == "RF":
         if vis[first_idx].min() >= job.nodes:
             return first  # fully green, no coin spent
         params = kind.rf_params
-        on_peak = is_on_peak(job.release, tariff, config)
+        on_peak = is_on_peak(job.release, state.tariff, state.config)
         keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
         if state.coin is None:
             raise ValueError("randomized placement needs a seeded state")
@@ -204,9 +209,7 @@ def _choose(
     return tuple(range(s, s + p))
 
 
-def _admit(
-    job: Job, slots: tuple[int, ...], state: OnlineState, tariff: Tariff, config: SimConfig
-) -> LogEntry:
+def _admit(job: Job, slots: tuple[int, ...], state: OnlineState) -> LogEntry:
     """Commit the placement and draw green from the residual pool.
 
     The draw is priced before ``commit``, so a CapacityError leaves the
@@ -225,46 +228,30 @@ def _admit(
         slots=slots,
         green_units=green_units,
         brown_units=job.proc_time * job.nodes - green_units,
-        revenue=job_revenue(job, tariff, config),
+        revenue=job_revenue(job, state.tariff, state.config),
         cost=cost,
     )
 
 
-def place(
-    job: Job, state: OnlineState, kind: SchedulerKind, tariff: Tariff, config: SimConfig
-) -> LogEntry | None:
+def place(job: Job, state: OnlineState, kind: SchedulerKind) -> LogEntry | None:
     """Offer one job to the policy; the admit entry, or None on a reject.
 
     First-fit takes the earliest feasible slots, best-fit the cheapest
     marginal brown energy (earliest on ties), random-fit flips the coin of
-    ``kind.rf_params`` between the two (see ``_choose``).
+    ``kind.rf_params`` between the two (see ``_choose``). Prices, forecast
+    and revenue come from the state's tariff and config.
     """
-    slots = _choose(job, state, kind, tariff, config)
+    slots = _choose(job, state, kind)
     if slots is None:
         return None
-    return _admit(job, slots, state, tariff, config)
+    return _admit(job, slots, state)
 
 
-def _check_horizon(jobs: list[Job], config: SimConfig) -> None:
-    for job in jobs:
-        if job.deadline >= config.horizon_slots:
-            raise ValueError(
-                f"job {job.id}: deadline {job.deadline} outside horizon "
-                f"{config.horizon_slots}"
-            )
-
-
-def _play(
-    jobs: list[Job],
-    kind: SchedulerKind,
-    state: OnlineState,
-    tariff: Tariff,
-    config: SimConfig,
-) -> list[LogEntry]:
+def _play(jobs: list[Job], kind: SchedulerKind, state: OnlineState) -> list[LogEntry]:
     """Offer the jobs to the policy in (release, deadline, id) order."""
     log: list[LogEntry] = []
     for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
-        entry = place(job, state, kind, tariff, config)
+        entry = place(job, state, kind)
         if entry is None:
             entry = LogEntry(job.id, "reject", None, (), 0, 0, 0.0, 0.0)
         log.append(entry)
@@ -287,58 +274,58 @@ def run_online(
     """
     if kind.randomized and seed is None:
         raise ValueError(f"{kind.kind} needs a seed for its coin")
-    _check_horizon(jobs, config)
-    state = OnlineState.create(
-        green, tariff, config, seed=seed if kind.randomized else None
-    )
-    log = _play(jobs, kind, state, tariff, config)
+    check_deadlines(jobs, config)
+    state = OnlineState.create(green, tariff, config)
+    if kind.randomized:
+        state.coin = _seeded_coin(seed)
+    log = _play(jobs, kind, state)
     report = account(state.schedule, green, tariff, config)
     return state.schedule, report, log
 
 
-def _play_path(
+# A coin tree: a run's net profit, a [keep_first, switch, keep] node for a
+# flip, or the coin outcomes of a branch no run has taken yet.
+_Tree = float | list | tuple
+
+
+def _coin_tree(
     jobs: list[Job],
     kind: SchedulerKind,
     green: GreenTrace,
     tariff: Tariff,
     config: SimConfig,
-    path: list[bool],
-    draw: Callable[[float], bool],
-) -> tuple[float, list[tuple[float, bool]]]:
-    """Net profit of the run whose coins come out as ``path``, then as ``draw``.
+    path: tuple[bool, ...],
+    choose: Coin,
+) -> tuple[_Tree, float]:
+    """Play the run whose coins come out as ``path``, then as ``choose`` says.
 
-    Also returns (keep_first, outcome) for each coin flipped past ``path``.
+    Returns the run's net profit under one [keep_first, switch, keep] node
+    per flip past ``path``, and the profit itself. Each branch the run did
+    not take holds its coin outcomes, to be played the first time a caller
+    takes it.
     """
     replay = iter(path)
-    fresh: list[tuple[float, bool]] = []
+    outcomes: list[bool] = []
+    root: list[_Tree] = [None]
+    node, side = root, 0
 
     def coin(keep_first: float) -> bool:
+        nonlocal node, side
         outcome = next(replay, None)
         if outcome is None:
-            outcome = draw(keep_first)
-            fresh.append((keep_first, outcome))
+            outcome = choose(keep_first)
+            fork: list[_Tree] = [keep_first, None, None]
+            fork[2 - outcome] = (*outcomes, not outcome)  # the branch not taken
+            node[side] = fork
+            node, side = fork, 1 + outcome
+        outcomes.append(outcome)
         return outcome
 
     state = OnlineState.create(green, tariff, config)
     state.coin = coin
-    _play(jobs, kind, state, tariff, config)
-    return account(state.schedule, green, tariff, config).net_profit, fresh
-
-
-class _Flip:
-    """A coin some trial flipped, as a node of ``run_trials``'s trie.
-
-    ``keep_first`` is the threshold the engine asked with; ``after[outcome]``
-    is the next _Flip, the finished run's net profit, or None while no trial
-    has taken that branch.
-    """
-
-    __slots__ = ("keep_first", "after")
-
-    def __init__(self, keep_first: float, after_outcome: bool, then: _Flip | float):
-        self.keep_first = keep_first
-        self.after: list[_Flip | float | None] = [None, None]  # [switch, keep]
-        self.after[after_outcome] = then
+    _play(jobs, kind, state)
+    node[side] = profit = account(state.schedule, green, tariff, config).net_profit
+    return root[0], profit
 
 
 def run_trials(
@@ -352,34 +339,26 @@ def run_trials(
     """Net profit of ``run_online(..., seed=s)`` for each seed, bit for bit.
 
     The coin is random-fit's only randomness, so trials whose coins agree
-    share one run. The flips seen so far form a trie; a trial walks it with
-    the draws of its own seed, and the engine plays only a path no earlier
-    trial took, replaying the known prefix and then drawing from the same
-    generator. Every seed consumes the numbers it would consume alone; a
-    seed whose run never flips builds no generator, and a deterministic
-    kind plays once.
+    share one run. A trial walks the coin tree with the draws of its own
+    seed; the engine plays only a branch no earlier trial took, replaying
+    its outcomes and then drawing on from the same seed. Every seed
+    consumes the numbers it would consume alone; a seed whose run never
+    flips builds no generator, and a deterministic kind plays once.
     """
-    _check_horizon(jobs, config)
+    check_deadlines(jobs, config)
     seeds = list(seeds)
     profits = np.empty(len(seeds))
-    root: _Flip | float | None = None
+    root: list[_Tree] = [()]  # the tree, still the unplayed empty path
     for i, seed in enumerate(seeds):
         coin = _seeded_coin(seed)
-        path: list[bool] = []
-        parent, node = None, root
-        while isinstance(node, _Flip):
-            path.append(coin(node.keep_first))
-            parent, node = node, node.after[path[-1]]
-        if node is None:
-            node, fresh = _play_path(jobs, kind, green, tariff, config, path, coin)
-            branch = node
-            for keep_first, outcome in reversed(fresh):
-                branch = _Flip(keep_first, outcome, branch)
-            if parent is None:
-                root = branch
-            else:
-                parent.after[path[-1]] = branch
-        profits[i] = node
+        node, side = root, 0
+        while isinstance(node[side], list):
+            node = node[side]
+            side = 1 + coin(node[0])
+        branch = node[side]
+        if isinstance(branch, tuple):
+            node[side], branch = _coin_tree(jobs, kind, green, tariff, config, branch, coin)
+        profits[i] = branch
     return profits
 
 
@@ -392,22 +371,24 @@ def expected_profit(
 ) -> float:
     """The policy's exact expected net profit over its coin.
 
-    Every coin path is played once and weighted by the product of its
-    outcomes' probabilities (keep_first for a keep, 1 - keep_first for a
-    switch). A run flips at most one coin per job, so n jobs give at most
-    2^n paths.
+    The coin tree is walked keeping first-fit's pick at every fresh flip and
+    expanding every switch branch, so each coin path is played once. Its
+    profit is weighted by the product, root to leaf, of its outcomes'
+    probabilities (keep_first for a keep, 1 - keep_first for a switch). A
+    run flips at most one coin per job, so n jobs give at most 2^n paths.
     """
-    _check_horizon(jobs, config)
+    check_deadlines(jobs, config)
     terms = []
-    pending: list[tuple[list[bool], float]] = [([], 1.0)]
+    pending: list[tuple[_Tree, float]] = [((), 1.0)]
     while pending:
-        path, weight = pending.pop()
-        profit, fresh = _play_path(jobs, kind, green, tariff, config, path, lambda _: True)
-        for keep_first, _ in fresh:
-            pending.append((path + [False], weight * (1.0 - keep_first)))
-            path = path + [True]
+        branch, weight = pending.pop()
+        if isinstance(branch, tuple):
+            branch, _ = _coin_tree(jobs, kind, green, tariff, config, branch, lambda _: True)
+        while isinstance(branch, list):
+            keep_first, switch, branch = branch
+            pending.append((switch, weight * (1.0 - keep_first)))
             weight *= keep_first
-        terms.append(weight * profit)
+        terms.append(weight * branch)
     return math.fsum(terms)
 
 

@@ -194,7 +194,7 @@ def random_instance(rng, max_jobs=5, max_slots=10, max_machines=3):
     return jobs, green, tariff, config
 
 
-def full_horizon_choice(job, state, kind, tariff, config):
+def full_horizon_choice(job, state, kind):
     """The online policies' slot choice, priced over the whole horizon.
 
     A plain restatement of the decision rule: residual green is computed for
@@ -218,12 +218,12 @@ def full_horizon_choice(job, state, kind, tariff, config):
     if base == "FF":
         return first
     vis = np.maximum(state.green - state.schedule.demand, 0)
-    vis[job.release + config.forecast_slots :] = 0
+    vis[job.release + state.config.forecast_slots :] = 0
     if base == "RF":
         if all(vis[t] >= job.nodes for t in first):
             return first
         params = kind.rf_params
-        on_peak = is_on_peak(job.release, tariff, config)
+        on_peak = is_on_peak(job.release, state.tariff, state.config)
         keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
         if state.coin(keep_first):
             return first

@@ -35,7 +35,7 @@ from greensched.pricing import (
     random_fit_params,
     synthetic_solar,
 )
-from greensched.schedulers import SchedulerKind, run_online
+from greensched.schedulers import SchedulerKind, expected_profit, run_online
 from greensched.workload import WorkloadSpec, generate
 
 from oracles import enumerate_nonpreemptive, random_instance
@@ -158,8 +158,8 @@ def test_05_profit_orderings(capfd):
 
 def test_06_offline_ceiling(capfd):
     # desk-scale instances with uniform job shape: the exact optimum must
-    # dominate every online run, and its lead over the coin policy's mean
-    # stays under the 1.25 guarantee
+    # dominate every online run, and its lead over the coin policy's exact
+    # expected profit stays under the 1.25 guarantee
     sim = SimConfig(machines=4, horizon_slots=42, forecast_slots=42)
     tariff = Tariff()
     green = synthetic_solar(sim)
@@ -170,7 +170,6 @@ def test_06_offline_ceiling(capfd):
         "RF": SchedulerKind("RF", rf_params=random_fit_params(nv)),
     }
     worst_ratio = 0.0
-    worst_margin = 0.0
     dominance = True
     for rep in range(4):
         spec = WorkloadSpec(
@@ -186,26 +185,15 @@ def test_06_offline_ceiling(capfd):
         for name, kind in kinds.items():
             _, report, _ = run_online(jobs, kind, green, tariff, sim, seed=rep)
             dominance = dominance and opt >= report.net_profit - 1e-9
-        profits = np.empty(300)
-        for t in range(300):
-            _, report, _ = run_online(
-                jobs, kinds["RF"], green, tariff, sim, seed=1000 + 300 * rep + t
-            )
-            profits[t] = report.net_profit
-        mean = profits.mean()
-        se = profits.std(ddof=1) / np.sqrt(profits.size)
-        ratio = opt / mean
-        margin = 3 * opt * se / (mean * mean)
-        if ratio > worst_ratio:
-            worst_ratio, worst_margin = ratio, margin
-    ok = dominance and worst_ratio <= 1.25 + worst_margin
+        ratio = opt / expected_profit(jobs, kinds["RF"], green, tariff, sim)
+        worst_ratio = max(worst_ratio, ratio)
+    ok = dominance and worst_ratio <= 1.25
     announce(
         capfd, 6, "offline_ceiling", ok,
-        f"dominance {dominance}, worst OPT/mean(RF) {worst_ratio:.4f} "
-        f"(margin {worst_margin:.4f})",
+        f"dominance {dominance}, worst OPT/E[RF] {worst_ratio:.5f}",
     )
     assert dominance
-    assert worst_ratio <= 1.25 + worst_margin
+    assert worst_ratio <= 1.25
 
 
 def test_07_accounting_identities(capfd):

@@ -201,6 +201,12 @@ def test_measure_ratio_rejects_fewer_than_one_trial():
             measure_ratio(inst, trials=trials)
 
 
+def test_measure_ratio_rejects_a_negative_base_seed():
+    inst = rf_worst_case_suite(NV)[0]
+    with pytest.raises(ValueError, match="base_seed must be non-negative"):
+        measure_ratio(inst, trials=3, base_seed=-2)
+
+
 @pytest.mark.parametrize("machines", [1, 3, 16])
 def test_run_trials_equals_per_seed_runs_on_the_suite(machines):
     nv = normalized_values(Tariff(), SimConfig(machines=machines))

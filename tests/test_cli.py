@@ -189,6 +189,29 @@ def test_adversary_rejects_fewer_than_one_trial(capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, floor", [("--seed", "-1", 0), ("--machines", "0", 1)]
+)
+def test_adversary_rejects_bad_integers_before_any_row(flag, value, floor, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["adversary", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"at least {floor}" in captured.err
+
+
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "j.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--family", "UE", "--point", "0.5", "--seed", "-3", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 0" in captured.err
+    assert not out.exists()
+
+
 def test_run_sweep_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -40,7 +40,10 @@ FF, BF, RF = SchedulerKind("FF"), SchedulerKind("BF"), SchedulerKind("RF", PARAM
 
 def fresh_state(cfg, green=None, tariff=TARIFF, seed=None):
     g = GreenTrace(np.zeros(cfg.horizon_slots, dtype=np.int64)) if green is None else green
-    return OnlineState.create(g, tariff, cfg, seed=seed)
+    state = OnlineState.create(g, tariff, cfg)
+    if seed is not None:
+        state.coin = schedulers._seeded_coin(seed)
+    return state
 
 
 def counting(coin, asked):
@@ -66,15 +69,15 @@ def test_kind_validation():
 def test_ff_takes_earliest():
     cfg = small_cfg()
     state = fresh_state(cfg)
-    placed = place(Job(id=0, release=3, deadline=9, proc_time=2, nodes=1), state, FF, TARIFF, cfg)
+    placed = place(Job(id=0, release=3, deadline=9, proc_time=2, nodes=1), state, FF)
     assert placed.slots == (3, 4)
 
 
 def test_ff_rejects_when_full():
     cfg = small_cfg(machines=1, horizon=4)
     state = fresh_state(cfg)
-    place(Job(id=0, release=0, deadline=3, proc_time=4, nodes=1), state, FF, TARIFF, cfg)
-    assert place(Job(id=1, release=0, deadline=3, proc_time=1, nodes=1), state, FF, TARIFF, cfg) is None
+    place(Job(id=0, release=0, deadline=3, proc_time=4, nodes=1), state, FF)
+    assert place(Job(id=1, release=0, deadline=3, proc_time=1, nodes=1), state, FF) is None
 
 
 def test_bf_chases_green_slot():
@@ -83,14 +86,14 @@ def test_bf_chases_green_slot():
     g = np.zeros(10, dtype=np.int64)
     g[5] = 2
     state = fresh_state(cfg, GreenTrace(g))
-    placed = place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=2), state, BF, TARIFF, cfg)
+    placed = place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=2), state, BF)
     assert placed.slots == (5,)
 
 
 def test_bf_tie_breaks_earliest():
     cfg = small_cfg(machines=2, horizon=8)
     state = fresh_state(cfg)  # no green anywhere: all windows cost the same
-    placed = place(Job(id=0, release=2, deadline=7, proc_time=2, nodes=1), state, BF, TARIFF, cfg)
+    placed = place(Job(id=0, release=2, deadline=7, proc_time=2, nodes=1), state, BF)
     assert placed.slots == (2, 3)
 
 
@@ -103,11 +106,11 @@ def test_bf_ignores_green_past_forecast():
     # visible costs for q=2: slot0 2*b_off=0.0056, slot1 1*b_on=0.00455,
     # slots 2..4 2*b_off; with foresight slot 3 would be free, but blinded
     # best-fit settles for the half-green on-peak slot
-    placed = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, BF, tariff, cfg)
+    placed = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, BF)
     assert placed.slots == (1,)
     wide = SimConfig(machines=2, horizon_slots=5, forecast_slots=4)
     state2 = OnlineState.create(GreenTrace(g), tariff, wide)
-    placed2 = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state2, BF, tariff, wide)
+    placed2 = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state2, BF)
     assert placed2.slots == (3,)
 
 
@@ -115,22 +118,22 @@ def test_bf_sees_green_inside_forecast():
     cfg = SimConfig(machines=2, horizon_slots=5, forecast_slots=4)
     g = np.array([0, 0, 0, 2, 0])
     state = OnlineState.create(GreenTrace(g), TARIFF, cfg)
-    placed = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, BF, TARIFF, cfg)
+    placed = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, BF)
     assert placed.slots == (3,)
 
 
 def test_pff_scatters_greedily():
     cfg = small_cfg(machines=2, horizon=4)
     state = fresh_state(cfg)
-    place(Job(id=9, release=0, deadline=3, proc_time=4, nodes=2), state, FF, TARIFF, cfg)
+    place(Job(id=9, release=0, deadline=3, proc_time=4, nodes=2), state, FF)
     # grid full except nothing; next job must fail non-preemptively
-    assert place(Job(id=1, release=0, deadline=3, proc_time=1, nodes=1), state, FF, TARIFF, cfg) is None
+    assert place(Job(id=1, release=0, deadline=3, proc_time=1, nodes=1), state, FF) is None
     cfg2 = small_cfg(machines=2, horizon=4)
     state2 = fresh_state(cfg2)
-    place(Job(id=9, release=1, deadline=1, proc_time=1, nodes=2), state2, FF, TARIFF, cfg2)
+    place(Job(id=9, release=1, deadline=1, proc_time=1, nodes=2), state2, FF)
     placed = place(
         Job(id=1, release=0, deadline=3, proc_time=2, nodes=1),
-        state2, SchedulerKind("PFF"), TARIFF, cfg2,
+        state2, SchedulerKind("PFF"),
     )
     assert placed.slots == (0, 2)
 
@@ -141,7 +144,7 @@ def test_pbf_picks_cheapest_slots_tie_earlier():
     state = OnlineState.create(GreenTrace(np.zeros(6, dtype=np.int64)), tariff, cfg)
     placed = place(
         Job(id=0, release=0, deadline=5, proc_time=3, nodes=1),
-        state, SchedulerKind("PBF"), tariff, cfg,
+        state, SchedulerKind("PBF"),
     )
     assert placed.slots == (1, 3, 5)  # the three off-peak slots
 
@@ -153,7 +156,7 @@ def test_pbf_prefers_visible_green_over_offpeak():
     state = OnlineState.create(GreenTrace(g), tariff, cfg)
     placed = place(
         Job(id=0, release=0, deadline=3, proc_time=2, nodes=1),
-        state, SchedulerKind("PBF"), tariff, cfg,
+        state, SchedulerKind("PBF"),
     )
     # slot 0 is free thanks to green despite being on-peak; then earliest off-peak
     assert placed.slots == (0, 1)
@@ -165,10 +168,7 @@ def test_rf_green_path_spends_no_randomness():
     state = fresh_state(cfg, GreenTrace(g), seed=123)
     asked = []
     state.coin = counting(state.coin, asked)
-    placed = place(
-        Job(id=0, release=0, deadline=5, proc_time=2, nodes=2),
-        state, RF, TARIFF, cfg,
-    )
+    placed = place(Job(id=0, release=0, deadline=5, proc_time=2, nodes=2), state, RF)
     assert placed.slots == (0, 1)  # deterministic first-fit
     assert asked == []
 
@@ -178,7 +178,7 @@ def test_rf_flips_only_when_green_short():
     state = fresh_state(cfg, seed=123)
     asked = []
     state.coin = counting(state.coin, asked)
-    place(Job(id=0, release=0, deadline=5, proc_time=1, nodes=1), state, RF, TARIFF, cfg)
+    place(Job(id=0, release=0, deadline=5, proc_time=1, nodes=1), state, RF)
     assert asked == [PARAMS.p_off_to_on]  # slot 0 is off-peak under the stock tariff
 
 
@@ -186,7 +186,7 @@ def test_rf_unseeded_coin_raises():
     cfg = small_cfg()
     state = fresh_state(cfg)  # no rng
     with pytest.raises(ValueError, match="seeded"):
-        place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=1), state, RF, TARIFF, cfg)
+        place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=1), state, RF)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])
@@ -245,11 +245,8 @@ def test_rf_expected_profit_on_dilemma():
     unit = tariff.charge_rate * cfg.slot_hours
     kind = SchedulerKind("RF", params)
     trials = 40_000
-    total = 0.0
-    for t in range(trials):
-        _, report, _ = run_online([job], kind, green, tariff, cfg, seed=t)
-        total += report.net_profit
-    mean = total / trials
+    # per-seed profits, bit for bit (see test_run_trials_equals_per_seed_runs)
+    mean = run_trials([job], kind, green, tariff, cfg, range(trials)).mean()
     p = params.p_on_to_off
     expect = unit * (p * nv.v_on + (1 - p) * nv.v_off)
     # binomial noise: sigma = unit * |v_off - v_on| * sqrt(p(1-p)/n)
@@ -292,7 +289,7 @@ def test_admit_draws_true_residual_green(name):
     admitted = 0
     for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
         before = state.schedule.demand.copy()
-        entry = place(job, state, kind, TARIFF, cfg)
+        entry = place(job, state, kind)
         if entry is None:
             continue
         admitted += 1
@@ -324,9 +321,9 @@ def test_choice_priced_to_the_deadline_matches_full_horizon(name):
             seed = int(rng.integers(2**32))
             drawn, asked = [], []
             state.coin = counting(schedulers._seeded_coin(seed), drawn)
-            want = full_horizon_choice(job, state, kind, tariff, cfg)
+            want = full_horizon_choice(job, state, kind)
             state.coin = counting(schedulers._seeded_coin(seed), asked)
-            got = schedulers._choose(job, state, kind, tariff, cfg)
+            got = schedulers._choose(job, state, kind)
             assert got == want
             assert asked == drawn
             if got is not None:
@@ -411,6 +408,45 @@ def test_run_trials_equals_per_seed_runs(name, engine_plays):
         most_paths = max(most_paths, len(engine_plays))
     # the instances flip several coins per run, so trials do share paths
     assert 4 <= most_paths < len(seeds)
+
+
+def seed_paths(jobs, kind, green, tariff, cfg, seeds, monkeypatch):
+    """The distinct coin-outcome paths of per-seed ``run_online`` runs."""
+    seeded = schedulers._seeded_coin
+    paths = set()
+    for seed in seeds:
+        outcomes = []
+
+        def recording(keep_first, coin=seeded(seed)):
+            outcomes.append(coin(keep_first))
+            return outcomes[-1]
+
+        monkeypatch.setattr(schedulers, "_seeded_coin", lambda _: recording)
+        run_online(jobs, kind, green, tariff, cfg, seed=seed)
+        paths.add(tuple(outcomes))
+    monkeypatch.setattr(schedulers, "_seeded_coin", seeded)
+    return paths
+
+
+@pytest.mark.parametrize("name", ["RF", "PRF"])
+@pytest.mark.parametrize("n_seeds", [1, 5, 100])
+def test_run_trials_plays_only_the_paths_its_seeds_take(
+    name, n_seeds, monkeypatch, engine_plays
+):
+    # neither playing every path up front nor playing the untaken branches
+    # ahead of need may pass: one run per distinct path among the seeds
+    kind = SchedulerKind(name, PARAMS)
+    rng = np.random.default_rng(53)
+    seeds = range(7, 7 + n_seeds)
+    flipped = 0
+    for _ in range(25):
+        jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
+        paths = seed_paths(jobs, kind, green, tariff, cfg, seeds, monkeypatch)
+        engine_plays.clear()
+        run_trials(jobs, kind, green, tariff, cfg, seeds)
+        assert len(engine_plays) == len(paths)
+        flipped += paths != {()}
+    assert flipped >= 10
 
 
 def test_run_trials_on_all_green_builds_no_generator(monkeypatch, engine_plays):
