@@ -36,7 +36,8 @@ for pl in sched_p.placements:
     print(f"  job {pl.job_id}: slots {pl.active_slots}{where}")
 print(f"preemption gain: {profit_p - profit:.6f}")
 
-# the identical decision problem as a solver-neutral integer program
+# the identical decision problem as a solver-neutral integer program: its
+# optimum equals the preemptive solver's above
 text = emit_lp(jobs, green, tariff, sim, variant="preemptive")
 head = text.splitlines()[:12]
 print()

@@ -24,6 +24,7 @@ from .experiment import (
     run_suite,
 )
 from .offline import (
+    LP_VARIANTS,
     PREEMPTIVE_LIMITS,
     InstanceLimitError,
     emit_lp,
@@ -79,8 +80,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     jobs = read_jobs(args.jobs, sim)
     green = resolve_green(cfg.green, sim)
     if args.action == "emit":
-        variant = args.variant.replace("-", "_")
-        text = emit_lp(jobs, green, tariff, sim, variant=variant)
+        text = emit_lp(jobs, green, tariff, sim, variant=args.variant)
         if args.out:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
@@ -175,21 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("opt", help="exact solver / model export")
     opt_sub = p_opt.add_subparsers(dest="action", required=True)
     p_solve = opt_sub.add_parser("solve", help="branch and bound to optimality")
-    p_solve.add_argument("--config", default=None, help=_CONFIG_HELP)
-    p_solve.add_argument("--jobs", required=True, help="job file from gen")
-    p_solve.add_argument(
-        "--variant", choices=["nonpreemptive", "preemptive"], default="nonpreemptive"
-    )
+    p_emit = opt_sub.add_parser("emit", help="write the same problem as LP text")
+    for p_action in (p_solve, p_emit):
+        p_action.add_argument("--config", default=None, help=_CONFIG_HELP)
+        p_action.add_argument("--jobs", required=True, help="job file from gen")
+        p_action.add_argument("--variant", choices=LP_VARIANTS, default="nonpreemptive")
+        p_action.set_defaults(func=_cmd_opt)
     p_solve.add_argument("--limits", default=None, help="jobs=..,slots=..,machines=..")
-    p_solve.set_defaults(func=_cmd_opt)
-    p_emit = opt_sub.add_parser("emit", help="write the integer program as LP text")
-    p_emit.add_argument("--config", default=None, help=_CONFIG_HELP)
-    p_emit.add_argument("--jobs", required=True)
-    p_emit.add_argument(
-        "--variant", choices=["preemptive", "equal-jobs"], default="preemptive"
-    )
     p_emit.add_argument("--out", default=None, help="default stdout")
-    p_emit.set_defaults(func=_cmd_opt)
 
     p_adv = sub.add_parser("adversary", help="worst-case constructions and measured ratios")
     p_adv.add_argument("--trials", type=_int_at_least(1), default=20000)

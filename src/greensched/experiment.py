@@ -29,6 +29,7 @@ from .pricing import (
     GreenTrace,
     Tariff,
     account,
+    check_onpeak_window,
     load_solar_csv,
     normalized_values,
     random_fit_params,
@@ -72,6 +73,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {a!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        check_onpeak_window(self.tariff, self.sim)
         if any(f != "Real" for f in self.families) and not self.utilization:
             raise ValueError("utilization sweep must not be empty")
         if "Real" in self.families and not self.job_counts:

@@ -8,8 +8,9 @@ profits are always comparable lower bounds.
 
 The searches are exponential in the worst case; hard instance-size limits
 keep them at desk scale and can be loosened explicitly by callers who accept
-the wait. For anything larger, ``emit_lp`` writes the profit model in the
-industry LP text format for an external mixed-integer solver.
+the wait. For anything larger, ``emit_lp`` writes the problem either search
+solves, with the same fungible capacity and the same per-job options, as LP
+text for an external mixed-integer solver.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import Job, Schedule, SimConfig, check_deadlines, commit
 from .pricing import GreenTrace, Tariff, brown_cost_vector, horizon_supply, job_revenue
@@ -380,39 +381,38 @@ class _LpWriter:
         return "\n".join(out) + "\n"
 
 
+LP_VARIANTS = ("nonpreemptive", "preemptive")
+
+
 def emit_lp(
     jobs: list[Job],
     green: GreenTrace,
     tariff: Tariff,
     config: SimConfig,
-    variant: str = "preemptive",
+    variant: str = "nonpreemptive",
 ) -> str:
-    """Write the offline profit model as LP text for an external MIP solver.
+    """Write the problem an exact solver searches as LP text for a MIP solver.
 
-    ``variant="preemptive"``: binary y (job counted), x_j_m_t (job j on node
-    m in slot t), z_j_m (node m serves j), w_j_t (j active in t); nodes are
-    exclusive per slot, every used node carries the job its whole processing
-    time, every active slot uses exactly the job's node count, and the grand
-    total ties to y. ``variant="equal_jobs"``: all jobs share one p and q;
-    binary start indicators s_j_t plus per-slot counters n_t (starts) and
-    e_t (busy nodes) with capacity e_t <= M.
-
-    Both variants price brown energy through aux_t >= busy(t) - green(t),
-    aux_t >= 0, with objective -b(t) * aux_t (the objective presses aux to
-    the shortfall). Output is deterministic byte-for-byte given equal input.
+    Binary y_i counts job i. The variants differ only in job i's activity
+    binaries, one per option the matching solver's generator gives on an
+    empty grid: ``nonpreemptive`` has a start s_i_s per contiguous window,
+    busy in slots s..s+p-1, with sum_s s_i_s = y_i; ``preemptive`` has
+    w_i_t per window slot, with sum_t w_i_t = p * y_i. A job wider than the
+    cluster has none, so its y_i is 0. Both share, per slot, the busy nodes
+    e_t = sum of q_i times job i's activity in t, capacity e_t <= M, and
+    brown energy through e_t - aux_t <= g_t, aux_t >= 0, with objective
+    sum rev_i y_i - sum b_t aux_t (the objective presses aux to the
+    shortfall). Capacity is fungible, as in the solvers, so the LP optimum
+    equals theirs. Output is byte-for-byte deterministic given equal input.
     """
+    if variant not in LP_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r} (nonpreemptive or preemptive)")
     order, g, b, rev = _prepared(jobs, green, tariff, config)
     T = config.horizon_slots
     M = config.machines
-    if variant == "preemptive":
-        return _emit_preemptive(order, g, b, rev, T, M)
-    if variant == "equal_jobs":
-        return _emit_equal_jobs(order, g, b, rev, T, M)
-    raise ValueError(f"unknown variant {variant!r} (preemptive or equal_jobs)")
-
-
-def _emit_preemptive(order, g, b, rev, T: int, M: int) -> str:
-    w = _LpWriter(f"offline profit model, preemptive, {len(order)} jobs, {T} slots, {M} nodes")
+    preemptive = variant == "preemptive"
+    prefix = "w" if preemptive else "s"
+    w = _LpWriter(f"offline profit model, {variant}, {len(order)} jobs, {T} slots, {M} nodes")
     for i, job in enumerate(order):
         w.comment(
             f"job {i}: id={job.id} window=[{job.release},{job.deadline}] "
@@ -422,94 +422,30 @@ def _emit_preemptive(order, g, b, rev, T: int, M: int) -> str:
     obj += [(-b[t], f"aux_{t}") for t in range(T) if b[t] != 0]
     w.objective(obj)
 
-    window = [range(j.release, j.deadline + 1) for j in order]
-    for m in range(M):
-        for t in range(T):
-            terms = [
-                (1.0, f"x_{i}_{m}_{t}") for i in range(len(order)) if t in window[i]
-            ]
-            if terms:
-                w.constraint(f"excl_{m}_{t}", terms, "<=", 1)
+    empty = [0] * T
+    busy: list[list[tuple[float, str]]] = [[(1.0, f"e_{t}")] for t in range(T)]
+    activity: list[str] = []
     for i, job in enumerate(order):
-        for m in range(M):
-            terms = [(1.0, f"x_{i}_{m}_{t}") for t in window[i]]
-            terms.append((-float(job.proc_time), f"z_{i}_{m}"))
-            w.constraint(f"node_{i}_{m}", terms, "=", 0)
-        for t in window[i]:
-            terms = [(1.0, f"x_{i}_{m}_{t}") for m in range(M)]
-            terms.append((-float(job.nodes), f"w_{i}_{t}"))
-            w.constraint(f"active_{i}_{t}", terms, "=", 0)
-        terms = [(1.0, f"x_{i}_{m}_{t}") for m in range(M) for t in window[i]]
-        terms.append((-float(job.proc_time * job.nodes), f"y_{i}"))
-        w.constraint(f"total_{i}", terms, "=", 0)
-    for t in range(T):
-        terms = [
-            (1.0, f"x_{i}_{m}_{t}")
-            for i in range(len(order))
-            if t in window[i]
-            for m in range(M)
-        ]
-        terms.append((-1.0, f"aux_{t}"))
-        w.constraint(f"energy_{t}", terms, "<=", g[t])
-
-    for i in range(len(order)):
-        w.binary(f"y_{i}")
-    for i in range(len(order)):
-        for m in range(M):
-            w.binary(f"z_{i}_{m}")
-    for i in range(len(order)):
-        for t in window[i]:
-            w.binary(f"w_{i}_{t}")
-    for i in range(len(order)):
-        for m in range(M):
-            for t in window[i]:
-                w.binary(f"x_{i}_{m}_{t}")
-    return w.render()
-
-
-def _emit_equal_jobs(order, g, b, rev, T: int, M: int) -> str:
-    ps = {j.proc_time for j in order}
-    qs = {j.nodes for j in order}
-    if len(ps) != 1 or len(qs) != 1:
-        raise ValueError("equal_jobs variant needs identical p and q across jobs")
-    p = ps.pop()
-    q = qs.pop()
-    if q > M:
-        raise ValueError(f"node requirement {q} exceeds {M} machines")
-    w = _LpWriter(
-        f"offline profit model, equal jobs, {len(order)} jobs, p={p}, q={q}, "
-        f"{T} slots, {M} nodes"
-    )
-    for i, job in enumerate(order):
-        w.comment(f"job {i}: id={job.id} window=[{job.release},{job.deadline}]")
-    obj = [(rev[i], f"y_{i}") for i in range(len(order))]
-    obj += [(-b[t], f"aux_{t}") for t in range(T) if b[t] != 0]
-    w.objective(obj)
-
-    # start variables only where the run also finishes inside the window
-    starts = [range(j.release, min(j.deadline - p + 1, T - p) + 1) for j in order]
-    for t in range(T):
-        terms = [(-1.0, f"s_{i}_{t}") for i in range(len(order)) if t in starts[i]]
-        terms.insert(0, (1.0, f"n_{t}"))
-        w.constraint(f"startdef_{t}", terms, "=", 0)
-    for t in range(T):
-        terms = [(1.0, f"e_{t}")]
-        for k in range(max(0, t - p + 1), t + 1):
-            terms.append((-float(q), f"n_{k}"))
-        w.constraint(f"loaddef_{t}", terms, "=", 0)
-        w.constraint(f"cap_{t}", [(1.0, f"e_{t}")], "<=", M)
-    for i in range(len(order)):
-        terms = [(1.0, f"s_{i}_{t}") for t in starts[i]]
-        terms.append((-1.0, f"y_{i}"))
-        w.constraint(f"once_{i}", terms, "=", 0)
-    for t in range(T):
+        # a preemptive job runs as proc_time one-slot pieces, a contiguous one as one
+        piece = replace(job, proc_time=1) if preemptive else job
+        names = []
+        for slots in _contiguous_options(piece, empty, M):
+            name = f"{prefix}_{i}_{slots[0]}"
+            names.append(name)
+            for t in slots:
+                busy[t].append((-float(job.nodes), name))
+        count = float(job.proc_time if preemptive else 1)
         w.constraint(
-            f"energy_{t}", [(1.0, f"e_{t}"), (-1.0, f"aux_{t}")], "<=", g[t]
+            f"once_{i}", [(1.0, v) for v in names] + [(-count, f"y_{i}")], "=", 0
         )
+        activity += names
+    for t in range(T):
+        w.constraint(f"load_{t}", busy[t], "=", 0)
+        w.constraint(f"cap_{t}", [(1.0, f"e_{t}")], "<=", M)
+        w.constraint(f"energy_{t}", [(1.0, f"e_{t}"), (-1.0, f"aux_{t}")], "<=", g[t])
 
     for i in range(len(order)):
         w.binary(f"y_{i}")
-    for i in range(len(order)):
-        for t in starts[i]:
-            w.binary(f"s_{i}_{t}")
+    for name in activity:
+        w.binary(name)
     return w.render()

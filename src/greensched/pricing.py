@@ -25,7 +25,9 @@ class Tariff:
 
     Prices are $/kWh; ``charge_rate`` is $ per node-hour billed to users.
     ``onpeak_start_slot`` and ``onpeak_end_slot`` are inclusive slot-of-day
-    ordinals (the defaults mark 9:00 through 23:00 in 15-minute slots).
+    ordinals in slots of the config's ``slot_minutes`` (the defaults mark
+    9:00 through 23:00 in 15-minute slots); the window must end inside the
+    day (``check_onpeak_window``).
     ``peak_override``, when set, fixes the peak flag per absolute slot and is
     meant for tiny hand-built instances; slots past its end fall back to the
     daily pattern.
@@ -47,6 +49,20 @@ class Tariff:
             raise ValueError("charge_rate must be non-negative")
 
 
+def check_onpeak_window(tariff: Tariff, config: SimConfig) -> None:
+    """Raise unless the daily on-peak window ends inside one day's slots.
+
+    A window past the last slot of the day would mark no slot on-peak, or
+    only its head, and bill the rest at the off-peak price without notice.
+    """
+    if tariff.onpeak_end_slot >= config.slots_per_day:
+        raise ValueError(
+            f"on-peak window ends at slot {tariff.onpeak_end_slot}, but a day has "
+            f"{config.slots_per_day} slots of {config.slot_minutes} minutes "
+            f"(onpeak_end_slot must be below {config.slots_per_day})"
+        )
+
+
 def is_on_peak(t: int, tariff: Tariff, config: SimConfig) -> bool:
     """Whether slot t is billed at the on-peak price."""
     if tariff.peak_override is not None and t < len(tariff.peak_override):
@@ -64,6 +80,7 @@ _VECTOR_CACHE = 32
 @lru_cache(maxsize=_VECTOR_CACHE)
 def onpeak_vector(tariff: Tariff, config: SimConfig) -> np.ndarray:
     """Per-slot on-peak flag over the horizon (shared, read-only)."""
+    check_onpeak_window(tariff, config)
     n = config.horizon_slots
     peak = np.array([is_on_peak(t, tariff, config) for t in range(n)], dtype=bool)
     peak.flags.writeable = False
@@ -154,8 +171,10 @@ def load_solar_csv(path: str | Path, config: SimConfig) -> GreenTrace:
     header. Naive ISO timestamps are read as UTC. The sample period is the
     step between the first two timestamps, and every later step must equal
     it (to the millisecond), so a gap or a repeated stamp raises instead of
-    shifting the slots after it. Raises if the trace is shorter than the
-    horizon; longer traces are truncated.
+    shifting the slots after it. The slot length must be a whole multiple of
+    the period, else slots would be summed from the wrong span of time.
+    Raises if the trace is shorter than the horizon; longer traces are
+    truncated.
     """
     if config.node_power_watts <= 0:
         raise ValueError("node_power_watts must be positive to scale a solar trace")
@@ -192,7 +211,13 @@ def load_solar_csv(path: str | Path, config: SimConfig) -> GreenTrace:
             watts.append(max(0.0, value))
     if len(times) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    group = max(1, round(config.slot_minutes * 60 / step))
+    slot_seconds = config.slot_minutes * 60
+    group = round(slot_seconds / step)
+    if group < 1 or abs(group * step - slot_seconds) > 1e-3:
+        raise ValueError(
+            f"{path}: the sample period of {step:g} s does not divide the "
+            f"{slot_seconds} s slot"
+        )
     n_slots = len(watts) // group
     if n_slots < config.horizon_slots:
         raise ValueError(

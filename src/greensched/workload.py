@@ -167,6 +167,9 @@ def generate(
     ]
 
 
+SWF_FIELDS = 18  # fields per row of a Standard Workload Format trace
+
+
 def ingest_swf(
     path: str | Path,
     config: SimConfig,
@@ -176,34 +179,63 @@ def ingest_swf(
 ) -> list[Job]:
     """Map a batch trace onto the slot grid and sample jobs from it.
 
-    Columns (whitespace or comma separated, '#'/';' comments): job id,
-    submit seconds, run seconds, requested processors; extra columns are
-    ignored. Submit times are rebased to the earliest one. Releases floor to
-    slots, run times round up (minimum one slot), node requests clamp to M
-    with a warning, and the deadline is release + deadline_factor * p capped
-    at the horizon. Jobs that cannot fit the horizon are skipped with a
+    Fields are whitespace or comma separated, with '#'/';' comments. The
+    first data row fixes the layout, and every later row must have as many
+    fields. A row of 18 fields is the Standard Workload Format: job id (1),
+    submit (2) and run (4) seconds, and allocated processors (5), or the
+    requested ones (8) when 5 is -1. Any other width of at least 4 reads
+    job id, submit seconds, run seconds and processors from the first four
+    columns. Rows whose run time or processor count is missing (-1) or not
+    positive are skipped with one warning. Submit times are rebased to the
+    earliest one. Releases floor to slots, run times round up, node requests
+    clamp to M with a warning, and the deadline is release +
+    deadline_factor * p capped at the horizon. Jobs that cannot fit the horizon are skipped with a
     warning. ``count`` jobs are then sampled without replacement using
     ``rng_seed``.
     """
     rows: list[tuple[int, float, float, int]] = []
+    width = 0  # field count of the first data row
+    unusable = 0
     with open(path) as fh:
         for lineno, rawline in enumerate(fh, start=1):
             line = rawline.strip()
             if not line or line.startswith("#") or line.startswith(";"):
                 continue
             parts = line.replace(",", " ").split()
-            if len(parts) < 4:
+            if not width:
+                width = len(parts)
+                if width < 4:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected at least 4 fields, got {width}"
+                    )
+            elif len(parts) != width:
                 raise ValueError(
-                    f"{path}:{lineno}: expected at least 4 fields, got {len(parts)}"
+                    f"{path}:{lineno}: expected {width} fields as in the first "
+                    f"row, got {len(parts)}"
                 )
             try:
                 jid = int(float(parts[0]))
                 submit = float(parts[1])
-                run = float(parts[2])
-                procs = int(float(parts[3]))
+                if width == SWF_FIELDS:
+                    run = float(parts[3])
+                    procs = int(float(parts[4]))
+                    if procs == -1:
+                        procs = int(float(parts[7]))
+                else:
+                    run = float(parts[2])
+                    procs = int(float(parts[3]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: cannot parse '{line}'") from None
+            if run <= 0 or procs <= 0:
+                unusable += 1
+                continue
             rows.append((jid, submit, run, procs))
+    if unusable:
+        warnings.warn(
+            f"{path}: skipped {unusable} rows without a positive run time "
+            "and processor count",
+            stacklevel=2,
+        )
     if not rows:
         raise ValueError(f"{path}: no jobs found")
 
@@ -211,10 +243,9 @@ def ingest_swf(
     base = min(r[1] for r in rows)
     T = config.horizon_slots
     jobs: list[Job] = []
-    for jid, submit, run, procs in rows:
+    for jid, submit, run, q in rows:
         release = int((submit - base) // slot_seconds)
-        p = max(1, math.ceil(run / slot_seconds))
-        q = max(1, procs)
+        p = math.ceil(run / slot_seconds)
         if q > config.machines:
             warnings.warn(
                 f"job {jid}: requested {q} nodes, clamped to {config.machines}",

@@ -10,6 +10,8 @@ from greensched.offline import solve_nonpreemptive_exact
 from greensched.pricing import Tariff
 from greensched.workload import generate, read_jobs
 
+from lputil import solve_lp_text
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -72,7 +74,8 @@ def test_gen_config_matches_the_sweep_cell(tmp_path, family, point):
     expected = generate(cell_spec(cfg, family, point, 5), cfg.sim, cfg.tariff)
     assert read_jobs(out, cfg.sim) == expected
     if family == "Staggered":  # the config's tariff decides the release slots
-        assert generate(cell_spec(cfg, family, point, 5), cfg.sim, Tariff()) != expected
+        stock_hours = Tariff(onpeak_start_slot=18, onpeak_end_slot=45)  # 9:00-23:00
+        assert generate(cell_spec(cfg, family, point, 5), cfg.sim, stock_hours) != expected
 
 
 def test_opt_solve_prints_schedule(tmp_path, capsys, small):
@@ -90,6 +93,7 @@ def test_opt_solve_prices_with_the_config(tmp_path, capsys):
     path = tmp_path / "priced.cfg"
     path.write_text(
         "machines = 3\nhorizon_slots = 48\nslot_minutes = 30\n"
+        "onpeak_start_slot = 18\nonpeak_end_slot = 45\n"
         "onpeak_price = 0.3\nnode_power_watts = 200\ngreen = synthetic\n"
     )
     cfg = load_config(path)
@@ -99,7 +103,8 @@ def test_opt_solve_prices_with_the_config(tmp_path, capsys):
     jobs = read_jobs(jf, cfg.sim)
     green = resolve_green(cfg.green, cfg.sim)
     profit, _ = solve_nonpreemptive_exact(jobs, green, cfg.tariff, cfg.sim)
-    stock, _ = solve_nonpreemptive_exact(jobs, green, Tariff(), SimConfig(3, 48, 30))
+    stock_prices = Tariff(onpeak_start_slot=18, onpeak_end_slot=45)
+    stock, _ = solve_nonpreemptive_exact(jobs, green, stock_prices, SimConfig(3, 48, 30))
     assert f"{profit:.10g}" != f"{stock:.10g}"
     rc = main(["opt", "solve", "--config", str(path), "--jobs", str(jf)])
     assert rc == 0
@@ -163,10 +168,32 @@ def test_opt_emit_to_file_and_stdout(tmp_path, capsys, small):
     assert rc == 0
     text = model.read_text()
     assert text.startswith("\\") and "Maximize" in text and text.endswith("End\n")
-    rc = main(["opt", "emit", "--jobs", str(jf), "--variant", "equal-jobs"] + small)
+    assert "s_0_0" in text  # nonpreemptive by default, as for opt solve
+    rc = main(["opt", "emit", "--jobs", str(jf), "--variant", "preemptive"] + small)
     captured = capsys.readouterr().out
     assert rc == 0
-    assert "s_0_0" in captured and captured.endswith("End\n")
+    assert "w_0_0" in captured and captured.endswith("End\n")
+
+
+@pytest.mark.parametrize("variant", ["nonpreemptive", "preemptive"])
+def test_opt_emit_and_opt_solve_agree(tmp_path, capsys, variant):
+    # mixed job shapes under a config that moves every price input
+    path = tmp_path / "desk.cfg"
+    path.write_text(
+        "machines = 3\nhorizon_slots = 12\nslot_minutes = 120\n"
+        "onpeak_start_slot = 4\nonpeak_end_slot = 9\nonpeak_price = 0.2\n"
+        "node_power_watts = 300\ngreen = synthetic\n"
+    )
+    jf = tmp_path / "jobs.txt"
+    rows = [(0, 0, 5, 2, 1), (1, 1, 8, 3, 2), (2, 3, 11, 1, 3), (3, 2, 9, 4, 1)]
+    write_job_file(jf, rows + [(4, 6, 11, 2, 2), (5, 0, 11, 5, 3)])
+    args = ["--config", str(path), "--jobs", str(jf), "--variant", variant]
+    model = tmp_path / "model.lp"
+    assert main(["opt", "emit", "--out", str(model)] + args) == 0
+    assert main(["opt", "solve"] + args) == 0
+    solved = capsys.readouterr().out.split("optimal net profit ", 1)[1].split()[0]
+    lp_value, _ = solve_lp_text(model.read_text())
+    assert f"{lp_value:.10g}" == solved
 
 
 def test_adversary_table(capsys):

@@ -323,6 +323,17 @@ def test_load_config_rejects_real_family_without_trace(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_an_onpeak_window_past_the_day(tmp_path):
+    # hourly slots make a 24-slot day: the default window 36..91 marks no
+    # slot on-peak, so every slot would be billed off-peak
+    path = tmp_path / "hourly.cfg"
+    path.write_text("slot_minutes = 60\n")
+    with pytest.raises(ValueError, match="onpeak_end_slot must be below 24"):
+        load_config(path)
+    path.write_text("slot_minutes = 60\nonpeak_start_slot = 9\nonpeak_end_slot = 23\n")
+    assert load_config(path).tariff.onpeak_end_slot == 23
+
+
 @pytest.mark.parametrize("source", ["whatever", "solar:", "solar", "Zero"])
 def test_load_config_rejects_unknown_green_source(tmp_path, source):
     path = tmp_path / "green.cfg"

@@ -202,6 +202,21 @@ def test_load_solar_csv_groups_five_minute_samples(tmp_path):
     assert list(g.supply) == [1, 1]
 
 
+@pytest.mark.parametrize("minutes", [60, 7])
+def test_load_solar_csv_rejects_a_period_that_does_not_divide_the_slot(
+    tmp_path, minutes
+):
+    # hourly samples would each stand for one 15-minute slot, and 7-minute
+    # ones would be summed in pairs into 14-minute slots
+    cfg = SimConfig(machines=2, horizon_slots=4, forecast_slots=4)
+    path = tmp_path / "solar.csv"
+    path.write_text("".join(f"{k * minutes * 60},100\n" for k in range(200)))
+    with pytest.raises(
+        ValueError, match=f"period of {minutes * 60} s does not divide the 900 s slot"
+    ):
+        load_solar_csv(path, cfg)
+
+
 def test_naive_iso_stamps_read_as_utc(tmp_path, monkeypatch):
     # five-minute samples over 2021-03-14, when New York clocks skip 02:00-03:00
     cfg = SimConfig(machines=4, horizon_slots=96, forecast_slots=96)

@@ -56,6 +56,15 @@ def counting(coin, asked):
     return flip
 
 
+def test_state_rejects_an_onpeak_window_past_the_day():
+    hourly = SimConfig(machines=2, horizon_slots=48, slot_minutes=60)
+    g = GreenTrace(np.zeros(48, dtype=np.int64))
+    with pytest.raises(ValueError, match="a day has 24 slots of 60 minutes"):
+        OnlineState.create(g, Tariff(), hourly)
+    state = OnlineState.create(g, Tariff(onpeak_start_slot=9, onpeak_end_slot=23), hourly)
+    assert state.brown_cost[23] > state.brown_cost[24]  # 23:00 on-peak, then midnight
+
+
 def test_kind_validation():
     with pytest.raises(ValueError):
         SchedulerKind("XX")

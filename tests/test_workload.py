@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,33 @@ def test_swf_parse_errors(tmp_path):
     dup = _write_trace(tmp_path / "c.swf", ["1 0 900 2", "1 900 900 2"])
     with pytest.raises(ValueError, match="duplicate"):
         ingest_swf(dup, CFG)
+
+
+SWF_18 = Path(__file__).parent / "data" / "standard_18_field.swf"
+
+
+def test_swf_standard_18_field_rows():
+    # job 1 runs 3600 s on 8 processors after a 10 s wait; job 2 has no
+    # allocated count, so its 4 requested processors stand in; jobs 3, 5
+    # and 6 (cancelled, zero run time, no processor count) are skipped
+    with pytest.warns(UserWarning, match="skipped 3 rows") as caught:
+        jobs = ingest_swf(SWF_18, CFG)
+    assert len(caught) == 1
+    assert [(j.id, j.release, j.deadline, j.proc_time, j.nodes) for j in jobs] == [
+        (1, 0, 16, 4, 8),
+        (2, 1, 9, 2, 4),
+        (4, 3, 7, 1, 2),
+    ]
+
+
+def test_swf_rows_must_keep_the_first_rows_width(tmp_path):
+    rows = SWF_18.read_text().splitlines()
+    mixed = _write_trace(tmp_path / "mixed.swf", rows[:9] + ["7 5400 900 2"])
+    with pytest.raises(ValueError, match="mixed.swf:10: expected 18 fields"):
+        ingest_swf(mixed, CFG)
+    short = _write_trace(tmp_path / "short.swf", ["1 0 900 2", "2 900 900 2 7"])
+    with pytest.raises(ValueError, match="short.swf:2: expected 4 fields"):
+        ingest_swf(short, CFG)
 
 
 def test_real_family_via_generate(tmp_path):
