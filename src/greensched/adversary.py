@@ -213,9 +213,10 @@ def measure_ratio(
 
     The optimum comes from the exact offline solver. Deterministic policies
     need one trial; randomized ones get seeds base_seed + i (base_seed must
-    be non-negative). ``run_trials`` walks one coin tree with every seed,
-    so trials whose coins come out alike share one run and the cost grows
-    with the distinct coin paths, not with ``trials``. A policy that earns
+    be non-negative). ``run_trials`` draws every seed's coins in one
+    batched pass and walks one coin tree with all of them, so trials whose
+    coins come out alike share one run and the engine's cost grows with the
+    distinct coin paths, not with ``trials``. A policy that earns
     nothing on every trial reports an infinite ratio (flagged via
     ``infinite``); the standard error follows the delta method.
     """

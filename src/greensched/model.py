@@ -41,6 +41,12 @@ class SimConfig:
             raise ValueError("horizon_slots must be positive")
         if self.slot_minutes < 1:
             raise ValueError("slot_minutes must be positive")
+        if (24 * 60) % self.slot_minutes:
+            # a floored day would be shorter than 24 h, and every daily
+            # pattern (on-peak window, solar, releases) would drift from it
+            raise ValueError(
+                f"slot_minutes must divide a day of 1440 minutes, got {self.slot_minutes}"
+            )
         if self.node_power_watts < 0:
             raise ValueError("node_power_watts must be non-negative")
         if self.forecast_slots < 1:

@@ -16,13 +16,17 @@ randomness, so a run is fixed by its coin outcomes. ``run_trials`` (many
 seeds) and ``expected_profit`` (every coin path) walk one lazily grown coin
 tree: a node per flip, a profit per played run, and a branch no run has
 taken yet is played the first time a walk takes it, so each distinct path
-is played once.
+is played once. ``run_trials`` draws every seed's coins in one batched
+numpy pass, bit-equal to ``np.random.default_rng(seed)``, and walks the tree
+with all its trials at once, splitting them at each fork by their draws.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,6 +132,124 @@ def _seeded_coin(seed: int) -> Coin:
         return rng.random() < keep_first
 
     return coin
+
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 (XSL-RR output),
+# restated on arrays so that many seeds are set up and drawn at once
+_M32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, multiply) constants of n successive SeedSequence hashes."""
+    out = []
+    for _ in range(n):
+        out.append((init, init * mult & _M32))
+        init = out[-1][1]
+    return out
+
+
+_HASH_MIX = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # 4 fills + 12 mixes
+_HASH_STATE = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # 4 uint64 state words
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+
+
+def _hashmix(value: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
+    value = (value ^ np.uint32(consts[0])) * np.uint32(consts[1])
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return r ^ (r >> np.uint32(16))
+
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of a * b, from 32-bit limbs."""
+    low, half = np.uint64(_M32), np.uint64(32)
+    a0, a1, b0, b1 = a & low, a >> half, b & low, b >> half
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> half) + (p01 & low) + (p10 & low)
+    return a1 * b1 + (p01 >> half) + (p10 >> half) + (mid >> half)
+
+
+def _pcg_step(state: list[np.ndarray]) -> None:
+    """state = state * multiplier + inc (mod 2**128), on (hi, lo) pairs."""
+    hi, lo, inc_hi, inc_lo = state
+    mult_hi, mult_lo = _PCG_MULT
+    hi = _mulhi(lo, mult_lo) + hi * mult_lo + lo * mult_hi
+    lo = lo * mult_lo + inc_lo
+    state[:2] = hi + inc_hi + (lo < inc_lo), lo
+
+
+def _pcg64_seeded(seeds: np.ndarray) -> list[np.ndarray]:
+    """[hi, lo, inc_hi, inc_lo] of ``PCG64(s)`` for each uint64 seed s."""
+    # SeedSequence: hash the seed's two 32-bit words into the pool (padding
+    # to 4 words hashes as entropy 0 does), then mix every word into the rest
+    low = (seeds & np.uint64(_M32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [_hashmix(w, c) for w, c in zip((low, high, zero, zero), _HASH_MIX)]
+    mixes = iter(_HASH_MIX[4:])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(mixes)))
+    # generate_state(4, uint64): 8 hashed pool words, paired little-endian
+    out = [_hashmix(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_HASH_STATE)]
+    w0, w1, w2, w3 = (out[j] | out[j + 1] << np.uint64(32) for j in range(0, 8, 2))
+    # PCG64: inc = (w2:w3 << 1) | 1; state = 0, step (which leaves inc),
+    # += w0:w1, step
+    one = np.uint64(1)
+    inc_hi, inc_lo = w2 << one | w3 >> np.uint64(63), w3 << one | one
+    lo = inc_lo + w1
+    state = [inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo]
+    _pcg_step(state)
+    return state
+
+
+class _SeedDraws:
+    """``np.random.default_rng(s).random()`` for every seed s, a column per draw.
+
+    ``column(d)`` holds each seed's (d+1)-th draw, bit for bit. Seeds below
+    2**64 are set up and stepped together; larger ones draw from their own
+    generator in the same column. A column is computed the first time it
+    is asked for, so seeds that never flip cost nothing.
+    """
+
+    def __init__(self, seeds: list[int]):
+        self.seeds = seeds
+        self.columns: list[np.ndarray] = []
+        self._pcg: list[np.ndarray] | None = None
+        self._big: dict[int, np.random.Generator] = {}
+
+    def column(self, depth: int) -> np.ndarray:
+        while len(self.columns) <= depth:
+            self.columns.append(self._draw())
+        return self.columns[depth]
+
+    def coin(self, row: int, depth: int) -> Coin:
+        """The coin of seed ``row``, flipping from its (depth+1)-th draw on."""
+        draws = (self.column(d)[row] for d in itertools.count(depth))
+        return lambda keep_first: bool(next(draws) < keep_first)
+
+    def _draw(self) -> np.ndarray:
+        """The next column: one PCG64 step and output per seed."""
+        if self._pcg is None:
+            seeds = self.seeds
+            if max(seeds) >> 64:
+                self._big = {
+                    i: np.random.default_rng(s) for i, s in enumerate(seeds) if s >> 64
+                }
+                seeds = [0 if s >> 64 else s for s in seeds]  # rows overwritten below
+            self._pcg = _pcg64_seeded(np.array(seeds, dtype=np.uint64))
+        _pcg_step(self._pcg)
+        hi, lo = self._pcg[:2]
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+        col = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        for row, rng in self._big.items():
+            col[row] = rng.random()
+        return col
 
 
 @dataclass(frozen=True)
@@ -339,26 +461,38 @@ def run_trials(
     """Net profit of ``run_online(..., seed=s)`` for each seed, bit for bit.
 
     The coin is random-fit's only randomness, so trials whose coins agree
-    share one run. A trial walks the coin tree with the draws of its own
-    seed; the engine plays only a branch no earlier trial took, replaying
-    its outcomes and then drawing on from the same seed. Every seed
-    consumes the numbers it would consume alone; a seed whose run never
-    flips builds no generator, and a deterministic kind plays once.
+    share one run. Every seed's draws come from one batched pass
+    (``_SeedDraws``), a column per flip depth, and the trials walk the coin
+    tree together: at a fork they split by their draw at that depth. A
+    group that reaches a branch no trial has taken plays it once, with the
+    coin of its lowest-index seed from that depth on, so each distinct path
+    is played once. No column is drawn before a walk needs it, and a
+    deterministic kind plays once. A negative seed raises ValueError before
+    any play.
     """
     check_deadlines(jobs, config)
-    seeds = list(seeds)
+    seeds = list(map(operator.index, seeds))
+    if seeds and min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
+    draws = _SeedDraws(seeds)
     profits = np.empty(len(seeds))
     root: list[_Tree] = [()]  # the tree, still the unplayed empty path
-    for i, seed in enumerate(seeds):
-        coin = _seeded_coin(seed)
-        node, side = root, 0
-        while isinstance(node[side], list):
-            node = node[side]
-            side = 1 + coin(node[0])
+    # (node, side, depth, trials): the trials, ascending, at node[side]
+    pending = [(root, 0, 0, np.arange(len(seeds)))] if seeds else []
+    while pending:
+        node, side, depth, trials = pending.pop()
         branch = node[side]
         if isinstance(branch, tuple):
-            node[side], branch = _coin_tree(jobs, kind, green, tariff, config, branch, coin)
-        profits[i] = branch
+            coin = draws.coin(int(trials[0]), depth)
+            branch, _ = _coin_tree(jobs, kind, green, tariff, config, branch, coin)
+            node[side] = branch
+        if isinstance(branch, list):
+            keep = draws.column(depth)[trials] < branch[0]
+            for side, group in ((1, trials[~keep]), (2, trials[keep])):
+                if group.size:
+                    pending.append((branch, side, depth + 1, group))
+        else:
+            profits[trials] = branch
     return profits
 
 

@@ -334,6 +334,13 @@ def test_load_config_rejects_an_onpeak_window_past_the_day(tmp_path):
     assert load_config(path).tariff.onpeak_end_slot == 23
 
 
+def test_load_config_rejects_slots_that_do_not_tile_a_day(tmp_path):
+    path = tmp_path / "odd.cfg"
+    path.write_text("slot_minutes = 7\n")
+    with pytest.raises(ValueError, match="slot_minutes must divide .*got 7"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("source", ["whatever", "solar:", "solar", "Zero"])
 def test_load_config_rejects_unknown_green_source(tmp_path, source):
     path = tmp_path / "green.cfg"

@@ -40,6 +40,16 @@ def test_simconfig_validation_and_units():
         SimConfig(horizon_slots=0)
 
 
+@pytest.mark.parametrize("minutes", [7, 25, 1441])
+def test_simconfig_rejects_slots_that_do_not_tile_a_day(minutes):
+    # 7-minute slots would floor a day to 205 slots (1,435 minutes), so the
+    # on-peak window and every other daily pattern would drift 5 min a day
+    with pytest.raises(ValueError, match=f"slot_minutes must divide .*got {minutes}"):
+        SimConfig(slot_minutes=minutes)
+    for ok in (1, 15, 30, 60, 120, 360, 1440):
+        assert SimConfig(slot_minutes=ok).slots_per_day * ok == 1440
+
+
 def test_starts_empty_grid_single_machine():
     sched = Schedule(machines=1, horizon=3)
     job = Job(id=0, release=0, deadline=2, proc_time=1, nodes=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from greensched import schedulers
 from greensched.experiment import stable_seed
@@ -470,10 +472,16 @@ def test_run_trials_on_all_green_builds_no_generator(monkeypatch, engine_plays):
     built = []
     generator = np.random.Generator
     monkeypatch.setattr(np.random, "Generator", lambda *a: built.append(a) or generator(*a))
+    drawn = []
+    draw = schedulers._SeedDraws._draw
+    monkeypatch.setattr(
+        schedulers._SeedDraws, "_draw", lambda self: drawn.append(1) or draw(self)
+    )
     engine_plays.clear()
     got = run_trials(jobs, RF, green, TARIFF, cfg, range(50))
     assert got.tobytes() == want.tobytes()
     assert built == []
+    assert drawn == []  # no draw column is computed for runs that never flip
     assert len(engine_plays) == 1
 
 
@@ -486,6 +494,78 @@ def test_run_trials_plays_a_deterministic_kind_once(engine_plays):
     want = per_seed_profits(jobs, BF, green, TARIFF, cfg, [3, 1, 4])
     assert got.tobytes() == want.tobytes()
     assert run_trials(jobs, BF, green, TARIFF, cfg, []).size == 0
+
+
+def assert_draws_equal_default_rng(seeds, depth):
+    draws = schedulers._SeedDraws(seeds)
+    want = np.array([np.random.default_rng(s).random(depth + 1) for s in seeds])
+    for d in range(depth + 1):
+        assert draws.column(d).tobytes() == want[:, d].tobytes()
+
+
+@given(st.lists(st.integers(0, 2**130), min_size=1, max_size=12))
+def test_seed_draws_equal_default_rng(seeds):
+    assert_draws_equal_default_rng(seeds, depth=8)
+
+
+def test_seed_draws_equal_default_rng_at_word_edges():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128]
+    assert_draws_equal_default_rng(edges, depth=8)
+    assert_draws_equal_default_rng(edges[::-1] + edges, depth=3)
+
+
+def test_run_trials_equals_per_seed_runs_at_and_above_2_64(engine_plays):
+    # seeds from 2**64 up draw from their own generator in the same walk
+    seeds = [2**64 + 3, 2**64 - 1, 5, 2**64, 2**128 + 1, 2**64 - 1, 0, 2**63]
+    rng = np.random.default_rng(61)
+    for name in ("RF", "PRF"):
+        kind = SchedulerKind(name, PARAMS)
+        engine_plays.clear()
+        for _ in range(20):
+            jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
+            want = per_seed_profits(jobs, kind, green, tariff, cfg, seeds)
+            got = run_trials(jobs, kind, green, tariff, cfg, seeds)
+            assert got.tobytes() == want.tobytes()
+        assert len(engine_plays) > 20  # some instances split the seeds
+
+
+def test_run_trials_equals_per_seed_runs_on_a_deep_tree(monkeypatch, engine_plays):
+    # no green, so every placed job flips: each run is at least 6 flips deep
+    cfg = SimConfig(machines=4, horizon_slots=16, forecast_slots=16)
+    tariff = Tariff(peak_override=tuple(t % 3 == 0 for t in range(16)))
+    green = GreenTrace(np.zeros(16, dtype=np.int64))
+    jobs = [
+        Job(id=i, release=i, deadline=min(i + 7, 15), proc_time=2, nodes=1 + i % 2)
+        for i in range(8)
+    ]
+    seeds = range(300)
+    for name in ("RF", "PRF"):
+        kind = SchedulerKind(name, PARAMS)
+        paths = seed_paths(jobs, kind, green, tariff, cfg, seeds, monkeypatch)
+        assert min(map(len, paths)) >= 6
+        want = per_seed_profits(jobs, kind, green, tariff, cfg, seeds)
+        engine_plays.clear()
+        got = run_trials(jobs, kind, green, tariff, cfg, seeds)
+        assert got.tobytes() == want.tobytes()
+        assert len(engine_plays) == len(paths)
+
+
+def test_run_trials_rejects_a_negative_seed_before_any_play(engine_plays):
+    cfg = small_cfg()
+    jobs = [Job(id=0, release=0, deadline=9, proc_time=2, nodes=1)]
+    green = GreenTrace(np.zeros(10, dtype=np.int64))
+    with pytest.raises(ValueError, match="non-negative"):
+        run_trials(jobs, RF, green, TARIFF, cfg, [3, -1, 4])
+    assert engine_plays == []
+
+
+def test_run_trials_without_seeds_plays_nothing(engine_plays):
+    cfg = small_cfg()
+    jobs = [Job(id=0, release=0, deadline=9, proc_time=2, nodes=1)]
+    green = GreenTrace(np.zeros(10, dtype=np.int64))
+    got = run_trials(jobs, RF, green, TARIFF, cfg, [])
+    assert got.shape == (0,)
+    assert engine_plays == []
 
 
 @pytest.mark.parametrize("preemptive", [False, True])
