@@ -6,7 +6,7 @@ policy faces the same job list; profit differences are pure policy. The
 same config run twice writes byte-identical tables.
 """
 
-from greensched.experiment import ExperimentConfig, preemption_comparison, run_suite
+from greensched.experiment import ExperimentConfig, run_suite
 from greensched.model import SimConfig
 
 cfg = ExperimentConfig(
@@ -22,7 +22,8 @@ cfg = ExperimentConfig(
     output_dir="sweep_out",
 )
 
-tables = run_suite(cfg)
+# one pass plays FF, BF, RF and their preemptive variants on each cell
+tables = run_suite(cfg, preemption=True)
 print(f"{'family':>7} {'load':>5} {'alg':>4} {'net profit':>11} {'sched':>7}")
 for row in tables["means"]:
     print(
@@ -38,7 +39,7 @@ for row in tables["ratios"]:
 
 # preemptive variants on the same paired seeds
 print("\npreemptive over base profit:")
-for row in preemption_comparison(cfg):
+for row in tables["preemption"]:
     print(f"{row['family']:>7} {row['point']:>5} {row['algorithm']:>4} "
           f"{row['ratio']:.4f}")
 

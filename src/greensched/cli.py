@@ -19,7 +19,6 @@ from .experiment import (
     cell_spec,
     load_config,
     parse_limits,
-    preemption_comparison,
     resolve_green,
     run_suite,
 )
@@ -48,7 +47,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _config(args.config)
     if args.output_dir:
         cfg.output_dir = args.output_dir
-    result = run_suite(cfg)
+    result = run_suite(cfg, preemption=args.preemption)
     for row in result["means"]:
         print(
             f"{row['family']:>9} {row['point']!s:>6} {row['algorithm']:>4} "
@@ -56,7 +55,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"sched {row['jobs_scheduled']:7.2f}/{row['jobs_offered']:.0f}"
         )
     if args.preemption:
-        for row in preemption_comparison(cfg):
+        for row in result["preemption"]:
             print(
                 f"{row['family']:>9} {row['point']!s:>6} {row['algorithm']:>4} "
                 f"preemptive/base {row['ratio']:.6f}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -177,18 +177,27 @@ PREEMPTION_HEADER = [
     "preemptive_net_profit",
     "ratio",
 ]
+_HEADERS = dict(
+    runs=RUNS_HEADER, means=MEANS_HEADER, ratios=RATIOS_HEADER, preemption=PREEMPTION_HEADER
+)
 
 
-def run_suite(cfg: ExperimentConfig) -> dict[str, list[dict]]:
-    """Execute the sweep; return and (if configured) write the three tables.
+def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, list[dict]]:
+    """Execute the sweep; return and (if configured) write its tables.
 
-    runs: one row per (family, point, algorithm, rep). means: averages over
-    reps. ratios: best mean profit at each point (an empirical stand-in for
-    the optimum) divided by each policy's mean. With ``include_offline`` the
-    exact solver joins as algorithm OPT at desk-scale points.
+    Three tables, four with ``preemption``. runs: one row per (family,
+    point, algorithm, rep); means: averages over reps; ratios: best mean
+    profit at each point (an empirical stand-in for the optimum) over each
+    policy's mean. All three cover ``algorithms`` only, plus OPT (the exact
+    solver, at desk-scale points) with ``include_offline``. ``preemption``
+    also plays each non-P policy's P variant, every policy once per cell,
+    and compares their means in the fourth table, preemption.
     """
     green = resolve_green(cfg.green, cfg.sim)
-    kinds = {name: _kind(name, cfg) for name in cfg.algorithms}
+    bases = [a for a in cfg.algorithms if not a.startswith("P")] if preemption else []
+    extra = dict.fromkeys("P" + a for a in bases if "P" + a not in cfg.algorithms)
+    plays = cfg.algorithms + tuple(extra)
+    kinds = {name: _kind(name, cfg) for name in plays}
     runs: list[dict] = []
     for family in cfg.families:
         for point in _points(cfg, family):
@@ -200,7 +209,7 @@ def run_suite(cfg: ExperimentConfig) -> dict[str, list[dict]]:
                     raise ExperimentError(
                         f"{family} point {point} rep {rep}: {exc}"
                     ) from exc
-                for name in cfg.algorithms:
+                for name in plays:
                     aseed = stable_seed(cfg.master_seed, family, point, rep, name)
                     sched, report, _ = run_online(
                         jobs, kinds[name], green, cfg.tariff, cfg.sim, seed=aseed
@@ -223,51 +232,42 @@ def run_suite(cfg: ExperimentConfig) -> dict[str, list[dict]]:
                     )
     runs.sort(key=_row_key)
     means = _mean_rows(runs)
-    ratios = _ratio_rows(means)
+    tables = {"runs": [r for r in runs if r["algorithm"] not in extra]}
+    tables["means"] = [r for r in means if r["algorithm"] not in extra]
+    tables["ratios"] = _ratio_rows(tables["means"])
+    if preemption:
+        tables["preemption"] = _preemption_rows(means, bases)
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "runs.csv", RUNS_HEADER, runs)
-        _write_csv(out / "means.csv", MEANS_HEADER, means)
-        _write_csv(out / "ratios.csv", RATIOS_HEADER, ratios)
-    return {"runs": runs, "means": means, "ratios": ratios}
+        for name, rows in tables.items():
+            _write_csv(out / f"{name}.csv", _HEADERS[name], rows)
+    return tables
 
 
 def preemption_comparison(cfg: ExperimentConfig) -> list[dict]:
     """Paired sweep of each policy against its preemptive variant.
 
     Rows report mean profit with and without preemption and their ratio
-    (preemptive over base) per family, point, and base policy.
+    (preemptive over base) per family, point, and non-P policy of
+    ``algorithms``. This is ``run_suite(cfg, preemption=True)["preemption"]``,
+    so with ``output_dir`` set it also writes runs, means and ratios, and
+    with ``include_offline`` it also solves OPT.
     """
-    bases = [a for a in cfg.algorithms if not a.startswith("P")]
-    sweep = replace(
-        cfg,
-        algorithms=tuple(bases) + tuple("P" + a for a in bases),
-        include_offline=False,
-        output_dir=None,
-    )
-    means = run_suite(sweep)["means"]
+    return run_suite(cfg, preemption=True)["preemption"]
+
+
+def _preemption_rows(means: list[dict], bases: list[str]) -> list[dict]:
+    """Each base policy's mean profit against its P variant's, per point."""
     profit = {(r["family"], r["point"], r["algorithm"]): r["net_profit"] for r in means}
     rows = []
     for r in means:  # already in row-key order
-        if r["algorithm"] not in bases:
-            continue
-        base_mean = r["net_profit"]
-        pre_mean = profit[r["family"], r["point"], "P" + r["algorithm"]]
-        rows.append(
-            {
-                "family": r["family"],
-                "point": r["point"],
-                "algorithm": r["algorithm"],
-                "base_net_profit": base_mean,
-                "preemptive_net_profit": pre_mean,
-                "ratio": pre_mean / base_mean if base_mean > 0 else float("inf"),
-            }
-        )
-    if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "preemption.csv", PREEMPTION_HEADER, rows)
+        if r["algorithm"] in bases:
+            base = r["net_profit"]
+            pre = profit[r["family"], r["point"], "P" + r["algorithm"]]
+            ratio = pre / base if base > 0 else float("inf")
+            cells = (r["family"], r["point"], r["algorithm"], base, pre, ratio)
+            rows.append(dict(zip(PREEMPTION_HEADER, cells)))
     return rows
 
 

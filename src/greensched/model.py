@@ -113,10 +113,6 @@ class Placement:
     active_slots: tuple[int, ...]  # sorted, distinct
     nodes: int
 
-    @property
-    def start(self) -> int:
-        return self.active_slots[0]
-
 
 @dataclass
 class Schedule:

@@ -393,9 +393,12 @@ def run_online(
     Jobs are processed sorted by (release, deadline, id); commitments are
     irrevocable. The returned log holds one entry per job in processing
     order. ``seed`` feeds the RF/PRF coin only, and those kinds require it.
+    A negative seed raises ValueError before any play.
     """
     if kind.randomized and seed is None:
         raise ValueError(f"{kind.kind} needs a seed for its coin")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     check_deadlines(jobs, config)
     state = OnlineState.create(green, tariff, config)
     if kind.randomized:

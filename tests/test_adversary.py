@@ -69,7 +69,7 @@ def test_ff_construction_mechanics():
         list(inst.jobs), inst.green, inst.tariff, inst.config
     )
     assert opt == pytest.approx(unit, abs=1e-12)
-    assert sched.placements[0].start == 1
+    assert sched.placements[0].active_slots[0] == 1
 
 
 def test_ff_offpeak_variant_mechanics():
@@ -95,7 +95,7 @@ def test_bf_constructions_mechanics():
             inst.unit_value * alg_value, abs=1e-12
         ), variant
         assert len(sched.placements) == 1  # the late job found the slot taken
-        assert sched.placements[0].start == 1
+        assert sched.placements[0].active_slots[0] == 1
 
 
 def test_expected_entries_match_solver_and_policy():

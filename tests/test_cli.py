@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from greensched import experiment
 from greensched.cli import build_parser, main
 from greensched.experiment import cell_spec, load_config, resolve_green
 from greensched.model import SimConfig
@@ -239,13 +240,21 @@ def test_gen_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_sweep_end_to_end(tmp_path, capsys):
+def test_run_sweep_end_to_end(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "machines = 4\nhorizon_slots = 48\ngreen = zero\nfamilies = UE\n"
         "utilization = 0.3\nfixed_p = 3\nfixed_q = 2\nalgorithms = FF,BF\n"
         "repetitions = 2\n"
     )
+    plays = []
+    play = experiment.run_online
+
+    def counted(jobs, kind, *args, **kwargs):
+        plays.append(kind.kind)
+        return play(jobs, kind, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_online", counted)
     out = tmp_path / "results"
     rc = main(
         ["run", "--config", str(cfg), "--output-dir", str(out), "--preemption"]
@@ -255,8 +264,16 @@ def test_run_sweep_end_to_end(tmp_path, capsys):
     for name in ("runs.csv", "means.csv", "ratios.csv", "preemption.csv"):
         assert (out / name).exists(), name
     assert "profit" in captured
-    assert "preemptive/base" in captured
+    assert captured.count("preemptive/base") == 2  # one line per base policy
     assert f"tables written to {out}/" in captured
+    # 2 reps, each playing FF, BF, PFF and PBF once
+    assert sorted(plays) == sorted(["FF", "BF", "PFF", "PBF"] * 2)
+    plain = tmp_path / "plain"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(plain)]) == 0
+    assert "preemptive/base" not in capsys.readouterr().out
+    for name in ("runs.csv", "means.csv", "ratios.csv"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+    assert not (plain / "preemption.csv").exists()
 
 
 def test_missing_config_is_a_clean_error(tmp_path, capsys):

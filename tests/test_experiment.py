@@ -1,6 +1,10 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from greensched import experiment
 from greensched.experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -16,6 +20,7 @@ from greensched.experiment import (
 from greensched.model import SimConfig
 from greensched.offline import NONPREEMPTIVE_LIMITS, SolveLimits
 from greensched.pricing import GreenTrace, synthetic_solar
+from greensched.schedulers import KINDS
 
 SMALL = SimConfig(machines=4, horizon_slots=48, forecast_slots=48)
 
@@ -170,6 +175,79 @@ def test_workload_failure_names_the_cell():
     cfg = small_cfg(fixed_q=9, repetitions=1)  # wider than the 4-node cluster
     with pytest.raises(ExperimentError, match="UE point 0.3 rep 0"):
         run_suite(cfg)
+
+
+@pytest.mark.parametrize(
+    "algorithms, plays",
+    [(("FF", "BF", "RF"), 6), (KINDS, 6), (("BF",), 2), (("FF", "PBF"), 3)],
+    ids=["FF-BF-RF", "all-six", "BF", "FF-PBF"],
+)
+def test_preemption_sweep_plays_each_cell_policy_once(monkeypatch, algorithms, plays):
+    calls = Counter()
+    play = experiment.run_online
+
+    def counted(jobs, kind, *args, seed):
+        calls[kind.kind, seed] += 1
+        return play(jobs, kind, *args, seed=seed)
+
+    monkeypatch.setattr(experiment, "run_online", counted)
+    cfg = small_cfg(algorithms=algorithms, repetitions=2)
+    run_suite(cfg, preemption=True)
+    union = set(algorithms) | {"P" + a for a in algorithms if not a.startswith("P")}
+    assert len(union) == plays
+    assert calls == Counter(
+        {
+            (name, stable_seed(cfg.master_seed, "UE", point, rep, name)): 1
+            for point in cfg.utilization
+            for rep in range(cfg.repetitions)
+            for name in union
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(algorithms=("FF", "BF", "RF")),
+        dict(algorithms=("BF",)),
+        dict(algorithms=("FF", "PBF")),
+        dict(utilization=(0.2,), fixed_p=5, fixed_q=3, repetitions=1, include_offline=True),
+    ],
+    ids=["FF-BF-RF", "BF", "FF-PBF", "UE-OPT"],
+)
+def test_preemption_sweep_keeps_the_plain_tables(tmp_path, overrides):
+    cfg = small_cfg(**{"repetitions": 2, **overrides})
+    plain = run_suite(replace(cfg, output_dir=str(tmp_path / "plain")))
+    both = run_suite(replace(cfg, output_dir=str(tmp_path / "both")), preemption=True)
+    assert plain.keys() == {"runs", "means", "ratios"}
+    assert both.keys() == plain.keys() | {"preemption"}
+    for name in ("runs", "means", "ratios"):
+        assert both[name] == plain[name]
+        csv = f"{name}.csv"
+        assert (tmp_path / "both" / csv).read_bytes() == (tmp_path / "plain" / csv).read_bytes()
+    # the rows a separate sweep of the bases and their P variants gives
+    bases = tuple(a for a in cfg.algorithms if not a.startswith("P"))
+    sweep = replace(cfg, algorithms=bases + tuple("P" + a for a in bases))
+    means = run_suite(sweep)["means"]
+    profit = {(r["family"], r["point"], r["algorithm"]): r["net_profit"] for r in means}
+    want = []
+    for r in means:
+        if r["algorithm"] in bases:
+            base = r["net_profit"]
+            pre = profit[r["family"], r["point"], "P" + r["algorithm"]]
+            want.append(
+                {
+                    "family": r["family"],
+                    "point": r["point"],
+                    "algorithm": r["algorithm"],
+                    "base_net_profit": base,
+                    "preemptive_net_profit": pre,
+                    "ratio": pre / base if base > 0 else float("inf"),
+                }
+            )
+    assert want and both["preemption"] == want
+    assert preemption_comparison(cfg) == want
+    assert (tmp_path / "both" / "preemption.csv").exists()
 
 
 def test_preemption_comparison_unit_jobs_change_nothing(tmp_path):

@@ -82,7 +82,7 @@ def test_commit_updates_demand_by_nodes():
     job = Job(id=0, release=1, deadline=3, proc_time=2, nodes=3)
     commit(job, (1, 2), sched)
     assert list(sched.demand) == [0, 3, 3, 0, 0]
-    assert sched.placements[0].start == 1
+    assert sched.placements[0].active_slots[0] == 1
 
 
 def test_commit_capacity_boundary():

@@ -62,7 +62,7 @@ def test_two_slot_dilemma_takes_both_jobs():
     nv = normalized_values(tariff, cfg)
     unit = tariff.charge_rate * cfg.slot_hours * 16
     assert profit == pytest.approx(unit * (nv.v_on + nv.v_off), abs=1e-12)
-    starts = {p.job_id: p.start for p in sched.placements}
+    starts = {p.job_id: p.active_slots[0] for p in sched.placements}
     assert starts == {0: 0, 1: 1}
 
 
@@ -102,7 +102,7 @@ def test_matches_enumeration_on_random_instances():
         expect, assign, order = enumerate_nonpreemptive(jobs, green, tariff, config)
         got, sched = solve_nonpreemptive_exact(jobs, green, tariff, config)
         assert got == expect
-        got_starts = {p.job_id: p.start for p in sched.placements}
+        got_starts = {p.job_id: p.active_slots[0] for p in sched.placements}
         expect_starts = {
             order[i].id: s for i, s in enumerate(assign) if s is not None
         }
@@ -327,7 +327,7 @@ def test_lexicographic_tie_rule():
         Job(id=1, release=0, deadline=1, proc_time=1, nodes=1),
     ]
     _, sched = solve_nonpreemptive_exact(jobs, zeros(2), tariff, cfg)
-    starts = {p.job_id: p.start for p in sched.placements}
+    starts = {p.job_id: p.active_slots[0] for p in sched.placements}
     assert starts == {0: 0, 1: 1}
 
 

@@ -372,6 +372,17 @@ def test_run_online_needs_seed_for_randomized_kinds():
             run_online(jobs, kind, green, TARIFF, cfg)
 
 
+@pytest.mark.parametrize("supply", [2, 0], ids=["all_green", "no_green"])
+def test_run_online_rejects_a_negative_seed_before_any_play(supply, engine_plays):
+    # all green never flips the coin; no green flips it on the first job
+    cfg = small_cfg(machines=2, horizon=6)
+    jobs = [Job(id=0, release=0, deadline=5, proc_time=2, nodes=1)]
+    green = GreenTrace(np.full(6, supply, dtype=np.int64))
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        run_online(jobs, RF, green, TARIFF, cfg, seed=-1)
+    assert engine_plays == []
+
+
 def test_sequential_green_draw_sums_to_pooled_usage():
     cfg = small_cfg(machines=3, horizon=8)
     rng = np.random.default_rng(9)
