@@ -5,7 +5,7 @@ import numpy as np
 
 from greensched.model import Job, SimConfig
 from greensched.pricing import Tariff, normalized_values, random_fit_params, synthetic_solar
-from greensched.schedulers import SchedulerKind, run_online
+from greensched.schedulers import SchedulerKind, decision_log, run_online
 
 # a 4-node cluster over one day of 15-minute slots
 sim = SimConfig(machines=4, horizon_slots=96, forecast_slots=96)
@@ -30,7 +30,8 @@ kinds = [
 ]
 
 for kind in kinds:
-    sched, report, log = run_online(jobs, kind, green, tariff, sim, seed=0)
+    sched, report = run_online(jobs, kind, green, tariff, sim, seed=0)
+    log = decision_log(jobs, sched, green, tariff, sim)
     admitted = sum(1 for e in log if e.decision == "admit")
     print(
         f"{kind.kind}: {admitted}/{len(jobs)} jobs, "
@@ -40,7 +41,7 @@ for kind in kinds:
     )
 
 # the cost chaser parks work under the solar curve; show its busiest slots
-sched, _, _ = run_online(jobs, kinds[1], green, tariff, sim, seed=0)
+sched, _ = run_online(jobs, kinds[1], green, tariff, sim, seed=0)
 busy = np.flatnonzero(sched.demand == sched.demand.max())
 print(f"BF load peaks in slots {busy.tolist()} (supply there: "
       f"{green.supply[busy].tolist()})")

@@ -68,9 +68,11 @@ class ExperimentConfig:
         for f in self.families:
             if f not in FAMILIES:
                 raise ValueError(f"unknown family {f!r}")
-        for a in self.algorithms:
+        for i, a in enumerate(self.algorithms):
             if a not in KINDS:
                 raise ValueError(f"unknown algorithm {a!r}")
+            if a in self.algorithms[:i]:
+                raise ValueError(f"algorithm {a!r} is repeated")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         check_onpeak_window(self.tariff, self.sim)
@@ -211,7 +213,7 @@ def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, l
                     ) from exc
                 for name in plays:
                     aseed = stable_seed(cfg.master_seed, family, point, rep, name)
-                    sched, report, _ = run_online(
+                    sched, report = run_online(
                         jobs, kinds[name], green, cfg.tariff, cfg.sim, seed=aseed
                     )
                     runs.append(

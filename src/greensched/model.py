@@ -143,7 +143,7 @@ def _capacity_region(job: Job, schedule: Schedule) -> np.ndarray:
             f"job {job.id}: deadline {job.deadline} outside horizon "
             f"{schedule.horizon}"
         )
-    return schedule.demand[lo:hi] + job.nodes <= schedule.machines
+    return schedule.demand[lo:hi] <= schedule.machines - job.nodes
 
 
 def spare_slots(job: Job, schedule: Schedule) -> np.ndarray:
@@ -203,7 +203,7 @@ def commit(job: Job, slots: tuple[int, ...], schedule: Schedule) -> Schedule:
     if schedule.has_job(job.id):
         raise CapacityError(f"job {job.id}: already placed")
     idx = slot_index(slots)
-    if (schedule.demand[idx] + job.nodes > schedule.machines).any():
+    if schedule.demand[idx].max() > schedule.machines - job.nodes:
         raise CapacityError(f"job {job.id}: placement exceeds {schedule.machines} nodes")
     schedule.demand[idx] += job.nodes
     schedule.placements.append(Placement(job.id, slots, job.nodes))

@@ -8,7 +8,8 @@ variants (PFF, PBF, PRF) may scatter a job over non-contiguous slots.
 
 Decisions may look at green supply only within the forecast window of the
 job's release; slots past the forecast are priced as if no green existed.
-Final accounting always uses the true trace.
+Final accounting always uses the true trace. ``place`` and ``run_online``
+decide and commit only; ``decision_log`` derives the log from a schedule.
 
 An ``OnlineState`` owns the tariff and config it was created under, and
 every decision on it prices with them. The coin is random-fit's only
@@ -331,32 +332,8 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...
     return tuple(range(s, s + p))
 
 
-def _admit(job: Job, slots: tuple[int, ...], state: OnlineState) -> LogEntry:
-    """Commit the placement and draw green from the residual pool.
-
-    The draw is priced before ``commit``, so a CapacityError leaves the
-    state untouched.
-    """
-    idx = slot_index(slots)
-    residual = np.maximum(state.green[idx] - state.schedule.demand[idx], 0)
-    take = np.minimum(job.nodes, residual)
-    cost = float(state.brown_cost[idx] @ (job.nodes - take))
-    commit(job, slots, state.schedule)
-    green_units = int(take.sum())
-    return LogEntry(
-        job_id=job.id,
-        decision="admit",
-        start_slot=slots[0],
-        slots=slots,
-        green_units=green_units,
-        brown_units=job.proc_time * job.nodes - green_units,
-        revenue=job_revenue(job, state.tariff, state.config),
-        cost=cost,
-    )
-
-
-def place(job: Job, state: OnlineState, kind: SchedulerKind) -> LogEntry | None:
-    """Offer one job to the policy; the admit entry, or None on a reject.
+def place(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...] | None:
+    """Offer one job to the policy; the committed slots, or None on a reject.
 
     First-fit takes the earliest feasible slots, best-fit the cheapest
     marginal brown energy (earliest on ties), random-fit flips the coin of
@@ -364,20 +341,15 @@ def place(job: Job, state: OnlineState, kind: SchedulerKind) -> LogEntry | None:
     and revenue come from the state's tariff and config.
     """
     slots = _choose(job, state, kind)
-    if slots is None:
-        return None
-    return _admit(job, slots, state)
+    if slots is not None:
+        commit(job, slots, state.schedule)
+    return slots
 
 
-def _play(jobs: list[Job], kind: SchedulerKind, state: OnlineState) -> list[LogEntry]:
+def _play(jobs: list[Job], kind: SchedulerKind, state: OnlineState) -> None:
     """Offer the jobs to the policy in (release, deadline, id) order."""
-    log: list[LogEntry] = []
     for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
-        entry = place(job, state, kind)
-        if entry is None:
-            entry = LogEntry(job.id, "reject", None, (), 0, 0, 0.0, 0.0)
-        log.append(entry)
-    return log
+        place(job, state, kind)
 
 
 def run_online(
@@ -387,13 +359,13 @@ def run_online(
     tariff: Tariff,
     config: SimConfig,
     seed: int | None = None,
-) -> tuple[Schedule, ProfitReport, list[LogEntry]]:
+) -> tuple[Schedule, ProfitReport]:
     """Feed jobs through one policy in release order and price the result.
 
     Jobs are processed sorted by (release, deadline, id); commitments are
-    irrevocable. The returned log holds one entry per job in processing
-    order. ``seed`` feeds the RF/PRF coin only, and those kinds require it.
-    A negative seed raises ValueError before any play.
+    irrevocable. ``decision_log`` derives the per-job log from the returned
+    schedule. ``seed`` feeds the RF/PRF coin only, and those kinds require
+    it. A negative seed raises ValueError before any play.
     """
     if kind.randomized and seed is None:
         raise ValueError(f"{kind.kind} needs a seed for its coin")
@@ -403,9 +375,56 @@ def run_online(
     state = OnlineState.create(green, tariff, config)
     if kind.randomized:
         state.coin = _seeded_coin(seed)
-    log = _play(jobs, kind, state)
+    _play(jobs, kind, state)
     report = account(state.schedule, green, tariff, config)
-    return state.schedule, report, log
+    return state.schedule, report
+
+
+def decision_log(
+    jobs: list[Job],
+    schedule: Schedule,
+    green: GreenTrace,
+    tariff: Tariff,
+    config: SimConfig,
+) -> list[LogEntry]:
+    """One entry per job, in (release, deadline, id) order, as it was decided.
+
+    Placements replay in commit order over an empty grid, so each admit
+    draws the residual green its commit saw. A job is admitted when the next
+    placement is its own; a placement left over raises ValueError.
+    """
+    supply = horizon_supply(green, config)
+    brown_cost = brown_cost_vector(tariff, config)
+    demand = np.zeros(config.horizon_slots, dtype=np.int64)
+    placements = iter(schedule.placements)
+    placement = next(placements, None)
+    log: list[LogEntry] = []
+    for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
+        if placement is None or placement.job_id != job.id:
+            log.append(LogEntry(job.id, "reject", None, (), 0, 0, 0.0, 0.0))
+            continue
+        slots = placement.active_slots
+        idx = slot_index(slots)
+        residual = np.maximum(supply[idx] - demand[idx], 0)
+        take = np.minimum(job.nodes, residual)
+        demand[idx] += job.nodes
+        green_units = int(take.sum())
+        log.append(
+            LogEntry(
+                job_id=job.id,
+                decision="admit",
+                start_slot=slots[0],
+                slots=slots,
+                green_units=green_units,
+                brown_units=job.proc_time * job.nodes - green_units,
+                revenue=job_revenue(job, tariff, config),
+                cost=float(brown_cost[idx] @ (job.nodes - take)),
+            )
+        )
+        placement = next(placements, None)
+    if placement is not None:
+        raise ValueError(f"placement of job {placement.job_id} is out of order or not offered")
+    return log
 
 
 # A coin tree: a run's net profit, a [keep_first, switch, keep] node for a

@@ -15,6 +15,7 @@ from greensched.model import (
     SimConfig,
     nonpreemptive_starts,
     preemptive_slots,
+    slot_index,
     spare_slots,
 )
 from greensched.pricing import (
@@ -24,7 +25,7 @@ from greensched.pricing import (
     is_on_peak,
     job_revenue,
 )
-from greensched.schedulers import run_online
+from greensched.schedulers import LogEntry, OnlineState, _seeded_coin, place, run_online
 
 
 def profit_of(rev_selected, demand, g, b) -> float:
@@ -172,6 +173,43 @@ def per_seed_profits(jobs, kind, green, tariff, config, seeds) -> np.ndarray:
             for s in seeds
         ]
     )
+
+
+def decision_time_log(jobs, kind, green, tariff, config, seed=None):
+    """The per-job log priced as each job is decided, and the run's schedule.
+
+    Jobs are offered through ``place`` in (release, deadline, id) order. An
+    admit draws green from the residual the jobs before it left, read from
+    a demand snapshot taken before the offer, and pays brown for the rest.
+    """
+    state = OnlineState.create(green, tariff, config)
+    if kind.randomized:
+        state.coin = _seeded_coin(seed)
+    log = []
+    for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
+        before = state.schedule.demand.copy()
+        slots = place(job, state, kind)
+        if slots is None:
+            log.append(LogEntry(job.id, "reject", None, (), 0, 0, 0.0, 0.0))
+            continue
+        idx = slot_index(slots)
+        residual = np.maximum(state.green[idx] - before[idx], 0)
+        take = np.minimum(job.nodes, residual)
+        cost = float(state.brown_cost[idx] @ (job.nodes - take))
+        green_units = int(take.sum())
+        log.append(
+            LogEntry(
+                job_id=job.id,
+                decision="admit",
+                start_slot=slots[0],
+                slots=slots,
+                green_units=green_units,
+                brown_units=job.proc_time * job.nodes - green_units,
+                revenue=job_revenue(job, tariff, config),
+                cost=cost,
+            )
+        )
+    return log, state.schedule
 
 
 def random_instance(rng, max_jobs=5, max_slots=10, max_machines=3):

@@ -183,7 +183,7 @@ def test_06_offline_ceiling(capfd):
         assert len(jobs) <= 12
         opt, _ = solve_nonpreemptive_exact(jobs, green, tariff, sim)
         for name, kind in kinds.items():
-            _, report, _ = run_online(jobs, kind, green, tariff, sim, seed=rep)
+            _, report = run_online(jobs, kind, green, tariff, sim, seed=rep)
             dominance = dominance and opt >= report.net_profit - 1e-9
         ratio = opt / expected_profit(jobs, kinds["RF"], green, tariff, sim)
         worst_ratio = max(worst_ratio, ratio)

@@ -60,7 +60,7 @@ def test_ff_construction_mechanics():
     inst = ff_lower_bound_instance("green_next", NV)
     unit = inst.unit_value
     # the baited policy earns only the on-peak brown value
-    _, report, _ = run_online(
+    _, report = run_online(
         list(inst.jobs), inst.target, inst.green, inst.tariff, inst.config
     )
     assert report.net_profit == pytest.approx(unit * V_ON, abs=1e-12)
@@ -74,7 +74,7 @@ def test_ff_construction_mechanics():
 
 def test_ff_offpeak_variant_mechanics():
     inst = ff_lower_bound_instance("offpeak_next", NV)
-    _, report, _ = run_online(
+    _, report = run_online(
         list(inst.jobs), inst.target, inst.green, inst.tariff, inst.config
     )
     assert report.net_profit == pytest.approx(inst.unit_value * V_ON, abs=1e-12)
@@ -88,7 +88,7 @@ def test_bf_constructions_mechanics():
     # greed strands the late job, leaving only the better slot's value
     for variant, alg_value in (("on_to_off", V_OFF), ("off_to_on", 1.0)):
         inst = bf_lower_bound_instance(variant, NV)
-        sched, report, _ = run_online(
+        sched, report = run_online(
             list(inst.jobs), inst.target, inst.green, inst.tariff, inst.config
         )
         assert report.net_profit == pytest.approx(
@@ -107,7 +107,7 @@ def test_expected_entries_match_solver_and_policy():
             inst.unit_value * inst.expected_opt, rel=1e-12
         ), inst.name
         if not inst.target.randomized:
-            _, report, _ = run_online(
+            _, report = run_online(
                 list(inst.jobs), inst.target, inst.green, inst.tariff, inst.config
             )
             assert report.net_profit == pytest.approx(

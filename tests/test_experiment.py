@@ -54,6 +54,16 @@ def test_config_validation():
         small_cfg(families=("Real",), job_counts=())
 
 
+def test_config_rejects_a_repeated_algorithm(tmp_path):
+    # a repeat would play the policy twice per cell and duplicate its rows
+    with pytest.raises(ValueError, match="algorithm 'FF' is repeated"):
+        small_cfg(algorithms=("FF", "BF", "FF"))
+    path = tmp_path / "twice.cfg"
+    path.write_text("algorithms = FF, FF\n")
+    with pytest.raises(ValueError, match="algorithm 'FF' is repeated"):
+        load_config(path)
+
+
 def test_stable_seed_is_deterministic_and_keyed():
     assert stable_seed(0, "UE", 0.5, 3) == stable_seed(0, "UE", 0.5, 3)
     seen = {

@@ -263,7 +263,7 @@ def test_online_never_beats_offline():
         jobs, green, tariff, config = random_instance(rng)
         opt, _ = solve_nonpreemptive_exact(jobs, green, tariff, config)
         for kind in ("FF", "BF"):
-            _, report, _ = run_online(jobs, SchedulerKind(kind), green, tariff, config)
+            _, report = run_online(jobs, SchedulerKind(kind), green, tariff, config)
             assert opt >= report.net_profit - 1e-9
 
 

@@ -4,13 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greensched import schedulers
-from greensched.experiment import stable_seed
-from greensched.model import Job, SimConfig, commit, nonpreemptive_starts
-from greensched.offline import solve_nonpreemptive_exact
+from greensched.experiment import ExperimentConfig, run_suite, stable_seed
+from greensched.model import Job, Schedule, SimConfig, commit, nonpreemptive_starts
+from greensched.offline import solve_nonpreemptive_exact, solve_preemptive_exact
 from greensched.pricing import (
     GreenTrace,
     RandomFitParams,
     Tariff,
+    account,
     normalized_values,
     random_fit_params,
     synthetic_solar,
@@ -20,6 +21,7 @@ from greensched.schedulers import (
     LOG_HEADER,
     OnlineState,
     SchedulerKind,
+    decision_log,
     expected_profit,
     place,
     run_online,
@@ -28,7 +30,12 @@ from greensched.schedulers import (
 )
 from greensched.workload import WorkloadSpec, generate
 
-from oracles import full_horizon_choice, per_seed_profits, random_instance
+from oracles import (
+    decision_time_log,
+    full_horizon_choice,
+    per_seed_profits,
+    random_instance,
+)
 
 
 def small_cfg(machines=2, horizon=10):
@@ -81,7 +88,7 @@ def test_ff_takes_earliest():
     cfg = small_cfg()
     state = fresh_state(cfg)
     placed = place(Job(id=0, release=3, deadline=9, proc_time=2, nodes=1), state, FF)
-    assert placed.slots == (3, 4)
+    assert placed == (3, 4)
 
 
 def test_ff_rejects_when_full():
@@ -98,14 +105,14 @@ def test_bf_chases_green_slot():
     g[5] = 2
     state = fresh_state(cfg, GreenTrace(g))
     placed = place(Job(id=0, release=0, deadline=9, proc_time=1, nodes=2), state, BF)
-    assert placed.slots == (5,)
+    assert placed == (5,)
 
 
 def test_bf_tie_breaks_earliest():
     cfg = small_cfg(machines=2, horizon=8)
     state = fresh_state(cfg)  # no green anywhere: all windows cost the same
     placed = place(Job(id=0, release=2, deadline=7, proc_time=2, nodes=1), state, BF)
-    assert placed.slots == (2, 3)
+    assert placed == (2, 3)
 
 
 def test_bf_ignores_green_past_forecast():
@@ -118,11 +125,11 @@ def test_bf_ignores_green_past_forecast():
     # slots 2..4 2*b_off; with foresight slot 3 would be free, but blinded
     # best-fit settles for the half-green on-peak slot
     placed = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, BF)
-    assert placed.slots == (1,)
+    assert placed == (1,)
     wide = SimConfig(machines=2, horizon_slots=5, forecast_slots=4)
     state2 = OnlineState.create(GreenTrace(g), tariff, wide)
     placed2 = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state2, BF)
-    assert placed2.slots == (3,)
+    assert placed2 == (3,)
 
 
 def test_bf_sees_green_inside_forecast():
@@ -130,7 +137,7 @@ def test_bf_sees_green_inside_forecast():
     g = np.array([0, 0, 0, 2, 0])
     state = OnlineState.create(GreenTrace(g), TARIFF, cfg)
     placed = place(Job(id=0, release=0, deadline=4, proc_time=1, nodes=2), state, BF)
-    assert placed.slots == (3,)
+    assert placed == (3,)
 
 
 def test_pff_scatters_greedily():
@@ -146,7 +153,7 @@ def test_pff_scatters_greedily():
         Job(id=1, release=0, deadline=3, proc_time=2, nodes=1),
         state2, SchedulerKind("PFF"),
     )
-    assert placed.slots == (0, 2)
+    assert placed == (0, 2)
 
 
 def test_pbf_picks_cheapest_slots_tie_earlier():
@@ -157,7 +164,7 @@ def test_pbf_picks_cheapest_slots_tie_earlier():
         Job(id=0, release=0, deadline=5, proc_time=3, nodes=1),
         state, SchedulerKind("PBF"),
     )
-    assert placed.slots == (1, 3, 5)  # the three off-peak slots
+    assert placed == (1, 3, 5)  # the three off-peak slots
 
 
 def test_pbf_prefers_visible_green_over_offpeak():
@@ -170,7 +177,7 @@ def test_pbf_prefers_visible_green_over_offpeak():
         state, SchedulerKind("PBF"),
     )
     # slot 0 is free thanks to green despite being on-peak; then earliest off-peak
-    assert placed.slots == (0, 1)
+    assert placed == (0, 1)
 
 
 def test_rf_green_path_spends_no_randomness():
@@ -180,7 +187,7 @@ def test_rf_green_path_spends_no_randomness():
     asked = []
     state.coin = counting(state.coin, asked)
     placed = place(Job(id=0, release=0, deadline=5, proc_time=2, nodes=2), state, RF)
-    assert placed.slots == (0, 1)  # deterministic first-fit
+    assert placed == (0, 1)  # deterministic first-fit
     assert asked == []
 
 
@@ -234,13 +241,13 @@ def test_rf_degenerate_coins_match_parents(preemptive):
         green = GreenTrace(rng.integers(0, M + 1, size=T))
         base = "PFF" if preemptive else "FF"
         kind_rf = SchedulerKind("PRF" if preemptive else "RF", always_ff)
-        s_rf, _, _ = run_online(jobs, kind_rf, green, TARIFF, cfg, seed=trial)
-        s_ff, _, _ = run_online(jobs, SchedulerKind(base), green, TARIFF, cfg)
+        s_rf, _ = run_online(jobs, kind_rf, green, TARIFF, cfg, seed=trial)
+        s_ff, _ = run_online(jobs, SchedulerKind(base), green, TARIFF, cfg)
         assert s_rf.placements == s_ff.placements
         kind_rf0 = SchedulerKind("PRF" if preemptive else "RF", always_bf)
         base_bf = "PBF" if preemptive else "BF"
-        s_rf0, _, _ = run_online(jobs, kind_rf0, green, TARIFF, cfg, seed=trial)
-        s_bf, _, _ = run_online(jobs, SchedulerKind(base_bf), green, TARIFF, cfg)
+        s_rf0, _ = run_online(jobs, kind_rf0, green, TARIFF, cfg, seed=trial)
+        s_bf, _ = run_online(jobs, SchedulerKind(base_bf), green, TARIFF, cfg)
         assert s_rf0.placements == s_bf.placements
 
 
@@ -276,7 +283,8 @@ def test_run_online_sorts_arrivals_and_logs_every_job():
         Job(id=1, release=0, deadline=2, proc_time=2, nodes=1),  # blocked
     ]
     green = GreenTrace(np.zeros(6, dtype=np.int64))
-    sched, report, log = run_online(jobs, SchedulerKind("FF"), green, TARIFF, cfg)
+    sched, report = run_online(jobs, SchedulerKind("FF"), green, TARIFF, cfg)
+    log = decision_log(jobs, sched, green, TARIFF, cfg)
     assert [e.job_id for e in log] == [0, 1, 2]
     assert [e.decision for e in log] == ["admit", "reject", "admit"]
     # committed placements never moved: the log's slots are the final ones
@@ -296,16 +304,18 @@ def test_admit_draws_true_residual_green(name):
     jobs = _random_jobs(rng, 8, 3, 8)
     green = GreenTrace(rng.integers(0, 4, size=8))
     kind = SchedulerKind(name, PARAMS if name in ("RF", "PRF") else None)
-    state = fresh_state(cfg, green, seed=7)
+    sched, _ = run_online(jobs, kind, green, TARIFF, cfg, seed=7)
+    nodes = {job.id: job.nodes for job in jobs}
+    demand = np.zeros(8, dtype=np.int64)
     admitted = 0
-    for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
-        before = state.schedule.demand.copy()
-        entry = place(job, state, kind)
-        if entry is None:
+    for entry in decision_log(jobs, sched, green, TARIFF, cfg):
+        if entry.decision == "reject":
             continue
         admitted += 1
-        residual = np.maximum(0, green.supply - before)
-        assert entry.green_units == sum(min(job.nodes, residual[t]) for t in entry.slots)
+        q = nodes[entry.job_id]
+        residual = np.maximum(0, green.supply - demand)
+        assert entry.green_units == sum(min(q, residual[t]) for t in entry.slots)
+        demand[list(entry.slots)] += q
     assert admitted > 1
 
 
@@ -358,7 +368,8 @@ def test_rf_scans_capacity_once_per_job(monkeypatch):
     jobs = [Job(id=i, release=i, deadline=9, proc_time=2, nodes=1) for i in range(4)]
     always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     green = GreenTrace(np.zeros(10, dtype=np.int64))
-    _, _, log = run_online(jobs, SchedulerKind("RF", always_bf), green, TARIFF, cfg, seed=1)
+    sched, _ = run_online(jobs, SchedulerKind("RF", always_bf), green, TARIFF, cfg, seed=1)
+    log = decision_log(jobs, sched, green, TARIFF, cfg)
     assert [e.decision for e in log] == ["admit"] * 4
     assert calls == [0, 1, 2, 3]
 
@@ -388,11 +399,100 @@ def test_sequential_green_draw_sums_to_pooled_usage():
     rng = np.random.default_rng(9)
     jobs = _random_jobs(rng, 8, 3, 7)
     green = GreenTrace(rng.integers(0, 4, size=8))
-    sched, report, log = run_online(jobs, SchedulerKind("BF"), green, TARIFF, cfg)
+    sched, report = run_online(jobs, SchedulerKind("BF"), green, TARIFF, cfg)
+    log = decision_log(jobs, sched, green, TARIFF, cfg)
     assert sum(e.green_units for e in log) == report.green_total
     assert sum(e.brown_units for e in log) == report.brown_total
     assert sum(e.cost for e in log) == pytest.approx(report.brown_cost, abs=1e-12)
     assert sum(e.revenue for e in log) == pytest.approx(report.revenue, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_decision_log_equals_decision_time_pricing(name):
+    # forecast shorter than the horizon and random green: the log rebuilt
+    # from the schedule equals, by repr, the log priced as each job was
+    # decided
+    kind = SchedulerKind(name, PARAMS if name in ("RF", "PRF") else None)
+    rng = np.random.default_rng(61)
+    admits = 0
+    for seed in range(15):
+        T = int(rng.integers(6, 30))
+        M = int(rng.integers(1, 5))
+        cfg = SimConfig(machines=M, horizon_slots=T, forecast_slots=int(rng.integers(1, T)))
+        tariff = Tariff(peak_override=tuple(bool(x) for x in rng.random(T) < 0.5))
+        green = GreenTrace(rng.integers(0, M + 1, size=T))
+        jobs = _random_jobs(rng, T, M, int(rng.integers(1, 12)))
+        want, want_sched = decision_time_log(jobs, kind, green, tariff, cfg, seed)
+        sched, _ = run_online(jobs, kind, green, tariff, cfg, seed=seed)
+        assert sched.placements == want_sched.placements
+        got = decision_log(jobs, sched, green, tariff, cfg)
+        assert repr(got) == repr(want)
+        admits += len(sched.placements)
+    assert admits > 40
+
+
+@pytest.mark.parametrize("preemptive", [False, True])
+def test_decision_log_of_an_exact_schedule_matches_account(preemptive):
+    solver = solve_preemptive_exact if preemptive else solve_nonpreemptive_exact
+    size = dict(max_jobs=4, max_slots=7, max_machines=2) if preemptive else {}
+    rng = np.random.default_rng(71)
+    admits = 0
+    for _ in range(40):
+        jobs, green, tariff, cfg = random_instance(rng, **size)
+        _, sched = solver(jobs, green, tariff, cfg)
+        log = decision_log(jobs, sched, green, tariff, cfg)
+        report = account(sched, green, tariff, cfg)
+        assert sum(e.green_units for e in log) == report.green_total
+        assert sum(e.brown_units for e in log) == report.brown_total
+        admits += sum(e.decision == "admit" for e in log)
+    assert admits > 40
+
+
+def test_decision_log_rejects_placements_out_of_commit_order():
+    cfg = small_cfg(machines=2, horizon=6)
+    jobs = [Job(id=i, release=i, deadline=5, proc_time=1, nodes=1) for i in range(2)]
+    green = GreenTrace(np.zeros(6, dtype=np.int64))
+    swapped = Schedule(2, 6)
+    commit(jobs[1], (1,), swapped)
+    commit(jobs[0], (0,), swapped)
+    with pytest.raises(ValueError, match="placement of job 0 is out of order"):
+        decision_log(jobs, swapped, green, TARIFF, cfg)
+    both = Schedule(2, 6)
+    commit(jobs[0], (0,), both)
+    commit(jobs[1], (1,), both)
+    with pytest.raises(ValueError, match="placement of job 1"):
+        decision_log(jobs[:1], both, green, TARIFF, cfg)
+
+
+def test_engine_plays_build_no_log(monkeypatch):
+    # the sweep and Monte Carlo only read schedules and profits, so no play
+    # may build a log entry; decision_log builds them on request
+    built = []
+    entry = schedulers.LogEntry
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return entry(*args, **kwargs)
+
+    monkeypatch.setattr(schedulers, "LogEntry", counted)
+    cfg = ExperimentConfig(
+        sim=SimConfig(machines=4, horizon_slots=48, forecast_slots=24),
+        families=("UE", "UU"),
+        utilization=(0.6,),
+        fixed_p=3,
+        fixed_q=2,
+        algorithms=("FF", "BF", "RF"),
+        repetitions=2,
+    )
+    tables = run_suite(cfg, preemption=True)
+    assert len(tables["runs"]) == 12 and built == []
+    rng = np.random.default_rng(4)
+    jobs, green, tariff, sim = random_instance(rng, max_jobs=6)
+    run_trials(jobs, RF, green, tariff, sim, range(50))
+    assert built == []
+    sched, _ = run_online(jobs, RF, green, tariff, sim, seed=0)
+    decision_log(jobs, sched, green, tariff, sim)
+    assert len(built) == len(jobs)
 
 
 def test_run_online_rejects_horizon_violations():
@@ -407,7 +507,8 @@ def test_log_csv_format(tmp_path):
     cfg = small_cfg(machines=1, horizon=4)
     jobs = [Job(id=0, release=0, deadline=3, proc_time=2, nodes=1)]
     green = GreenTrace(np.array([1, 0, 0, 0]))
-    _, _, log = run_online(jobs, SchedulerKind("FF"), green, TARIFF, cfg)
+    sched, _ = run_online(jobs, SchedulerKind("FF"), green, TARIFF, cfg)
+    log = decision_log(jobs, sched, green, TARIFF, cfg)
     path = tmp_path / "log.csv"
     write_log_csv(log, path)
     lines = path.read_text().split("\n")
@@ -589,7 +690,7 @@ def test_expected_profit_with_sure_coins_is_the_parent_policy(preemptive):
         jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
         for params, parent in ((always_ff, "FF"), (always_bf, "BF")):
             parent_kind = SchedulerKind(prefix + parent)
-            _, report, _ = run_online(jobs, parent_kind, green, tariff, cfg)
+            _, report = run_online(jobs, parent_kind, green, tariff, cfg)
             kind = SchedulerKind(prefix + "RF", params)
             assert expected_profit(jobs, kind, green, tariff, cfg) == report.net_profit
 
