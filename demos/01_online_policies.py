@@ -29,8 +29,10 @@ kinds = [
     SchedulerKind("RF", rf_params=random_fit_params(nv)),
 ]
 
+schedules = {}
 for kind in kinds:
     sched, report = run_online(jobs, kind, green, tariff, sim, seed=0)
+    schedules[kind.kind] = sched
     log = decision_log(jobs, sched, green, tariff, sim)
     admitted = sum(1 for e in log if e.decision == "admit")
     print(
@@ -41,7 +43,7 @@ for kind in kinds:
     )
 
 # the cost chaser parks work under the solar curve; show its busiest slots
-sched, _ = run_online(jobs, kinds[1], green, tariff, sim, seed=0)
+sched = schedules["BF"]
 busy = np.flatnonzero(sched.demand == sched.demand.max())
 print(f"BF load peaks in slots {busy.tolist()} (supply there: "
       f"{green.supply[busy].tolist()})")

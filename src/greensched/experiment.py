@@ -290,7 +290,10 @@ def _mean_rows(runs: list[dict]) -> list[dict]:
     for (family, point, name), rows in groups.items():
         out = {"family": family, "point": point, "algorithm": name}
         for col in _NUMERIC:
-            out[col] = sum(r[col] for r in rows) / len(rows)
+            total = 0  # not sum(): it rounds floats by Python version
+            for r in rows:
+                total += r[col]
+            out[col] = total / len(rows)
         means.append(out)
     means.sort(key=_row_key)
     return means

@@ -91,14 +91,17 @@ def _canonical_profit(
     return revenue - cost
 
 
-def _marginal_cost(slots, demand, g, b, q) -> float:
-    mc = 0.0
-    for t in slots:
-        over_new = demand[t] + q - g[t]
-        if over_new > 0:
-            over_old = demand[t] - g[t]
-            mc += b[t] * (over_new - over_old if over_old > 0 else over_new)
-    return mc
+def _slot_costs(job: Job, demand: list[int], g: list[int], b: list[float]) -> list[float]:
+    """Marginal cost of the job's nodes in each slot up to its deadline:
+    b[t] times the shortfall they add (never more than q), 0.0 before its
+    release. An option's cost is its slots' costs added left to right from 0.0.
+    """
+    q = job.nodes
+    costs = [0.0] * job.release
+    for t in range(job.release, job.deadline + 1):
+        over = demand[t] + q - g[t]
+        costs.append(b[t] * (q if over > q else over) if over > 0 else 0.0)
+    return costs
 
 
 # Each variant of the search is one option generator: it lists the job's
@@ -140,7 +143,10 @@ def _job_bound(job: Job, rev: float, g: list[int], b: list[float], M: int) -> fl
     costs = sorted(
         b[t] * max(0, job.nodes - g[t]) for t in range(job.release, job.deadline + 1)
     )
-    return max(0.0, rev - sum(costs[: job.proc_time]))
+    cheapest = 0.0
+    for c in costs[: job.proc_time]:  # not sum(): it rounds by Python version
+        cheapest += c
+    return max(0.0, rev - cheapest)
 
 
 def _solve(
@@ -161,7 +167,9 @@ def _solve(
     cut when an earlier one at the same depth saw the same demand over the
     slots the remaining jobs can use, at no lower value: each of its leaves
     is then no better than a leaf already searched, so the returned optimum
-    and its tie rule are the same as without the cut.
+    and its tie rule are the same as without the cut. Both cuts run in the
+    parent, before a child is entered, and a node prices each slot of its
+    job's window once for all its options.
     """
     _check_limits(len(jobs), config, limits, label)
     order, g, b, rev = _prepared(jobs, green, tariff, config)
@@ -184,37 +192,62 @@ def _solve(
     ]
     memo: list[dict] = [{} for _ in range(n)]  # demand in window[i] -> best cur
 
-    def dfs(i: int, cur: float) -> None:
+    def expand(i: int, cur: float) -> None:
+        # Search job i's options, then its rejection. The caller has cut this
+        # node by bound and by memo; each child is cut here before it is
+        # entered, and a child at depth n sets the incumbent directly.
         nonlocal best_value, best_assign
-        if cur + suffix[i] <= best_value:
-            return
-        if i == n:
-            best_value = cur
-            best_assign = chosen.copy()
-            return
-        key = tuple(demand[window[i]])
-        seen = memo[i].get(key)
-        if seen is not None and seen >= cur:
-            return
-        memo[i][key] = cur
         job = order[i]
         q = job.nodes
+        gain = rev[i]
+        reach = cur + suffix[i]
+        costs = _slot_costs(job, demand, g, b)
+        nxt = i + 1
+        rest = suffix[nxt]
+        leaf = nxt == n
+        if not leaf:
+            seen_at = memo[nxt]
+            key_slots = window[nxt]
         for slots in options(job, demand, M):
-            # a deeper leaf may have raised the incumbent since the check above
-            if cur + suffix[i] <= best_value:
+            # a deeper leaf may have raised the incumbent since the parent's cut
+            if reach <= best_value:
                 break
-            mc = _marginal_cost(slots, demand, g, b, q)
+            mc = 0.0
+            for t in slots:
+                mc += costs[t]
+            value = cur + gain - mc
+            if value + rest <= best_value:
+                continue
+            chosen[i] = slots
+            if leaf:
+                best_value = value
+                best_assign = chosen.copy()
+                continue
             for t in slots:
                 demand[t] += q
-            chosen[i] = slots
-            dfs(i + 1, cur + rev[i] - mc)
+            key = tuple(demand[key_slots])
+            seen = seen_at.get(key)
+            if seen is None or seen < value:
+                seen_at[key] = value
+                expand(nxt, value)
             for t in slots:
                 demand[t] -= q
         chosen[i] = None
-        dfs(i + 1, cur)
+        if cur + rest <= best_value:
+            return
+        if leaf:
+            best_value = cur
+            best_assign = chosen.copy()
+            return
+        key = tuple(demand[key_slots])
+        seen = seen_at.get(key)
+        if seen is None or seen < cur:
+            seen_at[key] = cur
+            expand(nxt, cur)
 
-    dfs(0, 0.0)
-    dfs = None  # dfs reaches itself through its closure; unlink to free the search
+    if n:
+        expand(0, 0.0)
+    expand = None  # expand reaches itself through its closure; unlink to free the search
 
     schedule = Schedule(M, T)
     rev_selected = []

@@ -40,6 +40,17 @@ def profit_of(rev_selected, demand, g, b) -> float:
     return revenue - cost
 
 
+def marginal_cost(slots, demand, g, b, q) -> float:
+    """Brown cost that q more nodes in slots add, summed in slot order."""
+    mc = 0.0
+    for t in slots:
+        over_new = demand[t] + q - g[t]
+        if over_new > 0:
+            over_old = demand[t] - g[t]
+            mc += b[t] * (over_new - over_old if over_old > 0 else over_new)
+    return mc
+
+
 def recomputed_demand(schedule) -> np.ndarray:
     """Demand rebuilt from placements alone."""
     demand = np.zeros(schedule.horizon, dtype=np.int64)

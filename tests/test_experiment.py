@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -126,6 +127,21 @@ def test_ratio_table_tracks_best_mean():
         )
     best_rows = [r for r in tables["ratios"] if r["ratio"] == pytest.approx(1.0)]
     assert len(best_rows) >= 2  # one champion per point
+
+
+def test_means_sum_left_to_right():
+    # ten 0.1 values sum to 0.9999999999999999 left to right but to 1.0 by a
+    # compensated sum (built-in sum() from Python 3.12 on); means.csv must
+    # not depend on the interpreter
+    assert math.fsum([0.1] * 10) == 1.0
+    rows = [
+        {"family": "UE", "point": 0.3, "algorithm": "FF", "rep": rep,
+         **{col: 0.1 for col in experiment._NUMERIC}}
+        for rep in range(10)
+    ]
+    (mean,) = experiment._mean_rows(rows)
+    for col in experiment._NUMERIC:
+        assert mean[col] == 0.9999999999999999 / 10 != 0.1
 
 
 def test_csv_outputs_are_byte_identical(tmp_path):
