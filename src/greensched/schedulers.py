@@ -20,6 +20,10 @@ taken yet is played the first time a walk takes it, so each distinct path
 is played once. ``run_trials`` draws every seed's coins in one batched
 numpy pass, bit-equal to ``np.random.default_rng(seed)``, and walks the tree
 with all its trials at once, splitting them at each fork by their draws.
+The seeding hashes every seed's words in stacked arrays, so its number of
+numpy calls does not grow with the batch, and a ``range`` of seeds is read
+by its endpoints, with no Python step per seed; any other iterable of
+seeds is read seed by seed.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import csv
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,38 +140,57 @@ def _seeded_coin(seed: int) -> Coin:
 
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 (XSL-RR output),
-# restated on arrays so that many seeds are set up and drawn at once
+# restated on arrays so that many seeds are set up and drawn at once: a word
+# per row, a seed per column
 _M32 = 0xFFFFFFFF
 
 
-def _hash_consts(init: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """The (xor, multiply) constants of n successive SeedSequence hashes."""
-    out = []
+def _hash_consts(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of n successive SeedSequence hashes.
+
+    Each is an (n, 1) uint32 column, so hash i applies to row i of a word array.
+    """
+    xors, mults = [], []
     for _ in range(n):
-        out.append((init, init * mult & _M32))
-        init = out[-1][1]
-    return out
+        xors.append(init)
+        init = init * mult & _M32
+        mults.append(init)
+    xor, mul = np.array([xors, mults], dtype=np.uint32)[..., None]
+    return xor, mul
 
 
-_HASH_MIX = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # 4 fills + 12 mixes
-_HASH_STATE = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # 4 uint64 state words
-_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_HASH_XOR, _HASH_MULT = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # 4 fills + 12 mixes
+_FILL = (_HASH_XOR[:4], _HASH_MULT[:4])
+# (source, targets, hashes): the source word is hashed once per other word,
+# with the next three constants in target order
+_MIX_STEPS = [
+    (src, np.array([d for d in range(4) if d != src]), (_HASH_XOR[k], _HASH_MULT[k]))
+    for src, k in enumerate(slice(i, i + 3) for i in range(4, 16, 3))
+]
+# generate_state(4, uint64) hashes the 4 pool words twice over, in order:
+# shaped (2, 4, 1) to broadcast against the (4, n) pool
+_STATE = tuple(c.reshape(2, 4, 1) for c in _hash_consts(0x8B51F9DD, 0x58F38DED, 8))
+_MIX_A, _MIX_B, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+# uint64 scalars for shifts and masks, built once: each np.uint64() call
+# costs a third of a small array operation
+_U64 = {k: np.uint64(k) for k in (1, 11, 32, 58, 63, 64, _M32)}
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LO_LIMBS = (_PCG_MULT_LO & _U64[_M32], _PCG_MULT_LO >> _U64[32])
 
 
-def _hashmix(value: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
-    value = (value ^ np.uint32(consts[0])) * np.uint32(consts[1])
-    return value ^ (value >> np.uint32(16))
+def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """A new array: ``value`` hashed with the broadcast (xor, multiply) pairs."""
+    value = value ^ consts[0]
+    value *= consts[1]
+    value ^= value >> _XSHIFT
+    return value
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
-    return r ^ (r >> np.uint32(16))
-
-
-def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64 bits of a * b, from 32-bit limbs."""
-    low, half = np.uint64(_M32), np.uint64(32)
-    a0, a1, b0, b1 = a & low, a >> half, b & low, b >> half
+def _mulhi_mult_lo(a: np.ndarray) -> np.ndarray:
+    """The high 64 bits of a * PCG64's low multiplier word, from 32-bit limbs."""
+    low, half = _U64[_M32], _U64[32]
+    b0, b1 = _PCG_MULT_LO_LIMBS
+    a0, a1 = a & low, a >> half
     p01, p10 = a0 * b1, a1 * b0
     mid = (a0 * b0 >> half) + (p01 & low) + (p10 & low)
     return a1 * b1 + (p01 >> half) + (p10 >> half) + (mid >> half)
@@ -176,36 +199,47 @@ def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
 def _pcg_step(state: list[np.ndarray]) -> None:
     """state = state * multiplier + inc (mod 2**128), on (hi, lo) pairs."""
     hi, lo, inc_hi, inc_lo = state
-    mult_hi, mult_lo = _PCG_MULT
-    hi = _mulhi(lo, mult_lo) + hi * mult_lo + lo * mult_hi
-    lo = lo * mult_lo + inc_lo
+    hi = _mulhi_mult_lo(lo) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    lo = lo * _PCG_MULT_LO + inc_lo
     state[:2] = hi + inc_hi + (lo < inc_lo), lo
 
 
 def _pcg64_seeded(seeds: np.ndarray) -> list[np.ndarray]:
     """[hi, lo, inc_hi, inc_lo] of ``PCG64(s)`` for each uint64 seed s."""
     # SeedSequence: hash the seed's two 32-bit words into the pool (padding
-    # to 4 words hashes as entropy 0 does), then mix every word into the rest
-    low = (seeds & np.uint64(_M32)).astype(np.uint32)
-    high = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros_like(low)
-    pool = [_hashmix(w, c) for w, c in zip((low, high, zero, zero), _HASH_MIX)]
-    mixes = iter(_HASH_MIX[4:])
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(mixes)))
+    # to 4 words hashes as entropy 0 does), then mix every word into the
+    # rest; a source word is not written while it is mixed, so its three
+    # targets update together
+    words = np.zeros((4, seeds.size), dtype=np.uint32)
+    words[0] = seeds  # the cast keeps the low 32 bits
+    words[1] = seeds >> _U64[32]
+    pool = _hashmix(words, _FILL)
+    for src, targets, consts in _MIX_STEPS:
+        hashed = _hashmix(pool[src], consts)
+        hashed *= _MIX_B
+        mixed = pool[targets]
+        mixed *= _MIX_A
+        mixed -= hashed
+        mixed ^= mixed >> _XSHIFT
+        pool[targets] = mixed
     # generate_state(4, uint64): 8 hashed pool words, paired little-endian
-    out = [_hashmix(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_HASH_STATE)]
-    w0, w1, w2, w3 = (out[j] | out[j + 1] << np.uint64(32) for j in range(0, 8, 2))
+    out = _hashmix(pool, _STATE).reshape(4, 2, -1).astype(np.uint64)
+    w0, w1, w2, w3 = out[:, 0] | out[:, 1] << _U64[32]
     # PCG64: inc = (w2:w3 << 1) | 1; state = 0, step (which leaves inc),
     # += w0:w1, step
-    one = np.uint64(1)
-    inc_hi, inc_lo = w2 << one | w3 >> np.uint64(63), w3 << one | one
+    one = _U64[1]
+    inc_hi, inc_lo = w2 << one | w3 >> _U64[63], w3 << one | one
     lo = inc_lo + w1
     state = [inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo]
     _pcg_step(state)
     return state
+
+
+def _seed_bounds(seeds: Sequence[int]) -> tuple[int, int]:
+    """The lowest and the highest of non-empty ``seeds``; a range by its endpoints."""
+    if isinstance(seeds, range):
+        return min(seeds[0], seeds[-1]), max(seeds[0], seeds[-1])
+    return min(seeds), max(seeds)
 
 
 class _SeedDraws:
@@ -217,7 +251,7 @@ class _SeedDraws:
     is asked for, so seeds that never flip cost nothing.
     """
 
-    def __init__(self, seeds: list[int]):
+    def __init__(self, seeds: Sequence[int]):
         self.seeds = seeds
         self.columns: list[np.ndarray] = []
         self._pcg: list[np.ndarray] | None = None
@@ -237,17 +271,23 @@ class _SeedDraws:
         """The next column: one PCG64 step and output per seed."""
         if self._pcg is None:
             seeds = self.seeds
-            if max(seeds) >> 64:
+            if _seed_bounds(seeds)[1] >> 64:
                 self._big = {
                     i: np.random.default_rng(s) for i, s in enumerate(seeds) if s >> 64
                 }
-                seeds = [0 if s >> 64 else s for s in seeds]  # rows overwritten below
-            self._pcg = _pcg64_seeded(np.array(seeds, dtype=np.uint64))
+                seeds = np.array([0 if s >> 64 else s for s in seeds], dtype=np.uint64)
+            elif isinstance(seeds, range):
+                # i * step + first wraps mod 2**64 onto each seed, whatever the step's sign
+                steps = np.arange(len(seeds), dtype=np.uint64)
+                seeds = steps * np.uint64(seeds.step % 2**64) + np.uint64(seeds[0])
+            else:
+                seeds = np.array(seeds, dtype=np.uint64)
+            self._pcg = _pcg64_seeded(seeds)  # big rows are overwritten below
         _pcg_step(self._pcg)
         hi, lo = self._pcg[:2]
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-        col = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        x, rot = hi ^ lo, hi >> _U64[58]
+        x = x >> rot | x << (_U64[64] - rot & _U64[63])
+        col = (x >> _U64[11]).astype(np.float64) * 2.0**-53
         for row, rng in self._big.items():
             col[row] = rng.random()
         return col
@@ -491,11 +531,17 @@ def run_trials(
     is played once. No column is drawn before a walk needs it, and a
     deterministic kind plays once. A negative seed raises ValueError before
     any play.
+
+    A ``range`` is read by its endpoints: the negative-seed check takes its
+    lowest element, and its seeds become an array through ``np.arange``, so
+    no Python step runs per seed. Any other iterable is turned into a list
+    of ints first.
     """
     check_deadlines(jobs, config)
-    seeds = list(map(operator.index, seeds))
-    if seeds and min(seeds) < 0:
-        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
+    if not isinstance(seeds, range):
+        seeds = list(map(operator.index, seeds))
+    if seeds and (lowest := _seed_bounds(seeds)[0]) < 0:
+        raise ValueError(f"seeds must be non-negative, got {lowest}")
     draws = _SeedDraws(seeds)
     profits = np.empty(len(seeds))
     root: list[_Tree] = [()]  # the tree, still the unplayed empty path

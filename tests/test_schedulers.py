@@ -529,6 +529,13 @@ def test_run_trials_equals_per_seed_runs(name, engine_plays):
         got = run_trials(jobs, kind, green, tariff, cfg, seeds)
         assert got.tobytes() == want.tobytes()
         most_paths = max(most_paths, len(engine_plays))
+        # a range is read by its endpoints: every third seed, the seeds
+        # descending and no seed at all, each as a range, a list and an
+        # iterator
+        for part in (slice(None), slice(None, None, 3), slice(None, None, -1), slice(0)):
+            for given in (seeds[part], list(seeds[part]), iter(seeds[part])):
+                got = run_trials(jobs, kind, green, tariff, cfg, given)
+                assert got.tobytes() == want[part].tobytes(), (part, type(given))
     # the instances flip several coins per run, so trials do share paths
     assert 4 <= most_paths < len(seeds)
 
@@ -624,21 +631,36 @@ def test_seed_draws_equal_default_rng_at_word_edges():
     edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128]
     assert_draws_equal_default_rng(edges, depth=8)
     assert_draws_equal_default_rng(edges[::-1] + edges, depth=3)
+    # thousands of seeds across the high word's change, as a range and a list
+    wide = range(2**32 - 1500, 2**32 + 1500)
+    assert_draws_equal_default_rng(wide, depth=2)
+    assert_draws_equal_default_rng(list(wide), depth=2)
 
 
 def test_run_trials_equals_per_seed_runs_at_and_above_2_64(engine_plays):
-    # seeds from 2**64 up draw from their own generator in the same walk
-    seeds = [2**64 + 3, 2**64 - 1, 5, 2**64, 2**128 + 1, 2**64 - 1, 0, 2**63]
+    # seeds from 2**64 up draw from their own generator in the same walk,
+    # also inside a range that crosses 2**64; ranges are checked against
+    # their lists too
+    seed_sets = (
+        [2**64 + 3, 2**64 - 1, 5, 2**64, 2**128 + 1, 2**64 - 1, 0, 2**63],
+        range(2**32 - 3, 2**32 + 3),
+        range(2**64 - 3, 2**64 + 3),
+    )
     rng = np.random.default_rng(61)
     for name in ("RF", "PRF"):
         kind = SchedulerKind(name, PARAMS)
-        engine_plays.clear()
+        plays = [0] * len(seed_sets)
         for _ in range(20):
             jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
-            want = per_seed_profits(jobs, kind, green, tariff, cfg, seeds)
-            got = run_trials(jobs, kind, green, tariff, cfg, seeds)
-            assert got.tobytes() == want.tobytes()
-        assert len(engine_plays) > 20  # some instances split the seeds
+            for i, seeds in enumerate(seed_sets):
+                want = per_seed_profits(jobs, kind, green, tariff, cfg, seeds)
+                engine_plays.clear()
+                got = run_trials(jobs, kind, green, tariff, cfg, seeds)
+                plays[i] += len(engine_plays)
+                assert got.tobytes() == want.tobytes(), seeds
+                got = run_trials(jobs, kind, green, tariff, cfg, list(seeds))
+                assert got.tobytes() == want.tobytes(), seeds
+        assert min(plays) > 20  # some instances split the seeds
 
 
 def test_run_trials_equals_per_seed_runs_on_a_deep_tree(monkeypatch, engine_plays):
@@ -668,6 +690,9 @@ def test_run_trials_rejects_a_negative_seed_before_any_play(engine_plays):
     green = GreenTrace(np.zeros(10, dtype=np.int64))
     with pytest.raises(ValueError, match="non-negative"):
         run_trials(jobs, RF, green, TARIFF, cfg, [3, -1, 4])
+    # a range is checked by its lowest endpoint
+    with pytest.raises(ValueError, match="non-negative, got -2$"):
+        run_trials(jobs, RF, green, TARIFF, cfg, range(-2, 5))
     assert engine_plays == []
 
 
