@@ -214,11 +214,12 @@ def measure_ratio(
     The optimum comes from the exact offline solver. Deterministic policies
     need one trial; randomized ones get seeds base_seed + i (base_seed must
     be non-negative). ``run_trials`` draws every seed's coins in one
-    batched pass and walks one coin tree with all of them, so trials whose
-    coins come out alike share one run and the engine's cost grows with the
-    distinct coin paths, not with ``trials``. A policy that earns
-    nothing on every trial reports an infinite ratio (flagged via
-    ``infinite``); the standard error follows the delta method.
+    batched pass and plays each distinct coin path once, splitting the
+    trials at each flip by their draws, so trials whose coins come out alike
+    share one run and the engine's cost grows with the distinct coin paths,
+    not with ``trials``. A policy that earns nothing on every trial reports
+    an infinite ratio (flagged via ``infinite``); the standard error follows
+    the delta method.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

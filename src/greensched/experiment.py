@@ -80,8 +80,11 @@ class ExperimentConfig:
             raise ValueError("utilization sweep must not be empty")
         if "Real" in self.families and not self.job_counts:
             raise ValueError("Real family needs job_counts")
-        if "Real" in self.families and not self.swf_path:
-            raise ValueError("Real family needs swf_path")
+        # every cell's workload knobs are checked now, not when the sweep
+        # reaches the cell
+        for family in self.families:
+            for point in _points(self, family):
+                cell_spec(self, family, point, 0)
         source, _, path = self.green.partition(":")
         if self.green not in ("synthetic", "zero") and not (source == "solar" and path):
             raise ValueError(
@@ -140,7 +143,7 @@ def _kind(name: str, cfg: ExperimentConfig) -> SchedulerKind:
 
 def _run_row(cfg, family, point, rep, name, jobs, schedule, report) -> dict:
     total = cfg.sim.machines * cfg.sim.horizon_slots
-    placed = sum(len(p.active_slots) * p.nodes for p in schedule.placements)
+    placed = report.green_total + report.brown_total
     return {
         "family": family,
         "point": point,

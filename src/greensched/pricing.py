@@ -269,8 +269,7 @@ def account(
     brown_used = demand - green_used
     b = brown_cost_vector(tariff, config)
     brown_cost = float(brown_used @ b)
-    node_slots = sum(len(p.active_slots) * p.nodes for p in schedule.placements)
-    revenue = tariff.charge_rate * config.slot_hours * node_slots
+    revenue = tariff.charge_rate * config.slot_hours * int(demand.sum())
     return ProfitReport(
         revenue=revenue,
         brown_cost=brown_cost,

@@ -13,13 +13,16 @@ decide and commit only; ``decision_log`` derives the log from a schedule.
 
 An ``OnlineState`` owns the tariff and config it was created under, and
 every decision on it prices with them. The coin is random-fit's only
-randomness, so a run is fixed by its coin outcomes. ``run_trials`` (many
-seeds) and ``expected_profit`` (every coin path) walk one lazily grown coin
-tree: a node per flip, a profit per played run, and a branch no run has
-taken yet is played the first time a walk takes it, so each distinct path
-is played once. ``run_trials`` draws every seed's coins in one batched
-numpy pass, bit-equal to ``np.random.default_rng(seed)``, and walks the tree
-with all its trials at once, splitting them at each fork by their draws.
+randomness, so a run is fixed by its coin path, the outcomes of its flips.
+``_play`` is the one place a run is played: it replays a path prefix, then
+asks a coin, and reports the flips past the prefix. ``run_online`` plays
+one seed's coin. ``run_trials`` (many seeds) and ``expected_profit`` (every
+coin path) keep a stack of prefixes: each is played once, and every fresh
+flip pushes the prefix that ends in its other outcome, so each distinct
+path is played once. ``run_trials`` draws every seed's coins in one batched
+numpy pass, bit-equal to ``np.random.default_rng(seed)``, and plays a
+prefix for all its trials at once; at each fresh flip, the trials whose
+draw comes out the other way split off.
 The seeding hashes every seed's words in stacked arrays, so its number of
 numpy calls does not grow with the batch, and a ``range`` of seeds is read
 by its endpoints, with no Python step per seed; any other iterable of
@@ -386,10 +389,36 @@ def place(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...] 
     return slots
 
 
-def _play(jobs: list[Job], kind: SchedulerKind, state: OnlineState) -> None:
-    """Offer the jobs to the policy in (release, deadline, id) order."""
+def _play(
+    jobs: list[Job],
+    kind: SchedulerKind,
+    green: GreenTrace,
+    tariff: Tariff,
+    config: SimConfig,
+    path: Sequence[bool],
+    choose: Coin | None,
+) -> tuple[Schedule, ProfitReport, list[tuple[float, bool]]]:
+    """Play one run and price it; every engine run goes through here.
+
+    Jobs are offered in (release, deadline, id) order. The coin replays the
+    outcomes in ``path``, then asks ``choose``. Returns the schedule, its
+    report and each flip past ``path`` as (keep_first, outcome).
+    """
+    replay = iter(path)
+    fresh: list[tuple[float, bool]] = []
+
+    def coin(keep_first: float) -> bool:
+        outcome = next(replay, None)
+        if outcome is None:
+            outcome = choose(keep_first)
+            fresh.append((keep_first, outcome))
+        return outcome
+
+    state = OnlineState.create(green, tariff, config)
+    state.coin = coin
     for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
         place(job, state, kind)
+    return state.schedule, account(state.schedule, green, tariff, config), fresh
 
 
 def run_online(
@@ -412,12 +441,9 @@ def run_online(
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     check_deadlines(jobs, config)
-    state = OnlineState.create(green, tariff, config)
-    if kind.randomized:
-        state.coin = _seeded_coin(seed)
-    _play(jobs, kind, state)
-    report = account(state.schedule, green, tariff, config)
-    return state.schedule, report
+    coin = _seeded_coin(seed) if kind.randomized else None
+    schedule, report, _ = _play(jobs, kind, green, tariff, config, (), coin)
+    return schedule, report
 
 
 def decision_log(
@@ -467,51 +493,6 @@ def decision_log(
     return log
 
 
-# A coin tree: a run's net profit, a [keep_first, switch, keep] node for a
-# flip, or the coin outcomes of a branch no run has taken yet.
-_Tree = float | list | tuple
-
-
-def _coin_tree(
-    jobs: list[Job],
-    kind: SchedulerKind,
-    green: GreenTrace,
-    tariff: Tariff,
-    config: SimConfig,
-    path: tuple[bool, ...],
-    choose: Coin,
-) -> tuple[_Tree, float]:
-    """Play the run whose coins come out as ``path``, then as ``choose`` says.
-
-    Returns the run's net profit under one [keep_first, switch, keep] node
-    per flip past ``path``, and the profit itself. Each branch the run did
-    not take holds its coin outcomes, to be played the first time a caller
-    takes it.
-    """
-    replay = iter(path)
-    outcomes: list[bool] = []
-    root: list[_Tree] = [None]
-    node, side = root, 0
-
-    def coin(keep_first: float) -> bool:
-        nonlocal node, side
-        outcome = next(replay, None)
-        if outcome is None:
-            outcome = choose(keep_first)
-            fork: list[_Tree] = [keep_first, None, None]
-            fork[2 - outcome] = (*outcomes, not outcome)  # the branch not taken
-            node[side] = fork
-            node, side = fork, 1 + outcome
-        outcomes.append(outcome)
-        return outcome
-
-    state = OnlineState.create(green, tariff, config)
-    state.coin = coin
-    _play(jobs, kind, state)
-    node[side] = profit = account(state.schedule, green, tariff, config).net_profit
-    return root[0], profit
-
-
 def run_trials(
     jobs: list[Job],
     kind: SchedulerKind,
@@ -524,13 +505,14 @@ def run_trials(
 
     The coin is random-fit's only randomness, so trials whose coins agree
     share one run. Every seed's draws come from one batched pass
-    (``_SeedDraws``), a column per flip depth, and the trials walk the coin
-    tree together: at a fork they split by their draw at that depth. A
-    group that reaches a branch no trial has taken plays it once, with the
-    coin of its lowest-index seed from that depth on, so each distinct path
-    is played once. No column is drawn before a walk needs it, and a
-    deterministic kind plays once. A negative seed raises ValueError before
-    any play.
+    (``_SeedDraws``), a column per flip depth. Trials are grouped by the
+    coin path prefix their draws share; a group plays once, with the coin
+    of its lowest-index seed past the prefix, and at each fresh flip the
+    trials whose draw at that depth disagrees split off as a new group,
+    whose prefix ends in the other outcome. So each distinct path is
+    played once, no column is drawn before a play needs it, and a
+    deterministic kind plays once. A negative seed raises ValueError
+    before any play.
 
     A ``range`` is read by its endpoints: the negative-seed check takes its
     lowest element, and its seeds become an array through ``np.arange``, so
@@ -544,23 +526,23 @@ def run_trials(
         raise ValueError(f"seeds must be non-negative, got {lowest}")
     draws = _SeedDraws(seeds)
     profits = np.empty(len(seeds))
-    root: list[_Tree] = [()]  # the tree, still the unplayed empty path
-    # (node, side, depth, trials): the trials, ascending, at node[side]
-    pending = [(root, 0, 0, np.arange(len(seeds)))] if seeds else []
+    # (path, trials): the trials, ascending, whose coins come out as path
+    pending = [((), np.arange(len(seeds)))] if seeds else []
     while pending:
-        node, side, depth, trials = pending.pop()
-        branch = node[side]
-        if isinstance(branch, tuple):
-            coin = draws.coin(int(trials[0]), depth)
-            branch, _ = _coin_tree(jobs, kind, green, tariff, config, branch, coin)
-            node[side] = branch
-        if isinstance(branch, list):
-            keep = draws.column(depth)[trials] < branch[0]
-            for side, group in ((1, trials[~keep]), (2, trials[keep])):
-                if group.size:
-                    pending.append((branch, side, depth + 1, group))
-        else:
-            profits[trials] = branch
+        path, trials = pending.pop()
+        coin = draws.coin(int(trials[0]), len(path))
+        _, report, fresh = _play(jobs, kind, green, tariff, config, path, coin)
+        for depth, (keep_first, outcome) in enumerate(fresh, len(path)):
+            stay = draws.column(depth)[trials] < keep_first
+            split = ~stay
+            if not outcome:
+                stay, split = split, stay
+            group = trials[split]
+            if group.size:
+                pending.append(((*path, not outcome), group))
+            path += (outcome,)
+            trials = trials[stay]
+        profits[trials] = report.net_profit
     return profits
 
 
@@ -573,24 +555,23 @@ def expected_profit(
 ) -> float:
     """The policy's exact expected net profit over its coin.
 
-    The coin tree is walked keeping first-fit's pick at every fresh flip and
-    expanding every switch branch, so each coin path is played once. Its
-    profit is weighted by the product, root to leaf, of its outcomes'
+    Each play keeps first-fit's pick at every fresh flip and queues the
+    path that switches there, so each coin path is played once. Its profit
+    is weighted by the product, in flip order, of its outcomes'
     probabilities (keep_first for a keep, 1 - keep_first for a switch). A
     run flips at most one coin per job, so n jobs give at most 2^n paths.
     """
     check_deadlines(jobs, config)
     terms = []
-    pending: list[tuple[_Tree, float]] = [((), 1.0)]
+    pending: list[tuple[tuple[bool, ...], float]] = [((), 1.0)]
     while pending:
-        branch, weight = pending.pop()
-        if isinstance(branch, tuple):
-            branch, _ = _coin_tree(jobs, kind, green, tariff, config, branch, lambda _: True)
-        while isinstance(branch, list):
-            keep_first, switch, branch = branch
-            pending.append((switch, weight * (1.0 - keep_first)))
+        path, weight = pending.pop()
+        _, report, fresh = _play(jobs, kind, green, tariff, config, path, lambda _: True)
+        for keep_first, _ in fresh:
+            pending.append(((*path, False), weight * (1.0 - keep_first)))
+            path += (True,)
             weight *= keep_first
-        terms.append(weight * branch)
+        terms.append(weight * report.net_profit)
     return math.fsum(terms)
 
 

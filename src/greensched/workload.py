@@ -3,7 +3,8 @@
 Synthetic families share one knob, target utilization u: the expected total
 demand sum(p_j * q_j) is tuned to u * M * T node-slots. Families:
 
-  UU         uniform arrivals, p ~ U[1,9], q ~ U[1,5], loose uniform deadlines
+  UU         uniform arrivals, p ~ U[1,9] (at most T), q ~ U[1,5], loose
+             uniform deadlines
   UE         uniform arrivals, equal sizes (fixed p and q), loose deadlines
   PU / PE    Poisson arrivals with UU / UE sizes
   Staggered  periodic day-heavy arrivals, deadline a fixed span after release
@@ -54,7 +55,7 @@ class WorkloadSpec:
         if self.family == "Real":
             if self.job_count is None or self.job_count < 1:
                 raise ValueError("Real workloads need job_count >= 1")
-            if self.swf_path is None:
+            if not self.swf_path:
                 raise ValueError("Real workloads need swf_path")
         else:
             u = self.target_utilization
@@ -79,7 +80,8 @@ def _job_budget(spec: WorkloadSpec, config: SimConfig, mean_pq: float) -> int:
 
 
 def _draw_uniform_sizes(rng: np.random.Generator, config: SimConfig) -> tuple[int, int]:
-    p = int(rng.integers(1, 10))
+    """p ~ U[1,9] capped at the horizon, q ~ U[1, min(5, M)]."""
+    p = min(int(rng.integers(1, 10)), config.horizon_slots)
     q = int(rng.integers(1, min(5, config.machines) + 1))
     return p, q
 

@@ -7,6 +7,7 @@ order) so equality assertions can be exact rather than approximate.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from greensched.model import (
 from greensched.pricing import (
     GreenTrace,
     Tariff,
+    account,
     brown_cost_vector,
     is_on_peak,
     job_revenue,
@@ -184,6 +186,50 @@ def per_seed_profits(jobs, kind, green, tariff, config, seeds) -> np.ndarray:
             for s in seeds
         ]
     )
+
+
+class _Unscripted(Exception):
+    """A coin flip past the end of the scripted outcomes."""
+
+
+def enumerated_expected_profit(jobs, kind, green, tariff, config):
+    """A randomized policy's exact expected net profit, and its coin paths.
+
+    Every coin-outcome sequence is enumerated depth first. A run offers the
+    jobs through ``place`` with a coin that replays a script of outcomes; a
+    flip past the script abandons the run and explores the script extended
+    by a keep and by a switch. A finished run's profit is weighted by the
+    product, in flip order, of its outcomes' probabilities, and the terms
+    are summed with ``math.fsum``. Returns (expectation, number of paths).
+    """
+    terms = []
+
+    def explore(script):
+        state = OnlineState.create(green, tariff, config)
+        asked = []
+
+        def coin(keep_first):
+            if len(asked) == len(script):
+                raise _Unscripted
+            asked.append(keep_first)
+            return script[len(asked) - 1]
+
+        state.coin = coin
+        try:
+            for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
+                place(job, state, kind)
+        except _Unscripted:
+            explore(script + (True,))
+            explore(script + (False,))
+            return
+        assert len(asked) == len(script)
+        weight = 1.0
+        for keep_first, keep in zip(asked, script):
+            weight *= keep_first if keep else 1.0 - keep_first
+        terms.append(weight * account(state.schedule, green, tariff, config).net_profit)
+
+    explore(())
+    return math.fsum(terms), len(terms)
 
 
 def decision_time_log(jobs, kind, green, tariff, config, seed=None):

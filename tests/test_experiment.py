@@ -55,6 +55,36 @@ def test_config_validation():
         small_cfg(families=("Real",), job_counts=())
 
 
+@pytest.mark.parametrize(
+    "knobs, text, message",
+    [
+        (dict(utilization=(0.5, 2.0)), "utilization = 0.5, 2.0", "target_utilization"),
+        (dict(fixed_p=0), "fixed_p = 0", "fixed sizes"),
+        (dict(day_fraction=2.0), "day_fraction = 2.0", "day_fraction"),
+        (
+            dict(families=("UE", "Real"), job_counts=(4, 0), swf_path="t.swf"),
+            "families = UE, Real\njob_counts = 4, 0\nswf_path = t.swf",
+            "job_count",
+        ),
+        (
+            dict(families=("Real",), job_counts=(4,), swf_path=""),
+            "families = Real\njob_counts = 4\nswf_path =",
+            "swf_path",
+        ),
+    ],
+    ids=["utilization", "fixed_p", "day_fraction", "job_count", "empty_swf_path"],
+)
+def test_config_checks_every_cell_up_front(tmp_path, knobs, text, message):
+    # a knob no cell's workload accepts fails at construction, before any
+    # cell of the sweep has run
+    with pytest.raises(ValueError, match=message):
+        small_cfg(**knobs)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
 def test_config_rejects_a_repeated_algorithm(tmp_path):
     # a repeat would play the policy twice per cell and duplicate its rows
     with pytest.raises(ValueError, match="algorithm 'FF' is repeated"):

@@ -56,3 +56,44 @@ def test_import_scan_sees_every_form():
         "import greensched.workload\ndef f():\n    from greensched.adversary import x\n"
     )
     assert package_imports(source) == {"schedulers", "cli", "workload", "adversary"}
+
+
+def callers(source: str, owner: str, attr: str) -> set[str]:
+    """Names of the innermost functions whose body calls ``owner.attr(...)``."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == owner
+        ):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_function_plays_the_engine():
+    # every engine run starts in schedulers._play, so a check made there
+    # sees every run
+    sites = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in callers(path.read_text(), "OnlineState", "create")
+    }
+    assert sites == {("schedulers", "_play")}
+
+
+def test_call_scan_sees_nested_and_module_level_calls():
+    source = (
+        "OnlineState.create(g)\ndef f():\n    def g():\n        OnlineState.create(1)\n"
+        "    return g\ndef h():\n    state.create(2)\n    OnlineState.build(3)\n"
+    )
+    assert callers(source, "OnlineState", "create") == {None, "g"}

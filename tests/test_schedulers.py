@@ -32,6 +32,7 @@ from greensched.workload import WorkloadSpec, generate
 
 from oracles import (
     decision_time_log,
+    enumerated_expected_profit,
     full_horizon_choice,
     per_seed_profits,
     random_instance,
@@ -722,7 +723,8 @@ def test_expected_profit_with_sure_coins_is_the_parent_policy(preemptive):
 
 def test_expected_profit_on_desk_instances(engine_plays):
     # acceptance 6's instances: eight jobs, so at most 2^8 coin paths, and
-    # OPT over the exact expectation with no Monte Carlo noise
+    # OPT over the exact expectation with no Monte Carlo noise; the ratios
+    # are pinned by repr, and the expectation equals the oracle's
     sim = SimConfig(machines=4, horizon_slots=42, forecast_slots=42)
     tariff = Tariff()
     green = synthetic_solar(sim)
@@ -735,7 +737,28 @@ def test_expected_profit_on_desk_instances(engine_plays):
         )
         jobs = generate(spec, sim, tariff)
         opt, _ = solve_nonpreemptive_exact(jobs, green, tariff, sim)
+        want, paths = enumerated_expected_profit(jobs, rf, green, tariff, sim)
         engine_plays.clear()
-        ratios.append(opt / expected_profit(jobs, rf, green, tariff, sim))
-        assert len(engine_plays) <= 2 ** len(jobs)
-    assert ratios == pytest.approx([1.09685, 1.14778, 1.06165, 1.14170], abs=5e-6)
+        mean = expected_profit(jobs, rf, green, tariff, sim)
+        assert mean == want and len(engine_plays) == paths <= 2 ** len(jobs)
+        ratios.append(opt / mean)
+    assert list(map(repr, ratios)) == [
+        "1.0968516278807545", "1.147776566196672", "1.0616471986508673", "1.1416977950167764",
+    ]
+
+
+@pytest.mark.parametrize("name", ["RF", "PRF"])
+def test_expected_profit_equals_the_path_enumeration(name, engine_plays):
+    # the oracle scripts every outcome sequence through place; the engine
+    # must match it exactly and play each of its paths once
+    kind = SchedulerKind(name, PARAMS)
+    rng = np.random.default_rng(83)
+    most_paths = 0
+    for _ in range(20):
+        jobs, green, tariff, cfg = random_instance(rng, max_jobs=8, max_slots=14)
+        want, paths = enumerated_expected_profit(jobs, kind, green, tariff, cfg)
+        engine_plays.clear()
+        assert expected_profit(jobs, kind, green, tariff, cfg) == want
+        assert len(engine_plays) == paths
+        most_paths = max(most_paths, paths)
+    assert most_paths >= 8

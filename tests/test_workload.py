@@ -69,6 +69,20 @@ def test_families_respect_window_invariants(family):
     assert total > 100
 
 
+@pytest.mark.parametrize("family", ["UU", "Staggered"])
+def test_short_horizons_cap_drawn_proc_times(family):
+    # p ~ U[1,9] on a 6-slot horizon: a draw past T is capped at T
+    cfg = SimConfig(machines=4, horizon_slots=6)
+    capped = 0
+    for seed in range(40):
+        spec = WorkloadSpec(family=family, target_utilization=1.0, rng_seed=seed)
+        for j in generate(spec, cfg):
+            assert 0 <= j.release <= j.release + j.proc_time - 1 <= j.deadline < 6
+            assert 1 <= j.nodes <= 4
+            capped += j.proc_time == 6
+    assert capped > 0
+
+
 def test_uu_hits_target_utilization():
     cap = CFG.machines * CFG.horizon_slots
     ratios = []
