@@ -36,7 +36,7 @@ from .pricing import (
     synthetic_solar,
 )
 from .schedulers import KINDS, SchedulerKind, run_online
-from .workload import FAMILIES, WorkloadSpec, generate
+from .workload import FAMILIES, WorkloadSpec, check_fits, generate
 
 
 class ExperimentError(RuntimeError):
@@ -85,11 +85,7 @@ class ExperimentConfig:
         for family in self.families:
             for point in _points(self, family):
                 cell_spec(self, family, point, 0)
-        source, _, path = self.green.partition(":")
-        if self.green not in ("synthetic", "zero") and not (source == "solar" and path):
-            raise ValueError(
-                f"green must be synthetic, zero or solar:<csv path>, got {self.green!r}"
-            )
+        _solar_path(self.green)
 
 
 def stable_seed(*parts) -> int:
@@ -98,40 +94,39 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
+def _solar_path(source: str) -> str | None:
+    """The CSV path of a solar:<path> green source, None for synthetic or zero."""
+    kind, _, path = source.partition(":")
+    if source not in ("synthetic", "zero") and not (kind == "solar" and path):
+        raise ValueError(
+            f"green source must be synthetic, zero or solar:<csv path>, got {source!r}"
+        )
+    return path or None
+
+
 def resolve_green(source: str, sim: SimConfig) -> GreenTrace:
     """The green trace named by ``source``: synthetic, zero or solar:<csv>."""
-    if source == "synthetic":
-        return synthetic_solar(sim)
-    if source == "zero":
-        return GreenTrace.zeros(sim)
-    if source.startswith("solar:"):
-        return load_solar_csv(source.split(":", 1)[1], sim)
-    raise ValueError(f"unknown green source {source!r}")
+    path = _solar_path(source)
+    if path:
+        return load_solar_csv(path, sim)
+    return synthetic_solar(sim) if source == "synthetic" else GreenTrace.zeros(sim)
 
 
 def _points(cfg: ExperimentConfig, family: str) -> tuple:
     return cfg.job_counts if family == "Real" else cfg.utilization
 
 
+# knobs a sweep hands every cell's WorkloadSpec unchanged
+_SHARED_KNOBS = tuple(
+    f.name for f in fields(WorkloadSpec) if f.name in {g.name for g in fields(ExperimentConfig)}
+)
+
+
 def cell_spec(cfg: ExperimentConfig, family: str, point, seed: int) -> WorkloadSpec:
     """One sweep cell's workload; ``point`` is a Real job count, else a utilization."""
-    if family == "Real":
-        return WorkloadSpec(
-            family="Real",
-            job_count=int(point),
-            swf_path=cfg.swf_path,
-            deadline_factor=cfg.deadline_factor,
-            rng_seed=seed,
-        )
-    return WorkloadSpec(
-        family=family,
-        target_utilization=float(point),
-        fixed_p=cfg.fixed_p,
-        fixed_q=cfg.fixed_q,
-        day_fraction=cfg.day_fraction,
-        span_days=cfg.span_days,
-        rng_seed=seed,
-    )
+    knobs = {name: getattr(cfg, name) for name in _SHARED_KNOBS}
+    load = {"job_count": int(point)} if family == "Real" else {"target_utilization": float(point)}
+    return WorkloadSpec(family=family, rng_seed=seed, **load, **knobs)
 
 
 def _kind(name: str, cfg: ExperimentConfig) -> SchedulerKind:
@@ -196,8 +191,15 @@ def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, l
     policy's mean. All three cover ``algorithms`` only, plus OPT (the exact
     solver, at desk-scale points) with ``include_offline``. ``preemption``
     also plays each non-P policy's P variant, every policy once per cell,
-    and compares their means in the fourth table, preemption.
+    and compares their means in the fourth table, preemption. A fixed job
+    size some cell cannot fit raises ExperimentError before any cell plays.
     """
+    for family in cfg.families:  # every fixed size fits before any cell plays
+        for point in _points(cfg, family):
+            try:
+                check_fits(cell_spec(cfg, family, point, 0), cfg.sim)
+            except ValueError as exc:
+                raise ExperimentError(f"{family} point {point}: {exc}") from exc
     green = resolve_green(cfg.green, cfg.sim)
     bases = [a for a in cfg.algorithms if not a.startswith("P")] if preemption else []
     extra = dict.fromkeys("P" + a for a in bases if "P" + a not in cfg.algorithms)

@@ -95,6 +95,11 @@ class Job:
             )
 
 
+def release_order(jobs: list[Job]) -> list[Job]:
+    """Jobs sorted by (release, deadline, id), the order policies and solvers take them in."""
+    return sorted(jobs, key=lambda j: (j.release, j.deadline, j.id))
+
+
 def check_deadlines(jobs: list[Job], config: SimConfig) -> None:
     """Raise ValueError naming the first job whose deadline is past the horizon."""
     for job in jobs:

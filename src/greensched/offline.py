@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .model import Job, Schedule, SimConfig, check_deadlines, commit
+from .model import Job, Schedule, SimConfig, check_deadlines, commit, release_order
 from .pricing import GreenTrace, Tariff, brown_cost_vector, horizon_supply, job_revenue
 
 
@@ -64,7 +64,7 @@ def _prepared(
     """Jobs in release order, plus per-slot green g, per-slot brown price b
     and per-job revenue rev as plain Python numbers."""
     check_deadlines(jobs, config)
-    order = sorted(jobs, key=lambda j: (j.release, j.deadline, j.id))
+    order = release_order(jobs)
     g = [int(v) for v in horizon_supply(green, config)]
     b = [float(v) for v in brown_cost_vector(tariff, config)]
     rev = [job_revenue(j, tariff, config) for j in order]
@@ -140,9 +140,7 @@ def _job_bound(job: Job, rev: float, g: list[int], b: list[float], M: int) -> fl
     """
     if job.nodes > M:
         return 0.0
-    costs = sorted(
-        b[t] * max(0, job.nodes - g[t]) for t in range(job.release, job.deadline + 1)
-    )
+    costs = sorted(_slot_costs(job, [0] * len(b), g, b)[job.release :])
     cheapest = 0.0
     for c in costs[: job.proc_time]:  # not sum(): it rounds by Python version
         cheapest += c

@@ -48,6 +48,7 @@ from .model import (
     check_deadlines,
     commit,
     nonpreemptive_starts,
+    release_order,
     slot_index,
     spare_slots,
 )
@@ -416,7 +417,7 @@ def _play(
 
     state = OnlineState.create(green, tariff, config)
     state.coin = coin
-    for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
+    for job in release_order(jobs):
         place(job, state, kind)
     return state.schedule, account(state.schedule, green, tariff, config), fresh
 
@@ -465,7 +466,7 @@ def decision_log(
     placements = iter(schedule.placements)
     placement = next(placements, None)
     log: list[LogEntry] = []
-    for job in sorted(jobs, key=lambda j: (j.release, j.deadline, j.id)):
+    for job in release_order(jobs):
         if placement is None or placement.job_id != job.id:
             log.append(LogEntry(job.id, "reject", None, (), 0, 0, 0.0, 0.0))
             continue

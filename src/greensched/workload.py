@@ -1,13 +1,15 @@
 """Workload generation and ingestion.
 
-Synthetic families share one knob, target utilization u: the expected total
-demand sum(p_j * q_j) is tuned to u * M * T node-slots. Families:
+A synthetic family is an arrival law and a size rule. Sizes are fixed (p =
+fixed_p slots on q = fixed_q nodes) or drawn (p ~ U[1,9] capped at T, q ~
+U[1, min(5, M)]). One knob, target utilization u, sets the load from the
+mean p * q: the expected total demand sum(p_j * q_j) is about u * M * T
+node-slots. Families:
 
-  UU         uniform arrivals, p ~ U[1,9] (at most T), q ~ U[1,5], loose
-             uniform deadlines
-  UE         uniform arrivals, equal sizes (fixed p and q), loose deadlines
-  PU / PE    Poisson arrivals with UU / UE sizes
-  Staggered  periodic day-heavy arrivals, deadline a fixed span after release
+  UU / UE    uniform arrivals, drawn / fixed sizes, loose uniform deadlines
+  PU / PE    Poisson arrivals, drawn / fixed sizes, loose uniform deadlines
+  Staggered  periodic day-heavy arrivals with drawn sizes, deadline a fixed
+             span after release
   Real       sampled from a batch trace file (see ingest_swf)
 
 Generation is deterministic given the spec's seed. Generators never emit a
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Job, SimConfig
+from .model import Job, SimConfig, release_order
 from .pricing import Tariff, onpeak_vector
 
 FAMILIES = ("UU", "UE", "PU", "PE", "Staggered", "Real")
@@ -69,21 +71,21 @@ class WorkloadSpec:
             raise ValueError("span_days and deadline_factor must be >= 1")
 
 
-def _mean_q(config: SimConfig) -> float:
-    qmax = min(5, config.machines)
-    return (1 + qmax) / 2
+_FIXED_SIZE = ("UE", "PE")  # families whose jobs all take fixed_p slots on fixed_q nodes
 
 
-def _job_budget(spec: WorkloadSpec, config: SimConfig, mean_pq: float) -> int:
-    u = spec.target_utilization
-    return max(1, round(u * config.machines * config.horizon_slots / mean_pq))
-
-
-def _draw_uniform_sizes(rng: np.random.Generator, config: SimConfig) -> tuple[int, int]:
-    """p ~ U[1,9] capped at the horizon, q ~ U[1, min(5, M)]."""
-    p = min(int(rng.integers(1, 10)), config.horizon_slots)
-    q = int(rng.integers(1, min(5, config.machines) + 1))
-    return p, q
+def check_fits(spec: WorkloadSpec, config: SimConfig) -> None:
+    """Raise ValueError when a fixed size (UE, PE) exceeds M nodes or T slots."""
+    if spec.family not in _FIXED_SIZE:
+        return
+    if spec.fixed_q > config.machines:
+        raise ValueError(
+            f"fixed node requirement {spec.fixed_q} exceeds {config.machines} machines"
+        )
+    if spec.fixed_p > config.horizon_slots:
+        raise ValueError(
+            f"fixed proc time {spec.fixed_p} exceeds the {config.horizon_slots}-slot horizon"
+        )
 
 
 def generate(
@@ -91,9 +93,13 @@ def generate(
 ) -> list[Job]:
     """Deterministically build the job list described by the spec.
 
-    Jobs come back sorted by (release, deadline) with ids 0..n-1 in that
-    order (Real keeps the trace's own ids). Specs that cannot fit the
-    cluster, such as a fixed node count above M, are rejected.
+    Uniform and Staggered arrivals draw round(u * M * T / mean p*q) jobs;
+    Poisson arrivals come at u * M / mean p*q per slot, and one too late to
+    finish is dropped (PE) or has p cut to the slots left (PU). A Staggered
+    deadline is span_days after release, later when p needs it, capped at
+    the horizon. Jobs come back sorted by (release, deadline) with ids
+    0..n-1 in that order (Real keeps the trace's own ids). A fixed size that
+    cannot fit the cluster raises ValueError (``check_fits``).
     """
     if spec.family == "Real":
         return ingest_swf(
@@ -103,63 +109,50 @@ def generate(
             rng_seed=spec.rng_seed,
             deadline_factor=spec.deadline_factor,
         )
+    check_fits(spec, config)
     rng = np.random.default_rng(spec.rng_seed)
     T = config.horizon_slots
+    fixed = spec.family in _FIXED_SIZE
+    # E[p] = 5 and E[q] = (1 + min(5, M)) / 2 for drawn sizes
+    mean_pq = spec.fixed_p * spec.fixed_q if fixed else 5.0 * (1 + min(5, config.machines)) / 2
+    budget = max(1, round(spec.target_utilization * config.machines * T / mean_pq))
+
+    def size() -> tuple[int, int]:
+        if fixed:
+            return spec.fixed_p, spec.fixed_q
+        p = min(int(rng.integers(1, 10)), T)
+        return p, int(rng.integers(1, min(5, config.machines) + 1))
+
     raw: list[tuple[int, int, int, int]] = []  # (release, deadline, p, q)
-
-    if spec.family in ("UE", "PE") and spec.fixed_q > config.machines:
-        raise ValueError(
-            f"fixed node requirement {spec.fixed_q} exceeds {config.machines} machines"
-        )
-    if spec.family in ("UE", "PE") and spec.fixed_p > T:
-        raise ValueError("fixed proc time exceeds the horizon")
-
-    if spec.family == "UU":
-        n = _job_budget(spec, config, 5.0 * _mean_q(config))
-        for _ in range(n):
-            p, q = _draw_uniform_sizes(rng, config)
-            r = int(rng.integers(0, T - p + 1))
-            d = int(rng.integers(r + p - 1, T))
-            raw.append((r, d, p, q))
-    elif spec.family == "UE":
-        n = _job_budget(spec, config, spec.fixed_p * spec.fixed_q)
-        p, q = spec.fixed_p, spec.fixed_q
-        for _ in range(n):
+    if spec.family in ("UU", "UE"):
+        for _ in range(budget):
+            p, q = size()
             r = int(rng.integers(0, T - p + 1))
             d = int(rng.integers(r + p - 1, T))
             raw.append((r, d, p, q))
     elif spec.family in ("PU", "PE"):
-        if spec.family == "PE":
-            mean_pq = float(spec.fixed_p * spec.fixed_q)
-        else:
-            mean_pq = 5.0 * _mean_q(config)
         lam = spec.target_utilization * config.machines / mean_pq  # jobs per slot
-        counts = rng.poisson(lam, size=T)
-        for t in range(T):
-            for _ in range(int(counts[t])):
-                if spec.family == "PE":
-                    p, q = spec.fixed_p, spec.fixed_q
-                    if t > T - p:
-                        continue  # too late to finish inside the horizon
-                else:
-                    p, q = _draw_uniform_sizes(rng, config)
-                    p = min(p, T - t)
-                d = int(rng.integers(t + p - 1, T))
-                raw.append((t, d, p, q))
-    elif spec.family == "Staggered":
-        n = _job_budget(spec, config, 5.0 * _mean_q(config))
+        for t in np.repeat(np.arange(T), rng.poisson(lam, size=T)).tolist():
+            p, q = size()
+            if t > T - p:  # too late to finish inside the horizon
+                if fixed:
+                    continue
+                p = T - t
+            d = int(rng.integers(t + p - 1, T))
+            raw.append((t, d, p, q))
+    else:  # Staggered
         peak = onpeak_vector(tariff or Tariff(), config)
         span = spec.span_days * config.slots_per_day
         on_slots = np.flatnonzero(peak)
         off_slots = np.flatnonzero(~peak)
-        for _ in range(n):
-            p, q = _draw_uniform_sizes(rng, config)
+        for _ in range(budget):
+            p, q = size()
             pool = on_slots if rng.random() < spec.day_fraction else off_slots
             pool = pool[pool <= T - p]
             if pool.size == 0:
                 pool = np.arange(0, T - p + 1)
             r = int(pool[rng.integers(0, pool.size)])
-            d = min(r + span, T - 1)
+            d = min(r + max(span, p - 1), T - 1)
             raw.append((r, d, p, q))
 
     raw.sort(key=lambda row: (row[0], row[1]))
@@ -277,7 +270,7 @@ def ingest_swf(
         rng = np.random.default_rng(rng_seed)
         picked = rng.choice(len(jobs), size=count, replace=False)
         jobs = [jobs[i] for i in sorted(picked)]
-    return sorted(jobs, key=lambda j: (j.release, j.deadline, j.id))
+    return release_order(jobs)
 
 
 def write_jobs(jobs: list[Job], path: str | Path) -> None:

@@ -227,10 +227,21 @@ def test_offline_failure_names_the_cell():
         run_suite(cfg)
 
 
-def test_workload_failure_names_the_cell():
-    cfg = small_cfg(fixed_q=9, repetitions=1)  # wider than the 4-node cluster
-    with pytest.raises(ExperimentError, match="UE point 0.3 rep 0"):
+def test_workload_failure_names_the_cell(monkeypatch):
+    # a fixed size wider than the 4-node cluster fails before the UU cells
+    # ahead of it play
+    calls = []
+    play = experiment.run_online
+
+    def counted(jobs, kind, *args, seed):
+        calls.append(kind.kind)
+        return play(jobs, kind, *args, seed=seed)
+
+    monkeypatch.setattr(experiment, "run_online", counted)
+    cfg = small_cfg(families=("UU", "UE"), utilization=(0.3,), fixed_q=9, repetitions=1)
+    with pytest.raises(ExperimentError, match="UE point 0.3: fixed node requirement 9"):
         run_suite(cfg)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -481,6 +492,8 @@ def test_load_config_rejects_unknown_green_source(tmp_path, source):
     path.write_text(f"green = {source}\n")
     with pytest.raises(ValueError, match="green"):
         load_config(path)
+    with pytest.raises(ValueError, match="green source"):
+        resolve_green(source, SMALL)
     # a solar path is checked only when the trace is read
     path.write_text(f"green = solar:{tmp_path / 'missing.csv'}\n")
     assert load_config(path).green.startswith("solar:")

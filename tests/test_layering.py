@@ -97,3 +97,27 @@ def test_call_scan_sees_nested_and_module_level_calls():
         "    return g\ndef h():\n    state.create(2)\n    OnlineState.build(3)\n"
     )
     assert callers(source, "OnlineState", "create") == {None, "g"}
+
+
+def release_keys(source: str) -> int:
+    """How many tuples in the source start with ``x.release, x.deadline``."""
+    return sum(
+        isinstance(node, ast.Tuple)
+        and [getattr(e, "attr", None) for e in node.elts[:2]] == ["release", "deadline"]
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_one_function_builds_the_release_order():
+    # policies, solvers and trace ingestion take jobs in one order, stated
+    # once in model.release_order
+    counts = {path.stem: release_keys(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"model": 1}
+
+
+def test_release_key_scan_sees_lambdas_and_bare_tuples():
+    source = (
+        "sorted(js, key=lambda j: (j.release, j.deadline, j.id))\n"
+        "k = (a.release, b.deadline)\n(j.deadline, j.release)\n(row[0], row[1])\n"
+    )
+    assert release_keys(source) == 2

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from greensched.model import SimConfig
 from greensched.pricing import Tariff, onpeak_vector
 from greensched.workload import (
     WorkloadSpec,
+    check_fits,
     generate,
     ingest_swf,
     read_jobs,
@@ -37,6 +39,20 @@ def test_ue_job_count_at_ten_percent():
     jobs = generate(spec, CFG)
     assert len(jobs) == 51
     assert all(j.proc_time == 5 and j.nodes == 3 for j in jobs)
+
+
+def test_job_lists_are_pinned():
+    # sha256 over the reprs of 60 job lists: any change to a family's draws,
+    # their order or the resulting jobs moves it
+    digest = hashlib.sha256()
+    for T in (12, 96, 480):
+        for family in ("UU", "UE", "PU", "PE", "Staggered"):
+            for seed in range(4):
+                spec = WorkloadSpec(family=family, target_utilization=1.0, rng_seed=seed)
+                digest.update(repr(generate(spec, SimConfig(horizon_slots=T))).encode())
+    assert digest.hexdigest() == (
+        "45bd6c1a54e43fe686bb080b9cd4c1308442b6310aceb20415d0118f57c083a9"
+    )
 
 
 def test_generation_deterministic_and_seed_sensitive():
@@ -123,6 +139,23 @@ def test_staggered_day_bias_and_spans():
     assert abs(share - 0.75) < 0.05
 
 
+def test_staggered_deadline_holds_a_job_longer_than_the_span():
+    # 3 slots a day: a one-day span is shorter than most drawn p, so the
+    # deadline stretches to r + p - 1 (still capped at the horizon)
+    cfg = SimConfig(machines=4, horizon_slots=20, slot_minutes=480)
+    tariff = Tariff(onpeak_start_slot=1, onpeak_end_slot=2)
+    stretched = 0
+    for seed in range(40):
+        spec = WorkloadSpec(
+            family="Staggered", target_utilization=0.5, span_days=1, rng_seed=seed
+        )
+        for j in generate(spec, cfg, tariff):
+            assert j.release + j.proc_time - 1 <= j.deadline < cfg.horizon_slots
+            assert j.deadline == min(j.release + max(3, j.proc_time - 1), 19)
+            stretched += j.proc_time - 1 > 3
+    assert stretched > 0
+
+
 def test_staggered_respects_custom_tariff():
     # a tariff whose peak covers slots 0..9 of each day shifts the arrivals
     tariff = Tariff(onpeak_start_slot=0, onpeak_end_slot=9)
@@ -141,10 +174,12 @@ def test_equal_families_reject_oversized_fixtures():
             WorkloadSpec(family="UE", target_utilization=0.5, fixed_q=17), CFG
         )
     small = SimConfig(machines=4, horizon_slots=10, forecast_slots=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fixed proc time 11"):
         generate(
             WorkloadSpec(family="PE", target_utilization=0.5, fixed_p=11), small
         )
+    # drawn sizes never read the fixed ones
+    check_fits(WorkloadSpec(family="PU", target_utilization=0.5, fixed_p=11), small)
 
 
 def test_mass_invariants_ten_thousand_jobs():
