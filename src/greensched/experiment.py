@@ -36,7 +36,7 @@ from .pricing import (
     synthetic_solar,
 )
 from .schedulers import KINDS, SchedulerKind, run_online
-from .workload import FAMILIES, WorkloadSpec, check_fits, generate
+from .workload import FAMILIES, WorkloadSpec, check_fits, generate, ingest_swf, sample_jobs
 
 
 class ExperimentError(RuntimeError):
@@ -68,11 +68,19 @@ class ExperimentConfig:
         for f in self.families:
             if f not in FAMILIES:
                 raise ValueError(f"unknown family {f!r}")
-        for i, a in enumerate(self.algorithms):
+        for a in self.algorithms:
             if a not in KINDS:
                 raise ValueError(f"unknown algorithm {a!r}")
-            if a in self.algorithms[:i]:
-                raise ValueError(f"algorithm {a!r} is repeated")
+        # a repeated entry would play its cells twice (1 and 1.0 are one point)
+        for label, values in (
+            ("family", self.families),
+            ("utilization", self.utilization),
+            ("job count", self.job_counts),
+            ("algorithm", self.algorithms),
+        ):
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"{label} {v!r} is repeated")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         check_onpeak_window(self.tariff, self.sim)
@@ -191,14 +199,21 @@ def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, l
     policy's mean. All three cover ``algorithms`` only, plus OPT (the exact
     solver, at desk-scale points) with ``include_offline``. ``preemption``
     also plays each non-P policy's P variant, every policy once per cell,
-    and compares their means in the fourth table, preemption. A fixed job
-    size some cell cannot fit raises ExperimentError before any cell plays.
+    and compares their means in the fourth table, preemption. Before any
+    cell plays, the job trace is read once (Real cells sample it), and a
+    fixed size, job count or trace that some cell cannot use raises
+    ExperimentError.
     """
-    for family in cfg.families:  # every fixed size fits before any cell plays
+    trace: list = []
+    for family in cfg.families:
         for point in _points(cfg, family):
             try:
-                check_fits(cell_spec(cfg, family, point, 0), cfg.sim)
-            except ValueError as exc:
+                spec = cell_spec(cfg, family, point, 0)
+                check_fits(spec, cfg.sim)
+                if family == "Real":  # ingest_swf never returns an empty trace
+                    trace = trace or ingest_swf(cfg.swf_path, cfg.sim, cfg.deadline_factor)
+                    sample_jobs(trace, spec.job_count, 0)  # the trace holds the count
+            except (ValueError, OSError) as exc:
                 raise ExperimentError(f"{family} point {point}: {exc}") from exc
     green = resolve_green(cfg.green, cfg.sim)
     bases = [a for a in cfg.algorithms if not a.startswith("P")] if preemption else []
@@ -210,12 +225,11 @@ def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, l
         for point in _points(cfg, family):
             for rep in range(cfg.repetitions):
                 wseed = stable_seed(cfg.master_seed, family, point, rep)
-                try:
-                    jobs = generate(cell_spec(cfg, family, point, wseed), cfg.sim, cfg.tariff)
-                except (ValueError, OSError) as exc:
-                    raise ExperimentError(
-                        f"{family} point {point} rep {rep}: {exc}"
-                    ) from exc
+                spec = cell_spec(cfg, family, point, wseed)
+                if family == "Real":
+                    jobs = sample_jobs(trace, spec.job_count, wseed)
+                else:
+                    jobs = generate(spec, cfg.sim, cfg.tariff)
                 for name in plays:
                     aseed = stable_seed(cfg.master_seed, family, point, rep, name)
                     sched, report = run_online(

@@ -31,13 +31,11 @@ seeds is read seed by seed.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -574,35 +572,3 @@ def expected_profit(
             weight *= keep_first
         terms.append(weight * report.net_profit)
     return math.fsum(terms)
-
-
-LOG_HEADER = [
-    "job_id",
-    "decision",
-    "start_slot",
-    "slots",
-    "green_units",
-    "brown_units",
-    "revenue",
-    "cost",
-]
-
-
-def write_log_csv(entries: list[LogEntry], path: str | Path) -> None:
-    """Write the admit/reject log; slots are ';'-joined ordinals."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOG_HEADER)
-        for e in entries:
-            writer.writerow(
-                [
-                    e.job_id,
-                    e.decision,
-                    "" if e.start_slot is None else e.start_slot,
-                    ";".join(str(t) for t in e.slots),
-                    e.green_units,
-                    e.brown_units,
-                    f"{e.revenue:.10g}",
-                    f"{e.cost:.10g}",
-                ]
-            )

@@ -10,7 +10,7 @@ node-slots. Families:
   PU / PE    Poisson arrivals, drawn / fixed sizes, loose uniform deadlines
   Staggered  periodic day-heavy arrivals with drawn sizes, deadline a fixed
              span after release
-  Real       sampled from a batch trace file (see ingest_swf)
+  Real       sampled from a batch trace file (ingest_swf, then sample_jobs)
 
 Generation is deterministic given the spec's seed. Generators never emit a
 job whose window leaves the horizon.
@@ -98,17 +98,14 @@ def generate(
     finish is dropped (PE) or has p cut to the slots left (PU). A Staggered
     deadline is span_days after release, later when p needs it, capped at
     the horizon. Jobs come back sorted by (release, deadline) with ids
-    0..n-1 in that order (Real keeps the trace's own ids). A fixed size that
-    cannot fit the cluster raises ValueError (``check_fits``).
+    0..n-1 in that order. A Real list is ``sample_jobs`` of the whole
+    ``ingest_swf`` trace and keeps the trace's own ids; it reads the trace
+    file on every call. A fixed size that cannot fit the cluster raises
+    ValueError (``check_fits``).
     """
     if spec.family == "Real":
-        return ingest_swf(
-            spec.swf_path,
-            config,
-            count=spec.job_count,
-            rng_seed=spec.rng_seed,
-            deadline_factor=spec.deadline_factor,
-        )
+        trace = ingest_swf(spec.swf_path, config, spec.deadline_factor)
+        return sample_jobs(trace, spec.job_count, spec.rng_seed)
     check_fits(spec, config)
     rng = np.random.default_rng(spec.rng_seed)
     T = config.horizon_slots
@@ -165,14 +162,8 @@ def generate(
 SWF_FIELDS = 18  # fields per row of a Standard Workload Format trace
 
 
-def ingest_swf(
-    path: str | Path,
-    config: SimConfig,
-    count: int | None = None,
-    rng_seed: int = 0,
-    deadline_factor: int = 4,
-) -> list[Job]:
-    """Map a batch trace onto the slot grid and sample jobs from it.
+def ingest_swf(path: str | Path, config: SimConfig, deadline_factor: int = 4) -> list[Job]:
+    """Map a batch trace onto the slot grid: every usable job, in trace order.
 
     Fields are whitespace or comma separated, with '#'/';' comments. The
     first data row fixes the layout, and every later row must have as many
@@ -184,9 +175,9 @@ def ingest_swf(
     positive are skipped with one warning. Submit times are rebased to the
     earliest one. Releases floor to slots, run times round up, node requests
     clamp to M with a warning, and the deadline is release +
-    deadline_factor * p capped at the horizon. Jobs that cannot fit the horizon are skipped with a
-    warning. ``count`` jobs are then sampled without replacement using
-    ``rng_seed``.
+    deadline_factor * p capped at the horizon. Jobs that cannot fit the
+    horizon are skipped with a warning. Jobs keep the order of their rows,
+    which is the order ``sample_jobs`` draws indices from.
     """
     rows: list[tuple[int, float, float, int]] = []
     width = 0  # field count of the first data row
@@ -260,17 +251,17 @@ def ingest_swf(
         raise ValueError(f"{path}: selection is empty, nothing fits the horizon")
     if len({j.id for j in jobs}) != len(jobs):
         raise ValueError(f"{path}: duplicate job ids")
-    if count is not None:
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if count > len(jobs):
-            raise ValueError(
-                f"{path}: asked for {count} jobs, only {len(jobs)} usable"
-            )
-        rng = np.random.default_rng(rng_seed)
-        picked = rng.choice(len(jobs), size=count, replace=False)
-        jobs = [jobs[i] for i in sorted(picked)]
-    return release_order(jobs)
+    return jobs
+
+
+def sample_jobs(jobs: list[Job], count: int, rng_seed: int) -> list[Job]:
+    """``count`` of the jobs, drawn without replacement, in release order."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if count > len(jobs):
+        raise ValueError(f"asked for {count} jobs, only {len(jobs)} usable")
+    picked = np.random.default_rng(rng_seed).choice(len(jobs), size=count, replace=False)
+    return release_order([jobs[i] for i in sorted(picked)])
 
 
 def write_jobs(jobs: list[Job], path: str | Path) -> None:

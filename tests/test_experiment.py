@@ -1,11 +1,14 @@
+import hashlib
+import itertools
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from greensched import experiment
+from greensched import experiment, workload
 from greensched.experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -22,6 +25,7 @@ from greensched.model import SimConfig
 from greensched.offline import NONPREEMPTIVE_LIMITS, SolveLimits
 from greensched.pricing import GreenTrace, synthetic_solar
 from greensched.schedulers import KINDS
+from greensched.workload import WorkloadSpec, generate
 
 SMALL = SimConfig(machines=4, horizon_slots=48, forecast_slots=48)
 
@@ -92,6 +96,31 @@ def test_config_rejects_a_repeated_algorithm(tmp_path):
     path = tmp_path / "twice.cfg"
     path.write_text("algorithms = FF, FF\n")
     with pytest.raises(ValueError, match="algorithm 'FF' is repeated"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "knobs, text, message",
+    [
+        (dict(families=("UE", "UE")), "families = UE, UE", "family 'UE' is repeated"),
+        (dict(utilization=(0.3, 0.3)), "utilization = 0.3, 0.3", "utilization 0.3 is repeated"),
+        (dict(utilization=(1, 1.0)), "utilization = 1, 1.0", "utilization 1.0 is repeated"),
+        (
+            dict(families=("Real",), job_counts=(4, 4), swf_path="t.swf"),
+            "families = Real\njob_counts = 4, 4\nswf_path = t.swf",
+            "job count 4 is repeated",
+        ),
+    ],
+    ids=["families", "utilization", "int-and-float", "job_counts"],
+)
+def test_config_rejects_repeated_sweep_entries(tmp_path, knobs, text, message):
+    # a repeated point or family would play each of its cells twice and
+    # average the copies into one means row
+    with pytest.raises(ValueError, match=message):
+        small_cfg(**knobs)
+    path = tmp_path / "twice.cfg"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError, match=message):
         load_config(path)
 
 
@@ -227,9 +256,7 @@ def test_offline_failure_names_the_cell():
         run_suite(cfg)
 
 
-def test_workload_failure_names_the_cell(monkeypatch):
-    # a fixed size wider than the 4-node cluster fails before the UU cells
-    # ahead of it play
+def _counted_plays(monkeypatch) -> list:
     calls = []
     play = experiment.run_online
 
@@ -238,6 +265,13 @@ def test_workload_failure_names_the_cell(monkeypatch):
         return play(jobs, kind, *args, seed=seed)
 
     monkeypatch.setattr(experiment, "run_online", counted)
+    return calls
+
+
+def test_workload_failure_names_the_cell(monkeypatch):
+    # a fixed size wider than the 4-node cluster fails before the UU cells
+    # ahead of it play
+    calls = _counted_plays(monkeypatch)
     cfg = small_cfg(families=("UU", "UE"), utilization=(0.3,), fixed_q=9, repetitions=1)
     with pytest.raises(ExperimentError, match="UE point 0.3: fixed node requirement 9"):
         run_suite(cfg)
@@ -354,7 +388,8 @@ def test_preemption_comparison_failure_names_the_cell(tmp_path):
         utilization=(),
         repetitions=1,
     )
-    with pytest.raises(ExperimentError, match="Real point 4 rep 0"):
+    # the trace is read before any cell, so the message names no rep
+    with pytest.raises(ExperimentError, match="Real point 4: .*missing.swf"):
         preemption_comparison(cfg)
 
 
@@ -374,6 +409,115 @@ def test_real_family_sweep(tmp_path):
     tables = run_suite(cfg)
     offered = {r["point"]: r["jobs_offered"] for r in tables["runs"]}
     assert offered == {4: 4, 8: 8}
+
+
+def _write_trace(path, rows):
+    path.write_text("\n".join(" ".join(str(x) for x in row) for row in rows) + "\n")
+    return str(path)
+
+
+def _parity_traces(tmp_path) -> list[str]:
+    """Four traces: in submit order, shuffled, with unusable and late rows, 18-field."""
+    rows = [(i + 1, 1000 + 700 * i, 600 + 900 * (i % 5), 1 + i % 6) for i in range(36)]
+    late = [(100 + i, 1000 + 900 * (96 + 20 * i), 1800, 2) for i in range(4)]  # past 96 slots
+    unusable = [(200, 5000, -1, 2), (201, 6000, 900, 0)]
+    return [
+        _write_trace(tmp_path / "ordered.swf", rows),
+        _write_trace(tmp_path / "shuffled.swf", [rows[(7 * i) % 36] for i in range(36)]),
+        _write_trace(tmp_path / "mixed.swf", rows[:10] + late + unusable + rows[10:]),
+        _write_trace(
+            tmp_path / "swf18.swf",
+            [
+                (jid, sub, 0, run, -1 if jid % 4 == 0 else q, -1, -1, q) + (-1,) * 10
+                for jid, sub, run, q in rows
+            ],
+        ),
+    ]
+
+
+def test_real_sweeps_are_pinned(tmp_path):
+    # how often the trace is read must not change a Real table or a
+    # sampled job list by one byte
+    digest = hashlib.sha256()
+    grids = [SimConfig(machines=4, horizon_slots=96, forecast_slots=96), SimConfig()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamped, skipped and unusable rows
+        for t, swf in enumerate(_parity_traces(tmp_path)):
+            for g, sim in enumerate(grids):
+                for count, seed in itertools.product((1, 4, 10), range(4)):
+                    spec = WorkloadSpec("Real", job_count=count, swf_path=swf, rng_seed=seed)
+                    digest.update(repr(generate(spec, sim)).encode())
+                for families in (("Real",), ("UE", "Real")):
+                    out = tmp_path / f"out-{t}-{g}-{len(families)}"
+                    cfg = ExperimentConfig(
+                        sim=sim,
+                        families=families,
+                        utilization=(0.1,),
+                        job_counts=(4, 10),
+                        swf_path=swf,
+                        deadline_factor=2 + t % 2,
+                        repetitions=3,
+                        master_seed=t,
+                        output_dir=str(out),
+                    )
+                    run_suite(cfg, preemption=True)
+                    for name in ("runs", "means", "ratios", "preemption"):
+                        digest.update((out / f"{name}.csv").read_bytes())
+    assert digest.hexdigest() == "f4b732cf93c8e66d957e3dff7635a704778268e1b69d3168a70a869add28ec12"
+
+
+def test_real_sweep_reads_its_trace_once(tmp_path, monkeypatch):
+    swf = _write_trace(tmp_path / "t.swf", [(i + 1, 600 * i, 900, 1 + i % 3) for i in range(12)])
+    opened = []
+
+    def counted_open(path, *args, **kw):
+        opened.append(str(path))
+        return open(path, *args, **kw)
+
+    monkeypatch.setattr(workload, "open", counted_open, raising=False)
+    cfg = small_cfg(families=("Real",), job_counts=(4, 8), swf_path=swf, utilization=())
+    run_suite(cfg)
+    assert opened == [swf]
+
+
+def test_a_trace_warning_is_raised_once_per_sweep(tmp_path):
+    # job 1 asks for 9 nodes on a 4-node cluster
+    swf = _write_trace(tmp_path / "t.swf", [(i + 1, 600 * i, 900, 9 if i == 0 else 2) for i in range(12)])
+    cfg = small_cfg(families=("Real",), job_counts=(4, 8), swf_path=swf, utilization=())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_suite(cfg)
+    assert [str(w.message) for w in caught] == ["job 1: requested 9 nodes, clamped to 4"]
+
+
+@pytest.mark.parametrize(
+    "trace_rows, job_counts, message",
+    [
+        (None, (4,), r"Real point 4: .*No such file"),
+        (12, (4, 50), "Real point 50: asked for 50 jobs, only 12 usable"),
+        (1, (4,), r"Real point 4: .*t\.swf:1: expected at least 4 fields"),
+    ],
+    ids=["missing", "too-few-jobs", "unreadable"],
+)
+def test_a_bad_trace_stops_the_sweep_before_its_first_play(
+    tmp_path, monkeypatch, trace_rows, job_counts, message
+):
+    swf = tmp_path / "t.swf"
+    if trace_rows == 1:
+        swf.write_text("1 0 900\n")
+    elif trace_rows:
+        _write_trace(swf, [(i + 1, 600 * i, 900, 2) for i in range(trace_rows)])
+    calls = _counted_plays(monkeypatch)
+    cfg = small_cfg(
+        families=("UE", "Real"),
+        utilization=(0.3,),
+        job_counts=job_counts,
+        swf_path=str(swf),
+        algorithms=("FF",),
+    )
+    with pytest.raises(ExperimentError, match=message):
+        run_suite(cfg)
+    assert calls == []
 
 
 # --- config files ---------------------------------------------------------

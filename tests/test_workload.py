@@ -12,6 +12,7 @@ from greensched.workload import (
     generate,
     ingest_swf,
     read_jobs,
+    sample_jobs,
     write_jobs,
 )
 
@@ -245,15 +246,15 @@ def test_swf_skips_jobs_past_horizon(tmp_path):
 def test_swf_sampling_is_deterministic(tmp_path):
     lines = [f"{i} {i * 900} 900 1" for i in range(1, 21)]
     trace = _write_trace(tmp_path / "t.swf", lines)
-    a = ingest_swf(trace, CFG, count=5, rng_seed=11)
-    b = ingest_swf(trace, CFG, count=5, rng_seed=11)
-    c = ingest_swf(trace, CFG, count=5, rng_seed=12)
+    full = ingest_swf(trace, CFG)
+    a = sample_jobs(full, 5, 11)
+    b = sample_jobs(full, 5, 11)
+    c = sample_jobs(full, 5, 12)
     assert a == b and len(a) == 5
     assert a != c
-    full_ids = {j.id for j in ingest_swf(trace, CFG)}
-    assert {j.id for j in a} <= full_ids
+    assert {j.id for j in a} <= {j.id for j in full}
     with pytest.raises(ValueError, match="only"):
-        ingest_swf(trace, CFG, count=21)
+        sample_jobs(full, 21, 11)
 
 
 def test_swf_parse_errors(tmp_path):
