@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable
+from dataclasses import replace
 
 from .adversary import expected_ratio, measure_ratio, standard_suite
 from .experiment import (
     ExperimentConfig,
-    cell_spec,
+    cell_jobs,
     load_config,
     parse_limits,
     resolve_green,
@@ -32,7 +33,7 @@ from .offline import (
     solve_preemptive_exact,
 )
 from .pricing import account
-from .workload import generate, read_jobs, write_jobs
+from .workload import ingest_swf, read_jobs, write_jobs
 
 
 _CONFIG_HELP = "sweep config file; without it every setting takes its default"
@@ -67,7 +68,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg = _config(args.config)
-    jobs = generate(cell_spec(cfg, args.family, args.point, args.seed), cfg.sim, cfg.tariff)
+    trace = []
+    if args.family == "Real":  # checked and read as a one-point Real sweep's
+        cfg = replace(cfg, families=("Real",), job_counts=(int(args.point),))
+        trace = ingest_swf(cfg.swf_path, cfg.sim, cfg.deadline_factor)
+    jobs = cell_jobs(cfg, args.family, args.point, args.seed, trace)
     write_jobs(jobs, args.out)
     print(f"{len(jobs)} jobs -> {args.out}")
     return 0

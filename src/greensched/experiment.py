@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .model import SimConfig
+from .model import Job, SimConfig
 from .offline import (
     NONPREEMPTIVE_LIMITS,
     SolveLimits,
@@ -56,7 +57,7 @@ class ExperimentConfig:
     fixed_q: int = WorkloadSpec.fixed_q
     day_fraction: float = WorkloadSpec.day_fraction
     span_days: int = WorkloadSpec.span_days
-    deadline_factor: int = WorkloadSpec.deadline_factor
+    deadline_factor: int = 4  # Real: deadline = release + factor * p
     algorithms: tuple[str, ...] = ("FF", "BF", "RF")
     repetitions: int = 30
     include_offline: bool = False
@@ -66,7 +67,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in self.families:
-            if f not in FAMILIES:
+            if f not in FAMILIES and f != "Real":
                 raise ValueError(f"unknown family {f!r}")
         for a in self.algorithms:
             if a not in KINDS:
@@ -84,15 +85,20 @@ class ExperimentConfig:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         check_onpeak_window(self.tariff, self.sim)
-        if any(f != "Real" for f in self.families) and not self.utilization:
+        synthetic = [f for f in self.families if f != "Real"]
+        if synthetic and not self.utilization:
             raise ValueError("utilization sweep must not be empty")
+        if self.deadline_factor < 1:
+            raise ValueError("deadline_factor must be >= 1")
+        # every cell's workload knobs are checked now, not when the sweep reaches it
+        for family, point in itertools.product(synthetic, self.utilization):
+            cell_spec(self, family, point, 0)
         if "Real" in self.families and not self.job_counts:
             raise ValueError("Real family needs job_counts")
-        # every cell's workload knobs are checked now, not when the sweep
-        # reaches the cell
-        for family in self.families:
-            for point in _points(self, family):
-                cell_spec(self, family, point, 0)
+        if min(self.job_counts, default=1) < 1:
+            raise ValueError("Real workloads need job_count >= 1")
+        if "Real" in self.families and not self.swf_path:
+            raise ValueError("Real workloads need swf_path")
         _solar_path(self.green)
 
 
@@ -124,17 +130,17 @@ def _points(cfg: ExperimentConfig, family: str) -> tuple:
     return cfg.job_counts if family == "Real" else cfg.utilization
 
 
-# knobs a sweep hands every cell's WorkloadSpec unchanged
-_SHARED_KNOBS = tuple(
-    f.name for f in fields(WorkloadSpec) if f.name in {g.name for g in fields(ExperimentConfig)}
-)
-
-
 def cell_spec(cfg: ExperimentConfig, family: str, point, seed: int) -> WorkloadSpec:
-    """One sweep cell's workload; ``point`` is a Real job count, else a utilization."""
-    knobs = {name: getattr(cfg, name) for name in _SHARED_KNOBS}
-    load = {"job_count": int(point)} if family == "Real" else {"target_utilization": float(point)}
-    return WorkloadSpec(family=family, rng_seed=seed, **load, **knobs)
+    """One synthetic sweep cell's workload at utilization ``point``."""
+    knobs = cfg.fixed_p, cfg.fixed_q, cfg.day_fraction, cfg.span_days
+    return WorkloadSpec(family, float(point), *knobs, rng_seed=seed)
+
+
+def cell_jobs(cfg: ExperimentConfig, family: str, point, seed: int, trace: list[Job]) -> list[Job]:
+    """One sweep cell's jobs: ``trace`` (read once) sampled at a Real job count, else generated."""
+    if family == "Real":
+        return sample_jobs(trace, int(point), seed)
+    return generate(cell_spec(cfg, family, point, seed), cfg.sim, cfg.tariff)
 
 
 def _kind(name: str, cfg: ExperimentConfig) -> SchedulerKind:
@@ -200,22 +206,25 @@ def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, l
     solver, at desk-scale points) with ``include_offline``. ``preemption``
     also plays each non-P policy's P variant, every policy once per cell,
     and compares their means in the fourth table, preemption. Before any
-    cell plays, the job trace is read once (Real cells sample it), and a
-    fixed size, job count or trace that some cell cannot use raises
-    ExperimentError.
+    cell plays, the job trace and the green source are read once (Real
+    cells sample the trace), and a fixed size, job count, trace or solar
+    CSV that the sweep cannot use raises ExperimentError. Each cell's job
+    list is ``cell_jobs``.
     """
-    trace: list = []
-    for family in cfg.families:
-        for point in _points(cfg, family):
-            try:
-                spec = cell_spec(cfg, family, point, 0)
-                check_fits(spec, cfg.sim)
+    trace: list[Job] = []
+    try:
+        for family in cfg.families:
+            for point in _points(cfg, family):
+                where = f"{family} point {point}"
                 if family == "Real":  # ingest_swf never returns an empty trace
                     trace = trace or ingest_swf(cfg.swf_path, cfg.sim, cfg.deadline_factor)
-                    sample_jobs(trace, spec.job_count, 0)  # the trace holds the count
-            except (ValueError, OSError) as exc:
-                raise ExperimentError(f"{family} point {point}: {exc}") from exc
-    green = resolve_green(cfg.green, cfg.sim)
+                    cell_jobs(cfg, family, point, 0, trace)  # the trace holds the count
+                else:
+                    check_fits(cell_spec(cfg, family, point, 0), cfg.sim)
+        where = f"green {cfg.green}"
+        green = resolve_green(cfg.green, cfg.sim)
+    except (ValueError, OSError) as exc:
+        raise ExperimentError(f"{where}: {exc}") from exc
     bases = [a for a in cfg.algorithms if not a.startswith("P")] if preemption else []
     extra = dict.fromkeys("P" + a for a in bases if "P" + a not in cfg.algorithms)
     plays = cfg.algorithms + tuple(extra)
@@ -225,11 +234,7 @@ def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, l
         for point in _points(cfg, family):
             for rep in range(cfg.repetitions):
                 wseed = stable_seed(cfg.master_seed, family, point, rep)
-                spec = cell_spec(cfg, family, point, wseed)
-                if family == "Real":
-                    jobs = sample_jobs(trace, spec.job_count, wseed)
-                else:
-                    jobs = generate(spec, cfg.sim, cfg.tariff)
+                jobs = cell_jobs(cfg, family, point, wseed, trace)
                 for name in plays:
                     aseed = stable_seed(cfg.master_seed, family, point, rep, name)
                     sched, report = run_online(

@@ -33,42 +33,32 @@ import numpy as np
 from .model import Job, SimConfig, release_order
 from .pricing import Tariff, onpeak_vector
 
-FAMILIES = ("UU", "UE", "PU", "PE", "Staggered", "Real")
+FAMILIES = ("UU", "UE", "PU", "PE", "Staggered")  # synthetic; Real lists sample a trace
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Everything needed to synthesize (or sample) one job list."""
+    """Everything needed to synthesize one job list of a synthetic family."""
 
     family: str
-    target_utilization: float | None = None
+    target_utilization: float
     fixed_p: int = 5
     fixed_q: int = 3
-    job_count: int | None = None  # Real family: how many jobs to sample
-    swf_path: str | None = None
     day_fraction: float = 0.75  # Staggered: share of arrivals on-peak
     span_days: int = 2  # Staggered: deadline span after release
-    deadline_factor: int = 4  # Real: deadline = release + factor * p
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown workload family {self.family!r}")
-        if self.family == "Real":
-            if self.job_count is None or self.job_count < 1:
-                raise ValueError("Real workloads need job_count >= 1")
-            if not self.swf_path:
-                raise ValueError("Real workloads need swf_path")
-        else:
-            u = self.target_utilization
-            if u is None or not 0 < u <= 1.5:
-                raise ValueError("target_utilization must lie in (0, 1.5]")
+            raise ValueError(f"unknown synthetic workload family {self.family!r}")
+        if not 0 < self.target_utilization <= 1.5:
+            raise ValueError("target_utilization must lie in (0, 1.5]")
         if self.fixed_p < 1 or self.fixed_q < 1:
             raise ValueError("fixed sizes must be >= 1")
         if not 0 <= self.day_fraction <= 1:
             raise ValueError("day_fraction must lie in [0, 1]")
-        if self.span_days < 1 or self.deadline_factor < 1:
-            raise ValueError("span_days and deadline_factor must be >= 1")
+        if self.span_days < 1:
+            raise ValueError("span_days must be >= 1")
 
 
 _FIXED_SIZE = ("UE", "PE")  # families whose jobs all take fixed_p slots on fixed_q nodes
@@ -91,21 +81,17 @@ def check_fits(spec: WorkloadSpec, config: SimConfig) -> None:
 def generate(
     spec: WorkloadSpec, config: SimConfig, tariff: Tariff | None = None
 ) -> list[Job]:
-    """Deterministically build the job list described by the spec.
+    """Deterministically build the synthetic job list described by the spec.
 
     Uniform and Staggered arrivals draw round(u * M * T / mean p*q) jobs;
     Poisson arrivals come at u * M / mean p*q per slot, and one too late to
     finish is dropped (PE) or has p cut to the slots left (PU). A Staggered
     deadline is span_days after release, later when p needs it, capped at
     the horizon. Jobs come back sorted by (release, deadline) with ids
-    0..n-1 in that order. A Real list is ``sample_jobs`` of the whole
-    ``ingest_swf`` trace and keeps the trace's own ids; it reads the trace
-    file on every call. A fixed size that cannot fit the cluster raises
-    ValueError (``check_fits``).
+    0..n-1 in that order. No file is read: a Real list is
+    ``sample_jobs(ingest_swf(...), count, seed)``. A fixed size that cannot
+    fit the cluster raises ValueError (``check_fits``).
     """
-    if spec.family == "Real":
-        trace = ingest_swf(spec.swf_path, config, spec.deadline_factor)
-        return sample_jobs(trace, spec.job_count, spec.rng_seed)
     check_fits(spec, config)
     rng = np.random.default_rng(spec.rng_seed)
     T = config.horizon_slots
@@ -175,10 +161,12 @@ def ingest_swf(path: str | Path, config: SimConfig, deadline_factor: int = 4) ->
     positive are skipped with one warning. Submit times are rebased to the
     earliest one. Releases floor to slots, run times round up, node requests
     clamp to M with a warning, and the deadline is release +
-    deadline_factor * p capped at the horizon. Jobs that cannot fit the
-    horizon are skipped with a warning. Jobs keep the order of their rows,
-    which is the order ``sample_jobs`` draws indices from.
+    deadline_factor * p (a factor below 1 raises) capped at the horizon.
+    Jobs that cannot fit the horizon are skipped with a warning. Jobs keep
+    the order of their rows, which ``sample_jobs`` draws indices from.
     """
+    if deadline_factor < 1:
+        raise ValueError(f"deadline_factor must be >= 1, got {deadline_factor}")
     rows: list[tuple[int, float, float, int]] = []
     width = 0  # field count of the first data row
     unusable = 0
@@ -261,7 +249,7 @@ def sample_jobs(jobs: list[Job], count: int, rng_seed: int) -> list[Job]:
     if count > len(jobs):
         raise ValueError(f"asked for {count} jobs, only {len(jobs)} usable")
     picked = np.random.default_rng(rng_seed).choice(len(jobs), size=count, replace=False)
-    return release_order([jobs[i] for i in sorted(picked)])
+    return release_order([jobs[i] for i in picked])
 
 
 def write_jobs(jobs: list[Job], path: str | Path) -> None:

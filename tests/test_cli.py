@@ -5,11 +5,11 @@ import pytest
 
 from greensched import experiment
 from greensched.cli import build_parser, main
-from greensched.experiment import cell_spec, load_config, resolve_green
+from greensched.experiment import cell_jobs, cell_spec, load_config, resolve_green
 from greensched.model import SimConfig
 from greensched.offline import solve_nonpreemptive_exact
 from greensched.pricing import Tariff
-from greensched.workload import generate, read_jobs
+from greensched.workload import generate, ingest_swf, read_jobs
 
 from lputil import solve_lp_text
 
@@ -55,6 +55,15 @@ def test_gen_real_family(tmp_path):
     assert len(read_jobs(out, SimConfig())) == 4
 
 
+def test_gen_real_family_without_a_trace_names_swf_path(tmp_path, capsys):
+    out = tmp_path / "jobs.txt"
+    rc = main(["gen", "--family", "Real", "--point", "4", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "swf_path" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, point", [("Staggered", "0.3"), ("Real", "5")])
 def test_gen_config_matches_the_sweep_cell(tmp_path, family, point):
     swf = tmp_path / "trace.swf"
@@ -72,7 +81,8 @@ def test_gen_config_matches_the_sweep_cell(tmp_path, family, point):
         + ["--seed", "5", "--out", str(out)]
     )
     assert rc == 0
-    expected = generate(cell_spec(cfg, family, point, 5), cfg.sim, cfg.tariff)
+    trace = ingest_swf(swf, cfg.sim, cfg.deadline_factor)
+    expected = cell_jobs(cfg, family, point, 5, trace)
     assert read_jobs(out, cfg.sim) == expected
     if family == "Staggered":  # the config's tariff decides the release slots
         stock_hours = Tariff(onpeak_start_slot=18, onpeak_end_slot=45)  # 9:00-23:00

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -25,7 +26,7 @@ from greensched.model import SimConfig
 from greensched.offline import NONPREEMPTIVE_LIMITS, SolveLimits
 from greensched.pricing import GreenTrace, synthetic_solar
 from greensched.schedulers import KINDS
-from greensched.workload import WorkloadSpec, generate
+from greensched.workload import ingest_swf, sample_jobs
 
 SMALL = SimConfig(machines=4, horizon_slots=48, forecast_slots=48)
 
@@ -445,8 +446,8 @@ def test_real_sweeps_are_pinned(tmp_path):
         for t, swf in enumerate(_parity_traces(tmp_path)):
             for g, sim in enumerate(grids):
                 for count, seed in itertools.product((1, 4, 10), range(4)):
-                    spec = WorkloadSpec("Real", job_count=count, swf_path=swf, rng_seed=seed)
-                    digest.update(repr(generate(spec, sim)).encode())
+                    jobs = sample_jobs(ingest_swf(swf, sim), count, seed)
+                    digest.update(repr(jobs).encode())
                 for families in (("Real",), ("UE", "Real")):
                     out = tmp_path / f"out-{t}-{g}-{len(families)}"
                     cfg = ExperimentConfig(
@@ -518,6 +519,36 @@ def test_a_bad_trace_stops_the_sweep_before_its_first_play(
     with pytest.raises(ExperimentError, match=message):
         run_suite(cfg)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [(None, "No such file"), (5, "step of 1800 s differs")],
+    ids=["missing", "irregular"],
+)
+def test_a_bad_solar_csv_stops_the_sweep_before_its_first_play(
+    tmp_path, monkeypatch, rows, message
+):
+    path = tmp_path / "solar.csv"
+    if rows:  # quarter-hour samples, then one half-hour step
+        stamps = [900 * k for k in range(rows)] + [900 * (rows + 1 + k) for k in range(48)]
+        path.write_text("timestamp,watts\n" + "".join(f"{t},100\n" for t in stamps))
+    calls = _counted_plays(monkeypatch)
+    cfg = small_cfg(green=f"solar:{path}", algorithms=("FF",))
+    source = re.escape(f"green solar:{path}: ")
+    with pytest.raises(ExperimentError, match=f"{source}.*{message}"):
+        run_suite(cfg)
+    assert calls == []
+
+
+def test_config_rejects_a_deadline_factor_below_one(tmp_path):
+    # checked for every sweep, with or without a Real family
+    with pytest.raises(ValueError, match="deadline_factor"):
+        small_cfg(deadline_factor=0)
+    path = tmp_path / "factor.cfg"
+    path.write_text("deadline_factor = 0\n")
+    with pytest.raises(ValueError, match="deadline_factor"):
+        load_config(path)
 
 
 # --- config files ---------------------------------------------------------

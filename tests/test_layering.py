@@ -60,20 +60,24 @@ def test_import_scan_sees_every_form():
     assert package_imports(source) == {"schedulers", "cli", "workload", "adversary"}
 
 
-def callers(source: str, owner: str, attr: str) -> set[str]:
-    """Names of the innermost functions whose body calls ``owner.attr(...)``."""
+def callee(func: ast.expr) -> tuple[str | None, str] | None:
+    """``(owner, attr)`` of a call to ``owner.attr``, ``(None, name)`` of a bare ``name``."""
+    if isinstance(func, ast.Name):
+        return None, func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.value.id, func.attr
+    return None
+
+
+def callers(source: str, owner: str | None, attr: str) -> set[str]:
+    """Names of the innermost functions whose body calls ``owner.attr(...)``,
+    or the bare ``attr(...)`` when ``owner`` is None."""
     found = set()
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == attr
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == owner
-        ):
+        elif isinstance(node, ast.Call) and callee(node.func) == (owner, attr):
             found.add(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -99,6 +103,25 @@ def test_call_scan_sees_nested_and_module_level_calls():
         "    return g\ndef h():\n    state.create(2)\n    OnlineState.build(3)\n"
     )
     assert callers(source, "OnlineState", "create") == {None, "g"}
+
+
+def test_call_scan_sees_bare_name_calls():
+    source = (
+        "open(p)\ndef f():\n    open(q)\n    fh.open(r)\ndef g():\n"
+        "    def h():\n        ingest_swf(x)\n    opener(y)\n    return h\n"
+    )
+    assert callers(source, None, "open") == {None, "f"}
+    assert callers(source, None, "ingest_swf") == {"h"}
+    assert callers(source, "fh", "open") == {"f"}
+
+
+def test_generate_reads_no_file():
+    # a Real job list is sample_jobs of a trace read once per sweep;
+    # generate builds the synthetic families only
+    source = (PACKAGE / "workload.py").read_text()
+    assert "ingest_swf" in callers(source, None, "open")
+    for name in ("open", "ingest_swf"):
+        assert "generate" not in callers(source, None, name)
 
 
 def release_keys(source: str) -> int:

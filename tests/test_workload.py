@@ -22,16 +22,14 @@ CFG = SimConfig()
 def test_spec_validation():
     with pytest.raises(ValueError):
         WorkloadSpec(family="XX", target_utilization=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         WorkloadSpec(family="UU")  # utilization missing
     with pytest.raises(ValueError):
         WorkloadSpec(family="UU", target_utilization=0.0)
     with pytest.raises(ValueError):
         WorkloadSpec(family="UU", target_utilization=1.6)
     with pytest.raises(ValueError):
-        WorkloadSpec(family="Real", job_count=5)  # no path
-    with pytest.raises(ValueError):
-        WorkloadSpec(family="Real", swf_path="x")  # no count
+        WorkloadSpec(family="Real", target_utilization=0.5)  # sampled, not synthesized
 
 
 def test_ue_job_count_at_ten_percent():
@@ -299,10 +297,19 @@ def test_swf_rows_must_keep_the_first_rows_width(tmp_path):
 def test_real_family_via_generate(tmp_path):
     lines = [f"{i} {i * 1800} 1800 2" for i in range(12)]
     trace = _write_trace(tmp_path / "t.swf", lines)
-    spec = WorkloadSpec(family="Real", job_count=6, swf_path=str(trace), rng_seed=2)
-    jobs = generate(spec, CFG)
+    # generate takes synthetic specs only: a Real list samples the trace
+    jobs = sample_jobs(ingest_swf(trace, CFG), 6, 2)
     assert len(jobs) == 6
     assert all(j.proc_time == 2 and j.nodes == 2 for j in jobs)
+
+
+def test_ingest_swf_rejects_a_deadline_factor_below_one(tmp_path):
+    # a factor of 0 would give every multi-slot job a window too short
+    # to hold it, and skip it as if it left the horizon
+    trace = _write_trace(tmp_path / "t.swf", [f"{i} {i * 900} {900 * (i + 1)} 2" for i in range(3)])
+    with pytest.raises(ValueError, match="deadline_factor must be >= 1, got 0"):
+        ingest_swf(trace, CFG, deadline_factor=0)
+    assert len(ingest_swf(trace, CFG, deadline_factor=1)) == 3
 
 
 # --- job files ------------------------------------------------------------
