@@ -66,13 +66,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _point(family: str, text: str) -> int | float:
+    """``--point`` as a sweep reads it: a job count for Real, else a utilization."""
+    kind, parse = ("a job count", int) if family == "Real" else ("a utilization", float)
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"--point for {family} must be {kind}, got {text!r}") from None
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg = _config(args.config)
+    point = _point(args.family, args.point)
     trace = []
     if args.family == "Real":  # checked and read as a one-point Real sweep's
-        cfg = replace(cfg, families=("Real",), job_counts=(int(args.point),))
+        cfg = replace(cfg, families=("Real",), job_counts=(point,))
         trace = ingest_swf(cfg.swf_path, cfg.sim, cfg.deadline_factor)
-    jobs = cell_jobs(cfg, args.family, args.point, args.seed, trace)
+    jobs = cell_jobs(cfg, args.family, point, args.seed, trace)
     write_jobs(jobs, args.out)
     print(f"{len(jobs)} jobs -> {args.out}")
     return 0

@@ -131,20 +131,53 @@ def _scattered_options(job: Job, demand: list[int], M: int):
     return itertools.combinations(spare, job.proc_time)
 
 
-def _job_bound(job: Job, rev: float, g: list[int], b: list[float], M: int) -> float:
+def _window_costs(job: Job, g: list[int], b: list[float]) -> list[float]:
+    """The job's slot costs over its window [release, deadline] on an empty
+    grid, cheapest first. On a loaded grid a slot's marginal cost is never
+    below its empty-grid cost."""
+    return sorted(_slot_costs(job, [0] * len(b), g, b)[job.release :])
+
+
+def _job_bound(job: Job, rev: float, costs: list[float], M: int) -> float:
     """Best profit the job could add on an empty grid, never below zero.
 
-    Revenue less the proc_time cheapest empty-grid slot costs in its window.
-    Any placement, contiguous or not, costs at least that much: on a loaded
-    grid a slot's marginal cost is never below its empty-grid cost.
+    Revenue less the proc_time cheapest of its ``_window_costs``. Any
+    placement, contiguous or not, costs at least that much.
     """
     if job.nodes > M:
         return 0.0
-    costs = sorted(_slot_costs(job, [0] * len(b), g, b)[job.release :])
     cheapest = 0.0
     for c in costs[: job.proc_time]:  # not sum(): it rounds by Python version
         cheapest += c
     return max(0.0, rev - cheapest)
+
+
+def _cost_floor(job: Job, costs: list[float], M: int) -> float:
+    """No placement of the job, on any grid, sums to less: proc_time copies
+    of its cheapest ``_window_costs`` entry, added left to right from 0.0 as
+    an option's costs are. IEEE addition is monotone in each operand, so the
+    floor holds to the bit. ``math.inf`` for a job wider than the cluster,
+    which has no placement, so ``_ceiling`` never adds it.
+    """
+    if job.nodes > M:
+        return math.inf
+    floor = 0.0
+    for _ in range(job.proc_time):
+        floor += costs[0]
+    return floor
+
+
+def _ceiling(cur: float, rest: list[tuple[float, float]]) -> float:
+    """No leaf below a node at value ``cur`` is worth more, as the search
+    sums it: each remaining (revenue, cost floor) pair is added in the
+    leaf's own steps, ``v + rev - floor``, or skipped as a rejection would.
+    """
+    top = cur
+    for gain, floor in rest:
+        v = top + gain - floor
+        if v > top:
+            top = v
+    return top
 
 
 def _solve(
@@ -168,6 +201,11 @@ def _solve(
     and its tie rule are the same as without the cut. Both cuts run in the
     parent, before a child is entered, and a node prices each slot of its
     job's window once for all its options.
+
+    The bound sum is tight but rounds apart from the leaves, so it can sit
+    an ulp above an optimum already found. So a node also stops once its
+    ``_ceiling``, summed in the leaves' own steps, cannot beat the
+    incumbent: no leaf it cuts would have replaced the incumbent.
     """
     _check_limits(len(jobs), config, limits, label)
     order, g, b, rev = _prepared(jobs, green, tariff, config)
@@ -175,8 +213,12 @@ def _solve(
     T = config.horizon_slots
     M = config.machines
     suffix = [0.0] * (n + 1)
+    floors = [0.0] * n
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + _job_bound(order[i], rev[i], g, b, M)
+        costs = _window_costs(order[i], g, b)
+        suffix[i] = suffix[i + 1] + _job_bound(order[i], rev[i], costs, M)
+        floors[i] = _cost_floor(order[i], costs, M)
+    rests = [list(zip(rev[i:], floors[i:])) for i in range(n)]
 
     best_value = -math.inf
     best_assign: list = []
@@ -198,7 +240,7 @@ def _solve(
         job = order[i]
         q = job.nodes
         gain = rev[i]
-        reach = cur + suffix[i]
+        reach = min(cur + suffix[i], _ceiling(cur, rests[i]))
         costs = _slot_costs(job, demand, g, b)
         nxt = i + 1
         rest = suffix[nxt]
@@ -231,7 +273,7 @@ def _solve(
             for t in slots:
                 demand[t] -= q
         chosen[i] = None
-        if cur + rest <= best_value:
+        if reach <= best_value or cur + rest <= best_value:
             return
         if leaf:
             best_value = cur

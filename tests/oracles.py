@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from greensched import offline
 from greensched.model import (
     Job,
     SimConfig,
@@ -176,6 +177,75 @@ def enumerate_preemptive(jobs, green, tariff, config):
 
     rec(0)
     return best["value"], best["assign"], order
+
+
+def incremental_leaves(jobs, green, tariff, config, preemptive):
+    """Every leaf of the exact search, valued as the search sums it.
+
+    Jobs go in release order; each is rejected or placed on one of its
+    options (contiguous windows, or any proc_time spare slots when
+    ``preemptive``), adding ``value + revenue - cost`` with the cost summed
+    in slot order. Yields (value at each depth along the path, leaf value).
+    """
+    order, g, b, rev = _prepared(jobs, green, tariff, config)
+    M = config.machines
+    demand = [0] * config.horizon_slots
+    path: list[float] = []
+
+    def options(job):
+        if job.nodes > M:
+            return []
+        window = range(job.release, job.deadline + 1)
+        if preemptive:
+            spare = [t for t in window if demand[t] + job.nodes <= M]
+            return list(itertools.combinations(spare, job.proc_time))
+        starts = range(job.release, job.deadline - job.proc_time + 2)
+        return [
+            tuple(range(s, s + job.proc_time))
+            for s in starts
+            if all(demand[t] + job.nodes <= M for t in range(s, s + job.proc_time))
+        ]
+
+    def rec(i, value):
+        if i == len(order):
+            yield list(path), value
+            return
+        job = order[i]
+        path.append(value)
+        for slots in options(job):
+            placed = value + rev[i] - marginal_cost(slots, demand, g, b, job.nodes)
+            for t in slots:
+                demand[t] += job.nodes
+            yield from rec(i + 1, placed)
+            for t in slots:
+                demand[t] -= job.nodes
+        yield from rec(i + 1, value)
+        path.pop()
+
+    return rec(0, 0.0)
+
+
+def counted_nodes(solve, *args):
+    """A solve's result and the number of search nodes it entered.
+
+    ``offline._solve`` prices each job's empty-grid window through
+    ``offline._slot_costs`` once, then calls it once per node it enters, so
+    the nodes are the calls less the job count.
+    """
+    calls = 0
+    priced = offline._slot_costs
+
+    def counting(*a):
+        nonlocal calls
+        calls += 1
+        return priced(*a)
+
+    offline._slot_costs = counting
+    try:
+        result = solve(*args)
+    finally:
+        offline._slot_costs = priced
+    return result, calls - len(args[0])
 
 
 def per_seed_profits(jobs, kind, green, tariff, config, seeds) -> np.ndarray:

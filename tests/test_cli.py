@@ -64,6 +64,23 @@ def test_gen_real_family_without_a_trace_names_swf_path(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "family, point, want",
+    [("Real", "4.0", "a job count"), ("UU", "abc", "a utilization")],
+)
+def test_gen_names_point_when_it_does_not_parse(tmp_path, capsys, family, point, want):
+    swf = tmp_path / "trace.swf"
+    swf.write_text("".join(f"{i} {i * 900} 1200 2\n" for i in range(6)))
+    cfg = tmp_path / "real.cfg"
+    cfg.write_text(f"swf_path = {swf}\n")
+    out = tmp_path / "jobs.txt"
+    rc = main(["gen", "--config", str(cfg), "--family", family, "--point", point, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --point for {family} must be {want}, got {point!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, point", [("Staggered", "0.3"), ("Real", "5")])
 def test_gen_config_matches_the_sweep_cell(tmp_path, family, point):
     swf = tmp_path / "trace.swf"

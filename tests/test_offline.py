@@ -11,16 +11,20 @@ from greensched.offline import (
     NONPREEMPTIVE_LIMITS,
     PREEMPTIVE_LIMITS,
     SolveLimits,
+    _ceiling,
     _contiguous_options,
+    _cost_floor,
     _job_bound,
     _prepared,
     _scattered_options,
     _slot_costs,
+    _window_costs,
     emit_lp,
     node_assignment,
     solve_nonpreemptive_exact,
     solve_preemptive_exact,
 )
+from greensched.experiment import stable_seed
 from greensched.pricing import (
     GreenTrace,
     Tariff,
@@ -28,13 +32,17 @@ from greensched.pricing import (
     brown_cost_vector,
     job_revenue,
     normalized_values,
+    synthetic_solar,
 )
 from greensched.schedulers import SchedulerKind, run_online
+from greensched.workload import WorkloadSpec, generate
 
 from lputil import solve_lp_text
 from oracles import (
+    counted_nodes,
     enumerate_nonpreemptive,
     enumerate_preemptive,
+    incremental_leaves,
     marginal_cost,
     profit_of,
     random_instance,
@@ -308,7 +316,7 @@ def test_job_bound_covers_every_option_on_an_empty_grid():
         M = config.machines
         empty = [0] * config.horizon_slots
         for job, r in zip(order, rev):
-            bound = _job_bound(job, r, g, b, M)
+            bound = _job_bound(job, r, _window_costs(job, g, b), M)
             assert bound >= 0.0
             for options in (_contiguous_options, _scattered_options):
                 for slots in options(job, empty, M):
@@ -325,7 +333,107 @@ def test_job_bound_sums_left_to_right():
     costs = [0.1] * 10
     assert math.fsum(costs) == 1.0
     job = Job(id=0, release=0, deadline=9, proc_time=10, nodes=1)
-    assert _job_bound(job, 1.0, [0] * 10, costs, 1) == 1.0 - 0.9999999999999999 > 0.0
+    assert _job_bound(job, 1.0, costs, 1) == 1.0 - 0.9999999999999999 > 0.0
+
+
+def reachable_demand(rng, order, M, T):
+    """Demand left by placing a random subset of the jobs on spare slots."""
+    demand = [0] * T
+    for job in order:
+        spare = [t for t in range(job.release, job.deadline + 1) if demand[t] + job.nodes <= M]
+        if rng.random() < 0.6 and len(spare) >= job.proc_time:
+            for t in rng.choice(spare, size=job.proc_time, replace=False):
+                demand[int(t)] += job.nodes
+    return demand
+
+
+def test_cost_floor_is_below_every_option_to_the_bit():
+    # every option's cost, summed left to right as the search sums it, is at
+    # least its job's floor, on any demand the search can reach: exactly,
+    # with no ulp slack
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(400):
+        jobs, green, tariff, config = random_instance(rng, max_jobs=4, max_slots=12)
+        order, g, b, _ = _prepared(jobs, green, tariff, config)
+        M = config.machines
+        demand = reachable_demand(rng, order, M, config.horizon_slots)
+        for job in order:
+            floor = _cost_floor(job, _window_costs(job, g, b), M)
+            assert (floor == math.inf) == (job.nodes > M)
+            costs = _slot_costs(job, demand, g, b)
+            for options in (_contiguous_options, _scattered_options):
+                for slots in options(job, demand, M):
+                    mc = 0.0
+                    for t in slots:
+                        mc += costs[t]
+                    assert mc >= floor
+                    checked += 1
+    assert checked > 1000
+
+
+def flat_instance(rng):
+    """A random instance with one brown price and no green, where many
+    schedules tie in exact arithmetic and round apart."""
+    jobs, _, _, config = random_instance(rng, max_jobs=5, max_slots=8)
+    T = config.horizon_slots
+    return jobs, zeros(T), Tariff(peak_override=(False,) * T), config
+
+
+@pytest.mark.parametrize("preemptive", [False, True], ids=["contiguous", "scattered"])
+def test_ceiling_covers_every_leaf_below_it(preemptive):
+    # every node's ceiling is at least every leaf below it, each leaf valued
+    # in the search's own order of floating-point steps: exactly, no slack
+    rng = np.random.default_rng(31)
+    leaves = 0
+    met = 0
+    for k in range(1000):
+        if k % 2:
+            jobs, green, tariff, config = flat_instance(rng)
+        else:
+            jobs, green, tariff, config = random_instance(rng, max_jobs=5, max_slots=8)
+        order, g, b, rev = _prepared(jobs, green, tariff, config)
+        M = config.machines
+        pairs = [(r, _cost_floor(j, _window_costs(j, g, b), M)) for j, r in zip(order, rev)]
+        best = -math.inf
+        for path, value in incremental_leaves(jobs, green, tariff, config, preemptive):
+            for i, cur in enumerate(path):
+                assert _ceiling(cur, pairs[i:]) >= value
+            best = max(best, value)
+            leaves += 1
+        met += _ceiling(0.0, pairs) == best
+    assert leaves > 5000
+    assert met > 300  # on many instances the best leaf meets the root ceiling
+
+
+def test_preemptive_search_stops_at_a_leaf_that_meets_its_ceiling():
+    # UE p=3 q=2 at 40% load on 4x24: no green and one brown price, so many
+    # schedules tie. The first optimal leaf sums to 0.09719999999999998 in
+    # the search's steps (0.09720000000000001 as reported), but the bound
+    # sum at the nodes after it reads 0.0972, an ulp above, and cuts none of
+    # them. The ceiling cut stops the search there (4,766 nodes without it)
+    sim = SimConfig(machines=4, horizon_slots=24, forecast_slots=24)
+    spec = WorkloadSpec(
+        family="UE",
+        target_utilization=0.4,
+        fixed_p=3,
+        fixed_q=2,
+        rng_seed=stable_seed("bench-exact-p", 9),
+    )
+    jobs = generate(spec, sim, Tariff())
+    (value, sched), nodes = counted_nodes(
+        solve_preemptive_exact, jobs, synthetic_solar(sim), Tariff(), sim
+    )
+    assert nodes <= 50
+    assert repr(value) == "0.09720000000000001"
+    assert [(p.job_id, p.active_slots) for p in sched.placements] == [
+        (0, (1, 2, 3)),
+        (1, (6, 7, 8)),
+        (2, (9, 10, 11)),
+        (3, (10, 11, 12)),
+        (4, (12, 13, 14)),
+        (5, (13, 14, 15)),
+    ]
 
 
 def test_slot_costs_sum_to_the_marginal_cost_on_loaded_grids():
