@@ -180,6 +180,36 @@ def _ceiling(cur: float, rest: list[tuple[float, float]]) -> float:
     return top
 
 
+def _ceiling_margins(order: list[Job], rev: list[float], b: list[float]) -> list[float]:
+    """Per depth i, how far below ``cur + suffix[i]`` the node's ``_ceiling``
+    can sit, as both are computed.
+
+    In exact arithmetic the ceiling is never below the bound sum: a job's
+    cost floor is never above its cheapest proc_time slots. Each side takes
+    proc_time + 1 rounded steps per job left, plus one for ``cur +
+    suffix[i]``, and each step is off by at most ulp(H)/2, where H bounds
+    every partial sum: the revenues plus, per job, proc_time * nodes times
+    the top brown price. So the ceiling is at least the bound sum less
+    (2 * sum(proc_time + 1) + 1) * ulp(H)/2. The margin counts whole ulps,
+    which also covers the rounding of H, and one more step for the
+    subtraction that applies it.
+    """
+    top = max(b, default=0.0)
+    H = 0.0
+    for job, r in zip(order, rev):
+        H += abs(r) + job.proc_time * job.nodes * top
+    ulp = math.ulp(H)
+    margins = [0.0] * len(order)
+    steps = 2
+    for i in range(len(order) - 1, -1, -1):
+        steps += 2 * (order[i].proc_time + 1)
+        margins[i] = steps * ulp
+    return margins
+
+
+_REJECT = ((),)  # rejection, the last option of every job: no slots
+
+
 def _solve(
     jobs: list[Job],
     green: GreenTrace,
@@ -195,17 +225,21 @@ def _solve(
     starting incumbent: the first leaf sets it and only strict improvements
     replace it. A subtree is cut when its value so far plus the remaining
     jobs' ``_job_bound`` sum cannot beat the incumbent. A subtree is also
-    cut when an earlier one at the same depth saw the same demand over the
-    slots the remaining jobs can use, at no lower value: each of its leaves
-    is then no better than a leaf already searched, so the returned optimum
-    and its tie rule are the same as without the cut. Both cuts run in the
-    parent, before a child is entered, and a node prices each slot of its
-    job's window once for all its options.
+    cut when an earlier one at the same depth held, over the slots the
+    remaining jobs can use, the same demand at no lower value, or pointwise
+    no more demand at the same value. Marginal slot costs never fall as
+    demand rises, and IEEE sums are monotone in each operand, so each of
+    its leaves is then, to the bit, no better than a leaf already searched:
+    the returned optimum and its tie rule are the same as without the cut.
+    Both cuts run in the parent, before a child is entered, and a node
+    prices each slot of its job's window once for all its options.
 
     The bound sum is tight but rounds apart from the leaves, so it can sit
     an ulp above an optimum already found. So a node also stops once its
     ``_ceiling``, summed in the leaves' own steps, cannot beat the
-    incumbent: no leaf it cuts would have replaced the incumbent.
+    incumbent: no leaf it cuts would have replaced the incumbent. The
+    ceiling is summed only once the incumbent is within the node's
+    ``_ceiling_margins`` entry of the bound sum; short of that it cannot cut.
     """
     _check_limits(len(jobs), config, limits, label)
     order, g, b, rev = _prepared(jobs, green, tariff, config)
@@ -219,20 +253,31 @@ def _solve(
         suffix[i] = suffix[i + 1] + _job_bound(order[i], rev[i], costs, M)
         floors[i] = _cost_floor(order[i], costs, M)
     rests = [list(zip(rev[i:], floors[i:])) for i in range(n)]
+    margins = _ceiling_margins(order, rev, b)
 
     best_value = -math.inf
     best_assign: list = []
     demand = [0] * T
-    chosen: list = [None] * n
+    chosen: list = [()] * n
     # Jobs are in release order, so jobs i.. only touch slots in window[i]:
     # their options and marginal costs depend on the demand there alone.
     window = [
         slice(order[i].release, max(j.deadline for j in order[i:]) + 1)
         for i in range(n)
     ]
+    # Demand is also packed into one int, w bits per slot with the top one
+    # spare, so masking out window[i] gives the memo key, and one subtraction
+    # tests two keys pointwise: no field borrows, and each field of
+    # (key | guard) - peer keeps its guard bit exactly where peer's is no larger.
+    w = M.bit_length() + 1
+    unit = [1 << (w * t) for t in range(T)]
+    fields = [sum(unit[window[i]]) for i in range(n)]
+    key_masks = [f * ((1 << w) - 1) for f in fields]
+    guards = [f << (w - 1) for f in fields]
     memo: list[dict] = [{} for _ in range(n)]  # demand in window[i] -> best cur
+    peers: list[dict] = [{} for _ in range(n)]  # cur -> demands in window[i] entered at cur
 
-    def expand(i: int, cur: float) -> None:
+    def expand(i: int, cur: float, packed: int) -> None:
         # Search job i's options, then its rejection. The caller has cut this
         # node by bound and by memo; each child is cut here before it is
         # entered, and a child at depth n sets the incumbent directly.
@@ -240,22 +285,33 @@ def _solve(
         job = order[i]
         q = job.nodes
         gain = rev[i]
-        reach = min(cur + suffix[i], _ceiling(cur, rests[i]))
+        reach = cur + suffix[i]
+        near = reach - margins[i]
+        ceiled = False
         costs = _slot_costs(job, demand, g, b)
         nxt = i + 1
         rest = suffix[nxt]
         leaf = nxt == n
         if not leaf:
             seen_at = memo[nxt]
-            key_slots = window[nxt]
-        for slots in options(job, demand, M):
+            peers_at = peers[nxt]
+            mask = key_masks[nxt]
+            guard = guards[nxt]
+        for slots in itertools.chain(options(job, demand, M), _REJECT):
             # a deeper leaf may have raised the incumbent since the parent's cut
-            if reach <= best_value:
-                break
-            mc = 0.0
-            for t in slots:
-                mc += costs[t]
-            value = cur + gain - mc
+            if best_value >= near:
+                if not ceiled:
+                    reach = min(reach, _ceiling(cur, rests[i]))
+                    ceiled = True
+                if reach <= best_value:
+                    break
+            if slots:
+                mc = 0.0
+                for t in slots:
+                    mc += costs[t]
+                value = cur + gain - mc
+            else:
+                value = cur
             if value + rest <= best_value:
                 continue
             chosen[i] = slots
@@ -263,36 +319,41 @@ def _solve(
                 best_value = value
                 best_assign = chosen.copy()
                 continue
+            span = 0
             for t in slots:
                 demand[t] += q
-            key = tuple(demand[key_slots])
+                span += unit[t]
+            child = packed + q * span
+            key = child & mask
             seen = seen_at.get(key)
             if seen is None or seen < value:
+                # kept if a peer cuts it: its leaves are no better than searched ones
                 seen_at[key] = value
-                expand(nxt, value)
+                same = peers_at.get(value)
+                if same is None:
+                    peers_at[value] = [key]
+                    expand(nxt, value, child)
+                else:
+                    above = key | guard
+                    for peer in same:
+                        if (above - peer) & guard == guard:
+                            break  # no more demand in any slot, at the same value
+                    else:
+                        same.append(key)
+                        expand(nxt, value, child)
             for t in slots:
                 demand[t] -= q
-        chosen[i] = None
-        if reach <= best_value or cur + rest <= best_value:
-            return
-        if leaf:
-            best_value = cur
-            best_assign = chosen.copy()
-            return
-        key = tuple(demand[key_slots])
-        seen = seen_at.get(key)
-        if seen is None or seen < cur:
-            seen_at[key] = cur
-            expand(nxt, cur)
 
-    if n:
-        expand(0, 0.0)
-    expand = None  # expand reaches itself through its closure; unlink to free the search
+    try:
+        if n:
+            expand(0, 0.0, 0)
+    finally:
+        expand = None  # expand reaches itself through its closure; unlink to free the search
 
     schedule = Schedule(M, T)
     rev_selected = []
     for i, slots in enumerate(best_assign):
-        if slots is not None:
+        if slots:
             commit(order[i], slots, schedule)
             rev_selected.append(rev[i])
     return _canonical_profit(rev_selected, schedule.demand, g, b), schedule

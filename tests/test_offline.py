@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from greensched import offline
 from greensched.model import Job, Schedule, SimConfig, commit
 from greensched.offline import (
     InstanceLimitError,
@@ -12,6 +13,7 @@ from greensched.offline import (
     PREEMPTIVE_LIMITS,
     SolveLimits,
     _ceiling,
+    _ceiling_margins,
     _contiguous_options,
     _cost_floor,
     _job_bound,
@@ -192,6 +194,79 @@ def test_solves_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_solve_that_raises_frees_its_search(monkeypatch):
+    # An error or interrupt mid-search must unlink the search closure too,
+    # or it and its memo wait for the cyclic collector.
+    priced = offline._slot_costs
+    calls = 0
+
+    def failing(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 12:
+            raise RuntimeError("stopped mid-search")
+        return priced(*args)
+
+    cfg = cfg_of(2, 5)
+    jobs = [Job(id=i, release=0, deadline=4, proc_time=2, nodes=1) for i in range(4)]
+    green = GreenTrace(np.array([1, 0, 2, 0, 1]))
+    monkeypatch.setattr(offline, "_slot_costs", failing)
+    gc.collect()
+    gc.disable()
+    try:
+        for solve in (solve_nonpreemptive_exact, solve_preemptive_exact):
+            calls = 0
+            with pytest.raises(RuntimeError, match="mid-search"):
+                solve(jobs, green, TARIFF, cfg)
+        alive = [
+            f
+            for f in gc.get_objects()
+            if getattr(f, "__qualname__", None) == "_solve.<locals>.expand"
+        ]
+    finally:
+        gc.enable()
+    assert calls > 12
+    assert alive == []
+
+
+def test_dominance_memo_cuts_a_later_placement_with_more_demand():
+    # Job 0 is as cheap in green slot 0, before jobs 1-3 are released, as in
+    # green slot 2 or 3 inside their window, and leaves them more room, so
+    # the branches that place it in slot 2 or 3 are cut unentered. The
+    # exact-demand memo alone enters 8 nodes here.
+    cfg = cfg_of(1, 4)
+    rows = [(0, 0, 3, 1, 1), (1, 2, 3, 1, 1), (2, 2, 3, 1, 1), (3, 3, 3, 1, 1)]
+    jobs = [Job(*row) for row in rows]
+    green = GreenTrace(np.array([1, 0, 1, 1]))
+    (value, sched), nodes = counted_nodes(solve_nonpreemptive_exact, jobs, green, TARIFF, cfg)
+    expect, assign, order = enumerate_nonpreemptive(jobs, green, TARIFF, cfg)
+    assert value == expect
+    starts = {p.job_id: p.active_slots[0] for p in sched.placements}
+    assert starts == {job.id: s for job, s in zip(order, assign) if s is not None}
+    assert starts == {0: 0, 1: 2, 2: 3}
+    assert nodes <= 5
+
+
+def test_acceptance_six_instance_is_solved_in_few_nodes():
+    # UE p=4 q=2 at 40% load on 4x42 with synthetic green: many branches
+    # tie on value while one holds pointwise less demand. The exact-demand
+    # memo alone enters 776 nodes.
+    sim = SimConfig(machines=4, horizon_slots=42, forecast_slots=42)
+    spec = WorkloadSpec(
+        family="UE", target_utilization=0.4, fixed_p=4, fixed_q=2, rng_seed=stable_seed(6, 1)
+    )
+    jobs = generate(spec, sim, Tariff())
+    (value, sched), nodes = counted_nodes(
+        solve_nonpreemptive_exact, jobs, synthetic_solar(sim), Tariff(), sim
+    )
+    assert nodes <= 250
+    assert repr(value) == "0.21059999999999993"
+    starts = [(0, 11), (1, 30), (2, 16), (3, 18), (4, 26), (5, 25), (6, 34), (7, 36)]
+    assert [(p.job_id, p.active_slots) for p in sched.placements] == [
+        (j, tuple(range(s, s + 4))) for j, s in starts
+    ]
 
 
 def test_six_jobs_wider_grid_matches_enumeration():
@@ -387,6 +462,7 @@ def test_ceiling_covers_every_leaf_below_it(preemptive):
     rng = np.random.default_rng(31)
     leaves = 0
     met = 0
+    below = 0
     for k in range(1000):
         if k % 2:
             jobs, green, tariff, config = flat_instance(rng)
@@ -394,16 +470,27 @@ def test_ceiling_covers_every_leaf_below_it(preemptive):
             jobs, green, tariff, config = random_instance(rng, max_jobs=5, max_slots=8)
         order, g, b, rev = _prepared(jobs, green, tariff, config)
         M = config.machines
-        pairs = [(r, _cost_floor(j, _window_costs(j, g, b), M)) for j, r in zip(order, rev)]
+        costs = [_window_costs(j, g, b) for j in order]
+        pairs = [(r, _cost_floor(j, c, M)) for j, r, c in zip(order, rev, costs)]
+        suffix = [0.0] * (len(order) + 1)
+        for i in range(len(order) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + _job_bound(order[i], rev[i], costs[i], M)
+        margins = _ceiling_margins(order, rev, b)
         best = -math.inf
         for path, value in incremental_leaves(jobs, green, tariff, config, preemptive):
             for i, cur in enumerate(path):
-                assert _ceiling(cur, pairs[i:]) >= value
+                top = _ceiling(cur, pairs[i:])
+                assert top >= value
+                # the search sums the ceiling only past this point
+                reach = cur + suffix[i]
+                assert top > reach - margins[i]
+                below += top < reach
             best = max(best, value)
             leaves += 1
         met += _ceiling(0.0, pairs) == best
     assert leaves > 5000
     assert met > 300  # on many instances the best leaf meets the root ceiling
+    assert below > 100  # and on many nodes the ceiling rounds below the bound sum
 
 
 def test_preemptive_search_stops_at_a_leaf_that_meets_its_ceiling():
@@ -434,6 +521,40 @@ def test_preemptive_search_stops_at_a_leaf_that_meets_its_ceiling():
         (4, (12, 13, 14)),
         (5, (13, 14, 15)),
     ]
+
+
+@pytest.mark.filterwarnings("ignore:no fixed per-job node assignment")
+@pytest.mark.parametrize("solver", [solve_nonpreemptive_exact, solve_preemptive_exact])
+def test_ceiling_margin_skips_only_sums_that_cannot_cut(solver, monkeypatch):
+    # summing the ceiling at every node must enter the same nodes and return
+    # the same answers as summing it only within the margin
+    rng = np.random.default_rng(12)
+    instances = [
+        flat_instance(rng) if k % 2 else random_instance(rng, max_jobs=6, max_slots=10)
+        for k in range(300)
+    ]
+    summed = 0
+    ceiling = offline._ceiling
+
+    def counting(*args):
+        nonlocal summed
+        summed += 1
+        return ceiling(*args)
+
+    def answers():
+        out = []
+        for inst in instances:
+            (value, sched), nodes = counted_nodes(solver, *inst)
+            out.append((repr(value), [(p.job_id, p.active_slots) for p in sched.placements], nodes))
+        return out
+
+    monkeypatch.setattr(offline, "_ceiling", counting)
+    near = answers()
+    near_sums = summed
+    monkeypatch.setattr(offline, "_ceiling_margins", lambda order, rev, b: [math.inf] * len(order))
+    summed = 0
+    assert answers() == near
+    assert 0 < near_sums < summed / 4
 
 
 def test_slot_costs_sum_to_the_marginal_cost_on_loaded_grids():
