@@ -36,10 +36,8 @@ from .model import (
     preemptive_slots,
 )
 from .offline import (
-    InstanceLimitError,
-    NONPREEMPTIVE_LIMITS,
-    PREEMPTIVE_LIMITS,
-    SolveLimits,
+    MAX_STEPS,
+    SearchBudgetError,
     emit_lp,
     node_assignment,
     solve_nonpreemptive_exact,
@@ -87,21 +85,19 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentError",
     "GreenTrace",
-    "InstanceLimitError",
     "Job",
     "LogEntry",
-    "NONPREEMPTIVE_LIMITS",
+    "MAX_STEPS",
     "NormalizedValues",
     "OnlineState",
-    "PREEMPTIVE_LIMITS",
     "Placement",
     "ProfitReport",
     "RandomFitParams",
     "RatioMeasurement",
     "Schedule",
     "SchedulerKind",
+    "SearchBudgetError",
     "SimConfig",
-    "SolveLimits",
     "Tariff",
     "WorkloadSpec",
     "account",

@@ -196,7 +196,7 @@ def rf_worst_case_suite(
 
 
 def _opt(instance: AdversarialInstance) -> float:
-    """The construction's offline optimum (the exact solver caps it at 12 jobs)."""
+    """The construction's offline optimum, from the exact solver's default budget."""
     opt, _ = solve_nonpreemptive_exact(
         list(instance.jobs), instance.green, instance.tariff, instance.config
     )
@@ -253,9 +253,9 @@ def expected_ratio(
 ) -> float:
     """OPT over the policy's exact expected profit on the construction.
 
-    The expectation enumerates every coin path (``expected_profit``); the
-    optimum's 12-job cap bounds them at 2^12. A policy whose expected profit
-    is not positive gives an infinite ratio.
+    The expectation enumerates every coin path (``expected_profit``), up
+    to 2^n for n jobs. A policy whose expected profit is not positive
+    gives an infinite ratio.
     """
     kind = instance.target if kind is None else kind
     opt = _opt(instance)

@@ -19,14 +19,11 @@ from .experiment import (
     ExperimentConfig,
     cell_jobs,
     load_config,
-    parse_limits,
     resolve_green,
     run_suite,
 )
 from .offline import (
     LP_VARIANTS,
-    PREEMPTIVE_LIMITS,
-    InstanceLimitError,
     emit_lp,
     node_assignment,
     solve_nonpreemptive_exact,
@@ -103,16 +100,8 @@ def _cmd_opt(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return 0
     preemptive = args.variant == "preemptive"
-    defaults = PREEMPTIVE_LIMITS if preemptive else cfg.offline_limits
-    limits = parse_limits(args.limits, defaults) if args.limits else defaults
     solve = solve_preemptive_exact if preemptive else solve_nonpreemptive_exact
-    try:
-        profit, schedule = solve(jobs, green, tariff, sim, limits)
-    except InstanceLimitError as exc:
-        raise InstanceLimitError(
-            f"{exc}; set a smaller horizon_slots or machines in --config, "
-            "or raise the caps with --limits jobs=..,slots=..,machines=.."
-        ) from None
+    profit, schedule = solve(jobs, green, tariff, sim, cfg.offline_max_steps)
     report = account(schedule, green, tariff, sim)
     print(f"optimal net profit {profit:.10g}")
     print(
@@ -195,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_action.add_argument("--jobs", required=True, help="job file from gen")
         p_action.add_argument("--variant", choices=LP_VARIANTS, default="nonpreemptive")
         p_action.set_defaults(func=_cmd_opt)
-    p_solve.add_argument("--limits", default=None, help="jobs=..,slots=..,machines=..")
     p_emit.add_argument("--out", default=None, help="default stdout")
 
     p_adv = sub.add_parser("adversary", help="worst-case constructions and measured ratios")

@@ -21,11 +21,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .model import Job, SimConfig
-from .offline import (
-    NONPREEMPTIVE_LIMITS,
-    SolveLimits,
-    solve_nonpreemptive_exact,
-)
+from .offline import MAX_STEPS, solve_nonpreemptive_exact
 from .pricing import (
     GreenTrace,
     Tariff,
@@ -61,7 +57,7 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ("FF", "BF", "RF")
     repetitions: int = 30
     include_offline: bool = False
-    offline_limits: SolveLimits = NONPREEMPTIVE_LIMITS
+    offline_max_steps: int = MAX_STEPS
     output_dir: str | None = None
     master_seed: int = 0
 
@@ -84,6 +80,8 @@ class ExperimentConfig:
                     raise ValueError(f"{label} {v!r} is repeated")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.offline_max_steps < 1:
+            raise ValueError("offline_max_steps must be >= 1")
         check_onpeak_window(self.tariff, self.sim)
         synthetic = [f for f in self.families if f != "Real"]
         if synthetic and not self.utilization:
@@ -246,7 +244,7 @@ def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, l
                 if cfg.include_offline:
                     try:
                         opt, osched = solve_nonpreemptive_exact(
-                            jobs, green, cfg.tariff, cfg.sim, cfg.offline_limits
+                            jobs, green, cfg.tariff, cfg.sim, cfg.offline_max_steps
                         )
                     except ValueError as exc:
                         raise ExperimentError(
@@ -373,16 +371,14 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _parse_value(annotation, text: str, default):
+def _parse_value(annotation, text: str):
     """Read ``text`` as a value of the field type ``annotation``."""
     args = [a for a in get_args(annotation) if a is not type(None)]
     if get_origin(annotation) is tuple:  # tuple[T, ...]: a comma list
         items = (s.strip() for s in text.split(","))
-        return tuple(_parse_value(args[0], s, None) for s in items if s)
+        return tuple(_parse_value(args[0], s) for s in items if s)
     if args:  # T | None
         annotation = args[0]
-    if annotation is SolveLimits:
-        return parse_limits(text, default)
     if annotation is bool:
         return _parse_bool(text)
     return annotation(text)  # int, float, str
@@ -392,7 +388,7 @@ def _pop_fields(cls, raw: dict[str, str], skip: tuple[str, ...] = ()) -> dict:
     """Constructor arguments for the fields of ``cls`` named in ``raw``."""
     hints = get_type_hints(cls)
     return {
-        f.name: _parse_value(hints[f.name], raw.pop(f.name), f.default)
+        f.name: _parse_value(hints[f.name], raw.pop(f.name))
         for f in fields(cls)
         if f.name in raw and f.name not in skip
     }
@@ -427,22 +423,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if raw:
         raise ValueError(f"{path}: unknown keys {sorted(raw)}")
     return cfg
-
-
-def parse_limits(text: str, defaults: SolveLimits) -> SolveLimits:
-    """Parse 'jobs=12,slots=48,machines=16' (any subset) onto defaults."""
-    values = {
-        "jobs": defaults.max_jobs,
-        "slots": defaults.max_slots,
-        "machines": defaults.max_machines,
-    }
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        key = key.strip()
-        if key not in values or not val.strip().isdigit():
-            raise ValueError(f"bad limits entry {part!r}")
-        values[key] = int(val)
-    return SolveLimits(values["jobs"], values["slots"], values["machines"])

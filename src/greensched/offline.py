@@ -6,11 +6,13 @@ either runs at one of its feasible placements or is rejected. Costs are the
 same pooled green-then-brown accounting the online engine uses, so online
 profits are always comparable lower bounds.
 
-The searches are exponential in the worst case; hard instance-size limits
-keep them at desk scale and can be loosened explicitly by callers who accept
-the wait. For anything larger, ``emit_lp`` writes the problem either search
-solves, with the same fungible capacity and the same per-job options, as LP
-text for an external mixed-integer solver.
+The searches are exponential in the worst case, so each one stops at a step
+budget: past ``max_steps`` options priced it raises ``SearchBudgetError``.
+Steps are counted, not seconds, so an input gives the same answer or the
+same error on any host. For anything larger,
+``emit_lp`` writes the problem either search solves, with the same fungible
+capacity and the same per-job options, as LP text for an external
+mixed-integer solver.
 """
 
 from __future__ import annotations
@@ -18,44 +20,17 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .model import Job, Schedule, SimConfig, check_deadlines, commit, release_order
 from .pricing import GreenTrace, Tariff, brown_cost_vector, horizon_supply, job_revenue
 
 
-class InstanceLimitError(ValueError):
-    """The instance exceeds the configured exact-search limits."""
+MAX_STEPS = 1_000_000  # options priced; see README for the time it takes
 
 
-@dataclass(frozen=True)
-class SolveLimits:
-    max_jobs: int
-    max_slots: int
-    max_machines: int
-
-
-NONPREEMPTIVE_LIMITS = SolveLimits(max_jobs=12, max_slots=48, max_machines=16)
-PREEMPTIVE_LIMITS = SolveLimits(max_jobs=8, max_slots=24, max_machines=8)
-
-
-def _check_limits(
-    n_jobs: int, config: SimConfig, limits: SolveLimits, label: str
-) -> None:
-    if n_jobs > limits.max_jobs:
-        raise InstanceLimitError(
-            f"{label} exact search limited to {limits.max_jobs} jobs, got {n_jobs}"
-        )
-    if config.horizon_slots > limits.max_slots:
-        raise InstanceLimitError(
-            f"{label} exact search limited to {limits.max_slots} slots, "
-            f"got {config.horizon_slots}"
-        )
-    if config.machines > limits.max_machines:
-        raise InstanceLimitError(
-            f"{label} exact search limited to {limits.max_machines} machines, "
-            f"got {config.machines}"
-        )
+class SearchBudgetError(ValueError):
+    """The exact search priced more options than its step budget allows."""
 
 
 def _prepared(
@@ -215,7 +190,7 @@ def _solve(
     green: GreenTrace,
     tariff: Tariff,
     config: SimConfig,
-    limits: SolveLimits,
+    max_steps: int,
     label: str,
     options,
 ) -> tuple[float, Schedule]:
@@ -240,8 +215,13 @@ def _solve(
     incumbent: no leaf it cuts would have replaced the incumbent. The
     ceiling is summed only once the incumbent is within the node's
     ``_ceiling_margins`` entry of the bound sum; short of that it cannot cut.
+
+    Each pass of a node's option loop is one step, whether its child is
+    entered, cut or a leaf. Past ``max_steps`` steps the search raises
+    ``SearchBudgetError``. The memo and peer lists grow by at most one key
+    per step, so the budget bounds memory; a step's time is not fixed, as
+    it scans the child's same-value peers.
     """
-    _check_limits(len(jobs), config, limits, label)
     order, g, b, rev = _prepared(jobs, green, tariff, config)
     n = len(order)
     T = config.horizon_slots
@@ -257,6 +237,7 @@ def _solve(
 
     best_value = -math.inf
     best_assign: list = []
+    steps = 0
     demand = [0] * T
     chosen: list = [()] * n
     # Jobs are in release order, so jobs i.. only touch slots in window[i]:
@@ -281,7 +262,7 @@ def _solve(
         # Search job i's options, then its rejection. The caller has cut this
         # node by bound and by memo; each child is cut here before it is
         # entered, and a child at depth n sets the incumbent directly.
-        nonlocal best_value, best_assign
+        nonlocal best_value, best_assign, steps
         job = order[i]
         q = job.nodes
         gain = rev[i]
@@ -298,6 +279,13 @@ def _solve(
             mask = key_masks[nxt]
             guard = guards[nxt]
         for slots in itertools.chain(options(job, demand, M), _REJECT):
+            steps += 1
+            if steps > max_steps:
+                raise SearchBudgetError(
+                    f"{label} exact search stopped at step {steps}, past its "
+                    f"budget of {max_steps} options priced; raise "
+                    "offline_max_steps to search longer"
+                )
             # a deeper leaf may have raised the incumbent since the parent's cut
             if best_value >= near:
                 if not ceiled:
@@ -364,7 +352,7 @@ def solve_nonpreemptive_exact(
     green: GreenTrace,
     tariff: Tariff,
     config: SimConfig,
-    limits: SolveLimits | None = None,
+    max_steps: int = MAX_STEPS,
 ) -> tuple[float, Schedule]:
     """Maximize net profit over contiguous placements, exactly.
 
@@ -372,10 +360,10 @@ def solve_nonpreemptive_exact(
     by the remaining jobs' best-case marginal profits on an empty grid. Of
     all profit-maximal assignments, the one whose start vector (rejection
     sorting last) is lexicographically smallest in release order is returned.
+    Raises ``SearchBudgetError`` past ``max_steps`` options priced.
     """
-    limits = NONPREEMPTIVE_LIMITS if limits is None else limits
     return _solve(
-        jobs, green, tariff, config, limits, "non-preemptive", _contiguous_options
+        jobs, green, tariff, config, max_steps, "non-preemptive", _contiguous_options
     )
 
 
@@ -384,7 +372,7 @@ def solve_preemptive_exact(
     green: GreenTrace,
     tariff: Tariff,
     config: SimConfig,
-    limits: SolveLimits | None = None,
+    max_steps: int = MAX_STEPS,
 ) -> tuple[float, Schedule]:
     """Maximize net profit over scattered placements, exactly.
 
@@ -393,11 +381,11 @@ def solve_preemptive_exact(
     vector). Node identities are not part of the search: capacity is
     fungible, and a concrete node assignment is emitted afterwards as a
     witness via ``node_assignment`` (a warning fires in the rare case no
-    fixed per-job node set exists).
+    fixed per-job node set exists). Raises ``SearchBudgetError`` past
+    ``max_steps`` options priced.
     """
-    limits = PREEMPTIVE_LIMITS if limits is None else limits
     profit, schedule = _solve(
-        jobs, green, tariff, config, limits, "preemptive", _scattered_options
+        jobs, green, tariff, config, max_steps, "preemptive", _scattered_options
     )
     if node_assignment(schedule) is None:
         warnings.warn(

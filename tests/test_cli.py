@@ -7,7 +7,7 @@ from greensched import experiment
 from greensched.cli import build_parser, main
 from greensched.experiment import cell_jobs, cell_spec, load_config, resolve_green
 from greensched.model import SimConfig
-from greensched.offline import solve_nonpreemptive_exact
+from greensched.offline import LP_VARIANTS, solve_nonpreemptive_exact
 from greensched.pricing import Tariff
 from greensched.workload import generate, ingest_swf, read_jobs
 
@@ -169,23 +169,24 @@ def test_opt_solve_prints_split_placement(tmp_path, capsys):
     assert "job 0: slots 0..1 on 1 nodes\n" in out
 
 
-def test_opt_solve_respects_limit_flag(tmp_path, capsys, small):
+def test_opt_solve_respects_step_budget(tmp_path, capsys):
+    path = tmp_path / "budget.cfg"
+    path.write_text("machines = 2\nhorizon_slots = 8\ngreen = zero\noffline_max_steps = 2\n")
     jf = tmp_path / "jobs.txt"
     write_job_file(jf, [(i, 0, 7, 1, 1) for i in range(3)])
-    rc = main(["opt", "solve", "--jobs", str(jf), "--limits", "jobs=2"] + small)
-    assert rc == 1
-    assert "2 jobs" in capsys.readouterr().err
+    args = ["opt", "solve", "--config", str(path), "--jobs", str(jf)]
+    for variant in LP_VARIANTS:
+        assert main(args + ["--variant", variant]) == 1
+        err = capsys.readouterr().err
+        assert "budget of 2 options priced" in err and "offline_max_steps" in err
 
 
-def test_opt_solve_on_default_grid_names_the_fix(tmp_path, capsys):
-    # without --config the grid has 480 slots, past the exact search's cap
+def test_opt_solve_on_default_grid(tmp_path, capsys):
+    # without --config the grid has 480 slots, which no size cap stops
     jf = tmp_path / "jobs.txt"
     write_job_file(jf, [(0, 0, 5, 2, 1), (1, 1, 6, 3, 2)])
-    rc = main(["opt", "solve", "--jobs", str(jf)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "limited to 48 slots, got 480" in err
-    assert "horizon_slots" in err and "--config" in err and "--limits" in err
+    assert main(["opt", "solve", "--jobs", str(jf)]) == 0
+    assert "scheduled 2/2 jobs" in capsys.readouterr().out
 
 
 def test_opt_emit_to_file_and_stdout(tmp_path, capsys, small):

@@ -16,14 +16,13 @@ from greensched.experiment import (
     MEANS_HEADER,
     RUNS_HEADER,
     load_config,
-    parse_limits,
     preemption_comparison,
     resolve_green,
     run_suite,
     stable_seed,
 )
 from greensched.model import SimConfig
-from greensched.offline import NONPREEMPTIVE_LIMITS, SolveLimits
+from greensched.offline import MAX_STEPS
 from greensched.pricing import GreenTrace, synthetic_solar
 from greensched.schedulers import KINDS
 from greensched.workload import ingest_swf, sample_jobs
@@ -250,10 +249,15 @@ def test_include_offline_adds_dominating_rows():
 
 def test_offline_failure_names_the_cell():
     cfg = small_cfg(
-        utilization=(1.0,), fixed_p=5, fixed_q=3, repetitions=1, include_offline=True
+        utilization=(1.0,),
+        fixed_p=5,
+        fixed_q=3,
+        repetitions=1,
+        include_offline=True,
+        offline_max_steps=1,
     )
-    # 4 * 48 slots at full load wants 13 jobs, one past the search limit
-    with pytest.raises(ExperimentError, match=r"UE point 1\.0 rep 0"):
+    # the first job's first option is the search's only step
+    with pytest.raises(ExperimentError, match=r"UE point 1\.0 rep 0: .*offline_max_steps"):
         run_suite(cfg)
 
 
@@ -572,7 +576,7 @@ fixed_q = 2
 algorithms = FF, BF
 repetitions = 4
 include_offline = false
-offline_limits = jobs=6,slots=48
+offline_max_steps = 5000
 """
     path = tmp_path / "sweep.cfg"
     path.write_text(text)
@@ -587,7 +591,7 @@ offline_limits = jobs=6,slots=48
     assert cfg.utilization == (0.25, 0.75)
     assert cfg.algorithms == ("FF", "BF")
     assert cfg.repetitions == 4
-    assert cfg.offline_limits == SolveLimits(6, 48, 16)
+    assert cfg.offline_max_steps == 5000
     assert cfg.green == "zero"
     assert cfg.output_dir is None
 
@@ -674,12 +678,14 @@ def test_load_config_rejects_unknown_green_source(tmp_path, source):
     assert load_config(path).green.startswith("solar:")
 
 
-def test_parse_limits():
-    assert parse_limits("jobs=3", NONPREEMPTIVE_LIMITS) == SolveLimits(3, 48, 16)
-    assert parse_limits("slots=20, machines=4", NONPREEMPTIVE_LIMITS) == SolveLimits(
-        12, 20, 4
-    )
-    with pytest.raises(ValueError, match="bad limits entry"):
-        parse_limits("widgets=3", NONPREEMPTIVE_LIMITS)
-    with pytest.raises(ValueError, match="bad limits entry"):
-        parse_limits("jobs=soon", NONPREEMPTIVE_LIMITS)
+def test_load_config_reads_offline_max_steps(tmp_path):
+    assert ExperimentConfig().offline_max_steps == MAX_STEPS
+    path = tmp_path / "budget.cfg"
+    path.write_text("offline_max_steps = 2500\n")
+    assert load_config(path).offline_max_steps == 2500
+    path.write_text("offline_max_steps = 0\n")
+    with pytest.raises(ValueError, match="offline_max_steps must be >= 1"):
+        load_config(path)
+    path.write_text("offline_max_steps = soon\n")
+    with pytest.raises(ValueError, match="soon"):
+        load_config(path)

@@ -8,10 +8,7 @@ import pytest
 from greensched import offline
 from greensched.model import Job, Schedule, SimConfig, commit
 from greensched.offline import (
-    InstanceLimitError,
-    NONPREEMPTIVE_LIMITS,
-    PREEMPTIVE_LIMITS,
-    SolveLimits,
+    SearchBudgetError,
     _ceiling,
     _ceiling_margins,
     _contiguous_options,
@@ -34,6 +31,7 @@ from greensched.pricing import (
     brown_cost_vector,
     job_revenue,
     normalized_values,
+    random_fit_params,
     synthetic_solar,
 )
 from greensched.schedulers import SchedulerKind, run_online
@@ -352,29 +350,63 @@ def test_online_never_beats_offline():
 
 
 def test_limits_are_enforced():
+    # one budget, counted in options priced: 13 identical jobs price 1,485
+    # of them, so a budget one short stops the solve and an exact one does not
     cfg = cfg_of(2, 4)
     many = [Job(id=i, release=0, deadline=3, proc_time=1, nodes=1) for i in range(13)]
-    with pytest.raises(InstanceLimitError, match="12 jobs"):
-        solve_nonpreemptive_exact(many, zeros(4), TARIFF, cfg)
-    wide = SimConfig(machines=2, horizon_slots=49, forecast_slots=49)
-    with pytest.raises(InstanceLimitError, match="48 slots"):
-        solve_nonpreemptive_exact([], zeros(49), TARIFF, wide)
-    big = SimConfig(machines=17, horizon_slots=4, forecast_slots=4)
-    with pytest.raises(InstanceLimitError, match="16 machines"):
-        solve_nonpreemptive_exact([], zeros(4), TARIFF, big)
-    nine = [Job(id=i, release=0, deadline=3, proc_time=1, nodes=1) for i in range(9)]
-    with pytest.raises(InstanceLimitError, match="8 jobs"):
-        solve_preemptive_exact(nine, zeros(4), TARIFF, cfg)
-    loose = SolveLimits(max_jobs=20, max_slots=60, max_machines=20)
-    profit, _ = solve_nonpreemptive_exact(many, zeros(4), TARIFF, cfg, loose)
+    profit, sched = solve_nonpreemptive_exact(many, zeros(4), TARIFF, cfg)
     assert profit > 0
-    # loose limits admit more than 255 nodes per slot
+    again, fitted = solve_nonpreemptive_exact(many, zeros(4), TARIFF, cfg, max_steps=1485)
+    assert (again, fitted.placements) == (profit, sched.placements)
+    with pytest.raises(
+        SearchBudgetError, match=r"step 1485, past its budget of 1484 .*offline_max_steps"
+    ):
+        solve_nonpreemptive_exact(many, zeros(4), TARIFF, cfg, max_steps=1484)
+    # more than 255 nodes per slot
     fleet = SimConfig(machines=300, horizon_slots=4, forecast_slots=4)
-    roomy = SolveLimits(max_jobs=12, max_slots=48, max_machines=300)
     wide_jobs = [Job(id=i, release=0, deadline=3, proc_time=2, nodes=260) for i in range(2)]
     for solver in (solve_nonpreemptive_exact, solve_preemptive_exact):
-        _, sched = solver(wide_jobs, zeros(4), TARIFF, fleet, roomy)
+        _, sched = solver(wide_jobs, zeros(4), TARIFF, fleet)
         assert len(sched.placements) == 2
+
+
+def test_one_job_preemptive_solve_stops_at_its_budget():
+    # one machine, p = 24 of 48 slots, green in slots 24..47 only: the cheapest
+    # subset is the last one listed, so the one node the search enters would
+    # price all C(48, 24) ~ 3.2e13 options. A cap on nodes entered never
+    # stops it; a budget on options priced does
+    sim = cfg_of(1, 48)
+    green = GreenTrace(np.array([0] * 24 + [1] * 24))
+    job = Job(id=0, release=0, deadline=47, proc_time=24, nodes=1)
+
+    def stopped(*args):
+        with pytest.raises(SearchBudgetError, match=r"step 1001, past its budget of 1000 "):
+            solve_preemptive_exact(*args, max_steps=1000)
+
+    _, nodes = counted_nodes(stopped, [job], green, TARIFF, sim)
+    assert nodes == 1
+
+
+def test_seventeen_job_solve_finishes_under_the_default_budget():
+    # UE p=4 q=2 at 80% load on 4x42: 17 jobs, which a 12-job cap refused,
+    # priced in 94,005 steps, about 0.3 s on a 2-core Xeon (Python 3.11)
+    sim = cfg_of(4, 42)
+    spec = WorkloadSpec(
+        family="UE", target_utilization=0.8, fixed_p=4, fixed_q=2, rng_seed=stable_seed("ue08", 0)
+    )
+    jobs = generate(spec, sim, Tariff())
+    green = synthetic_solar(sim)
+    assert len(jobs) == 17
+    value, sched = solve_nonpreemptive_exact(jobs, green, Tariff(), sim)
+    assert repr(value) == "0.41760000000000014"
+    starts = [2, 3, 6, 7, 10, 11, 14, 18, 16, 27, 20, 22, 31, 24, 33, 28, 37]
+    assert [(p.job_id, p.active_slots) for p in sched.placements] == [
+        (j, tuple(range(s, s + 4))) for j, s in enumerate(starts)
+    ]
+    params = random_fit_params(normalized_values(Tariff(), sim))
+    for kind in (SchedulerKind("FF"), SchedulerKind("BF"), SchedulerKind("RF", params)):
+        _, report = run_online(jobs, kind, green, Tariff(), sim, seed=0)
+        assert report.net_profit <= value
 
 
 def test_job_bound_covers_every_option_on_an_empty_grid():
