@@ -51,7 +51,6 @@ from .pricing import (
     Tariff,
     account,
     brown_cost_vector,
-    is_on_peak,
     job_revenue,
     load_solar_csv,
     normalized_values,
@@ -111,7 +110,6 @@ __all__ = [
     "ff_lower_bound_instance",
     "generate",
     "ingest_swf",
-    "is_on_peak",
     "job_revenue",
     "load_config",
     "load_solar_csv",

@@ -26,9 +26,9 @@ from .pricing import (
     GreenTrace,
     Tariff,
     account,
-    check_onpeak_window,
     load_solar_csv,
     normalized_values,
+    onpeak_vector,
     random_fit_params,
     synthetic_solar,
 )
@@ -82,7 +82,7 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if self.offline_max_steps < 1:
             raise ValueError("offline_max_steps must be >= 1")
-        check_onpeak_window(self.tariff, self.sim)
+        onpeak_vector(self.tariff, self.sim)  # raises if the window ends past the day
         synthetic = [f for f in self.families if f != "Real"]
         if synthetic and not self.utilization:
             raise ValueError("utilization sweep must not be empty")

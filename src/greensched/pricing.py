@@ -27,10 +27,11 @@ class Tariff:
     ``onpeak_start_slot`` and ``onpeak_end_slot`` are inclusive slot-of-day
     ordinals in slots of the config's ``slot_minutes`` (the defaults mark
     9:00 through 23:00 in 15-minute slots); the window must end inside the
-    day (``check_onpeak_window``).
+    day (``onpeak_vector`` raises otherwise).
     ``peak_override``, when set, fixes the peak flag per absolute slot and is
     meant for tiny hand-built instances; slots past its end fall back to the
-    daily pattern.
+    daily pattern. Any sequence of flags is stored as a tuple of bools, so
+    equal overrides make equal, hashable tariffs.
     """
 
     onpeak_price: float = 0.13
@@ -47,13 +48,28 @@ class Tariff:
             raise ValueError("onpeak window must satisfy 0 <= start <= end")
         if self.charge_rate < 0:
             raise ValueError("charge_rate must be non-negative")
+        if self.peak_override is not None:
+            flags = tuple(bool(x) for x in self.peak_override)
+            object.__setattr__(self, "peak_override", flags)
 
 
-def check_onpeak_window(tariff: Tariff, config: SimConfig) -> None:
-    """Raise unless the daily on-peak window ends inside one day's slots.
+# The two vectors below are built once per (tariff, config) and shared:
+# every engine play asks for both at set-up and for the cost again when it
+# is priced, and an exact solve asks once, so a sweep or a Monte Carlo run
+# asks again and again for the same few pairs. The cache is bounded, and
+# the arrays are read-only so no caller can alter another's.
+_VECTOR_CACHE = 32
 
-    A window past the last slot of the day would mark no slot on-peak, or
-    only its head, and bill the rest at the off-peak price without notice.
+
+@lru_cache(maxsize=_VECTOR_CACHE)
+def onpeak_vector(tariff: Tariff, config: SimConfig) -> np.ndarray:
+    """Per-slot on-peak flag over the horizon (shared, read-only).
+
+    Slot t is on-peak when its slot of the day lies in the tariff's
+    inclusive window; ``peak_override`` fixes the flags of the slots it
+    covers. Raises unless the window ends inside one day's slots: a window
+    past the last slot of the day would mark no slot on-peak, or only its
+    head, and bill the rest at the off-peak price without notice.
     """
     if tariff.onpeak_end_slot >= config.slots_per_day:
         raise ValueError(
@@ -61,31 +77,12 @@ def check_onpeak_window(tariff: Tariff, config: SimConfig) -> None:
             f"{config.slots_per_day} slots of {config.slot_minutes} minutes "
             f"(onpeak_end_slot must be below {config.slots_per_day})"
         )
-
-
-def is_on_peak(t: int, tariff: Tariff, config: SimConfig) -> bool:
-    """Whether slot t is billed at the on-peak price."""
-    if tariff.peak_override is not None and t < len(tariff.peak_override):
-        return bool(tariff.peak_override[t])
-    s = t % config.slots_per_day
-    return tariff.onpeak_start_slot <= s <= tariff.onpeak_end_slot
-
-
-# The two vectors below are built once per (tariff, config) and shared. A
-# build walks every slot in Python, and an engine play asks twice (set-up
-# and accounting), an exact solve once: 5-7 asks per 2,000-trial
-# measure_ratio, 24 for six policies over two reps of one sweep point, all
-# but the first served from the cache. The cache is bounded, and the
-# arrays are read-only so no caller can alter another's.
-_VECTOR_CACHE = 32
-
-
-@lru_cache(maxsize=_VECTOR_CACHE)
-def onpeak_vector(tariff: Tariff, config: SimConfig) -> np.ndarray:
-    """Per-slot on-peak flag over the horizon (shared, read-only)."""
-    check_onpeak_window(tariff, config)
     n = config.horizon_slots
-    peak = np.array([is_on_peak(t, tariff, config) for t in range(n)], dtype=bool)
+    day_slot = np.arange(n) % config.slots_per_day
+    peak = (tariff.onpeak_start_slot <= day_slot) & (day_slot <= tariff.onpeak_end_slot)
+    if tariff.peak_override is not None:
+        head = tariff.peak_override[:n]
+        peak[: len(head)] = head
     peak.flags.writeable = False
     return peak
 
@@ -334,8 +331,6 @@ class RandomFitParams:
     p_off_to_on: float
     ratio_on: float
     ratio_off: float
-    x: float  # v_on / v_off
-    y: float  # v_off / v_g
 
 
 def random_fit_params(nv: NormalizedValues) -> RandomFitParams:
@@ -353,6 +348,4 @@ def random_fit_params(nv: NormalizedValues) -> RandomFitParams:
         p_off_to_on=y / ratio_off,
         ratio_on=ratio_on,
         ratio_off=ratio_off,
-        x=x,
-        y=y,
     )

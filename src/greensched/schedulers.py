@@ -11,9 +11,10 @@ job's release; slots past the forecast are priced as if no green existed.
 Final accounting always uses the true trace. ``place`` and ``run_online``
 decide and commit only; ``decision_log`` derives the log from a schedule.
 
-An ``OnlineState`` owns the tariff and config it was created under, and
-every decision on it prices with them. The coin is random-fit's only
-randomness, so a run is fixed by its coin path, the outcomes of its flips.
+An ``OnlineState`` holds the per-slot prices and on-peak flags of the
+tariff it was created under, and its config; every decision on it uses
+them. The coin is random-fit's only randomness, so a run is fixed by its
+coin path, the outcomes of its flips.
 ``_play`` is the one place a run is played: it replays a path prefix, then
 asks a coin, and reports the flips past the prefix. ``run_online`` plays
 one seed's coin. ``run_trials`` (many seeds) and ``expected_profit`` (every
@@ -58,8 +59,8 @@ from .pricing import (
     account,
     brown_cost_vector,
     horizon_supply,
-    is_on_peak,
     job_revenue,
+    onpeak_vector,
 )
 
 KINDS = ("FF", "BF", "RF", "PFF", "PBF", "PRF")
@@ -96,16 +97,17 @@ class OnlineState:
 
     ``green`` is the true supply and is never written; the residual pool is
     max(0, green - demand), derived where a decision or a draw needs it.
-    ``tariff`` and ``config`` are the ones the state was created under, so
-    every decision on it prices with them. ``coin(keep_first)`` is
+    ``brown_cost`` and ``on_peak`` are the shared per-slot vectors of the
+    tariff the state was created under, and ``config`` its config, so every
+    decision on it prices with them. ``coin(keep_first)`` is
     random-fit's coin: it returns True to keep first-fit's pick, which a
     fair draw does with probability ``keep_first``.
     """
 
     schedule: Schedule
     green: np.ndarray  # true supply per slot over the horizon, read-only
-    brown_cost: np.ndarray  # $ per node-slot, indexed by slot
-    tariff: Tariff
+    brown_cost: np.ndarray  # $ per node-slot, indexed by slot, read-only
+    on_peak: np.ndarray  # tariff's on-peak flag per slot, read-only
     config: SimConfig
     coin: Coin | None = None
 
@@ -119,7 +121,7 @@ class OnlineState:
             schedule=Schedule(config.machines, config.horizon_slots),
             green=supply,
             brown_cost=brown_cost_vector(tariff, config),
-            tariff=tariff,
+            on_peak=onpeak_vector(tariff, config),
             config=config,
         )
 
@@ -355,7 +357,7 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...
         if vis[first_idx].min() >= job.nodes:
             return first  # fully green, no coin spent
         params = kind.rf_params
-        on_peak = is_on_peak(job.release, state.tariff, state.config)
+        on_peak = state.on_peak[job.release]
         keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
         if state.coin is None:
             raise ValueError("randomized placement needs a seeded state")
@@ -379,8 +381,8 @@ def place(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...] 
 
     First-fit takes the earliest feasible slots, best-fit the cheapest
     marginal brown energy (earliest on ties), random-fit flips the coin of
-    ``kind.rf_params`` between the two (see ``_choose``). Prices, forecast
-    and revenue come from the state's tariff and config.
+    ``kind.rf_params`` between the two (see ``_choose``). Prices and on-peak
+    flags come from the state's tariff vectors, the forecast from its config.
     """
     slots = _choose(job, state, kind)
     if slots is not None:

@@ -25,7 +25,6 @@ from greensched.pricing import (
     Tariff,
     account,
     brown_cost_vector,
-    is_on_peak,
     job_revenue,
 )
 from greensched.schedulers import LogEntry, OnlineState, _seeded_coin, place, run_online
@@ -359,13 +358,27 @@ def random_instance(rng, max_jobs=5, max_slots=10, max_machines=3):
     return jobs, green, tariff, config
 
 
-def full_horizon_choice(job, state, kind):
+def is_on_peak(t, tariff, config):
+    """Whether slot t is billed at the on-peak price, decided for t alone.
+
+    The override's flag where it reaches slot t, else whether t's slot of
+    the day lies in the inclusive window; ``onpeak_vector`` must agree.
+    """
+    if tariff.peak_override is not None and t < len(tariff.peak_override):
+        return bool(tariff.peak_override[t])
+    s = t % config.slots_per_day
+    return tariff.onpeak_start_slot <= s <= tariff.onpeak_end_slot
+
+
+def full_horizon_choice(job, state, kind, tariff):
     """The online policies' slot choice, priced over the whole horizon.
 
     A plain restatement of the decision rule: residual green is computed for
     every slot and zeroed past the forecast, best-fit prices every slot, and
-    random-fit tests its green path slot by slot. The engine prices only
-    [0, deadline]; both must pick the same slots and draw the same coins.
+    random-fit tests its green path slot by slot and takes the release
+    slot's peak flag from ``is_on_peak`` under ``tariff``, the one the state
+    was created with. The engine prices only [0, deadline]; both must pick
+    the same slots and draw the same coins.
     """
     p = job.proc_time
     if kind.preemptive:
@@ -388,7 +401,7 @@ def full_horizon_choice(job, state, kind):
         if all(vis[t] >= job.nodes for t in first):
             return first
         params = kind.rf_params
-        on_peak = is_on_peak(job.release, state.tariff, state.config)
+        on_peak = is_on_peak(job.release, tariff, state.config)
         keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
         if state.coin(keep_first):
             return first

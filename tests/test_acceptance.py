@@ -3,10 +3,12 @@
 Each test prints one ``ACCEPTANCE n name: PASS/FAIL (...)`` line on real
 stdout (past pytest's capture) so a plain ``pytest -v`` run leaves a
 readable scorecard. The checks are ordered cheap to expensive; the
-statistical ones pin their seeds so reruns are stable.
+statistical ones pin their seeds so reruns are stable. The last test holds
+the README's scorecard quotes to the lines printed.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +46,17 @@ V_ON = 19 / 110
 V_OFF = 27 / 55
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# each check's scorecard line, as printed in this session
+SCORECARD: dict[int, str] = {}
+
+
 def announce(capfd, num, name, ok, detail):
+    line = f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
+    SCORECARD[num] = line
     with capfd.disabled():
-        print(f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+        print(line)
 
 
 def test_01_worst_case_formulas(capfd):
@@ -285,3 +295,26 @@ def test_09_preemption_direction(capfd):
     # the first clause states the intended direction and is knowingly red
     assert ratio_bf >= 1.0
     assert ratio_ff <= 1.0
+
+
+def test_readme_quotes_the_printed_scorecard():
+    # defined last, so it runs after the checks: each README line starting
+    # "ACCEPTANCE n" must be check n's printed line, or its prefix up to a
+    # closing "; ...)"; a check that did not run (say, under -k) is skipped
+    quotes = [
+        line for line in README.read_text().splitlines() if line.startswith("ACCEPTANCE ")
+    ]
+    assert quotes
+    compared = 0
+    for quote in quotes:
+        printed = SCORECARD.get(int(quote.split()[1]))
+        if printed is None:
+            continue
+        if quote.endswith("; ...)"):
+            head = quote[: -len(" ...)")]
+            assert printed.startswith(head), (quote, printed)
+        else:
+            assert printed == quote
+        compared += 1
+    if not compared:
+        pytest.skip("no quoted check ran in this session")

@@ -1,4 +1,5 @@
 import ast
+from collections.abc import Callable
 from pathlib import Path
 
 import greensched
@@ -69,21 +70,29 @@ def callee(func: ast.expr) -> tuple[str | None, str] | None:
     return None
 
 
-def callers(source: str, owner: str | None, attr: str) -> set[str]:
-    """Names of the innermost functions whose body calls ``owner.attr(...)``,
-    or the bare ``attr(...)`` when ``owner`` is None."""
+def enclosing(source: str, hit: Callable[[ast.AST], bool]) -> set[str | None]:
+    """Names of the innermost functions holding a node ``hit`` accepts
+    (None for the module level)."""
     found = set()
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.Call) and callee(node.func) == (owner, attr):
+        elif hit(node):
             found.add(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(ast.parse(source), None)
     return found
+
+
+def callers(source: str, owner: str | None, attr: str) -> set[str | None]:
+    """Names of the innermost functions whose body calls ``owner.attr(...)``,
+    or the bare ``attr(...)`` when ``owner`` is None."""
+    return enclosing(
+        source, lambda node: isinstance(node, ast.Call) and callee(node.func) == (owner, attr)
+    )
 
 
 def test_one_function_plays_the_engine():
@@ -146,6 +155,40 @@ def test_release_key_scan_sees_lambdas_and_bare_tuples():
         "k = (a.release, b.deadline)\n(j.deadline, j.release)\n(row[0], row[1])\n"
     )
     assert release_keys(source) == 2
+
+
+ONPEAK_FIELDS = {"peak_override", "onpeak_start_slot", "onpeak_end_slot"}
+
+
+def onpeak_readers(source: str) -> set[str | None]:
+    """Innermost functions that read an on-peak field of a tariff; the
+    tariff's own methods, which read ``self``, check its fields only."""
+    return enclosing(
+        source,
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in ONPEAK_FIELDS
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self"),
+    )
+
+
+def test_one_function_holds_the_onpeak_rule():
+    # prices, RF's coin and Staggered releases all take their on-peak flags
+    # from pricing.onpeak_vector, so the rule and its window check live there
+    sites = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in onpeak_readers(path.read_text())
+    }
+    assert sites == {("pricing", "onpeak_vector")}
+
+
+def test_onpeak_scan_sees_any_owner_but_self():
+    source = (
+        "t.peak_override\ndef f(tariff):\n    return tariff.onpeak_end_slot\n"
+        "def g(self):\n    return self.onpeak_start_slot, 'peak_override'\n"
+        "def h(x):\n    return x.cfg.onpeak_start_slot\n"
+    )
+    assert onpeak_readers(source) == {None, "f", "h"}
 
 
 REPO = PACKAGE.parents[1]

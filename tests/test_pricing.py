@@ -12,7 +12,6 @@ from greensched.pricing import (
     Tariff,
     account,
     brown_cost_vector,
-    is_on_peak,
     job_revenue,
     load_solar_csv,
     normalized_values,
@@ -20,6 +19,8 @@ from greensched.pricing import (
     random_fit_params,
     synthetic_solar,
 )
+
+from oracles import is_on_peak
 
 CFG = SimConfig()
 TARIFF = Tariff()
@@ -81,6 +82,51 @@ def test_peak_override_wins_then_falls_back():
     assert is_on_peak(40, t, CFG)  # past the override: daily pattern again
 
 
+def test_onpeak_vector_matches_the_per_slot_rule():
+    # random windows, overrides and slot lengths; every case kind below
+    # must come up
+    rng = np.random.default_rng(24)
+    seen = set()
+    for _ in range(400):
+        slot_minutes = int(rng.choice([15, 60]))
+        spd = 1440 // slot_minutes
+        cfg = SimConfig(horizon_slots=int(rng.integers(1, 3 * spd)), slot_minutes=slot_minutes)
+        n = cfg.horizon_slots
+        end = spd - 1 if rng.random() < 0.2 else int(rng.integers(0, spd))
+        start = int(rng.integers(0, end + 1))
+        length = 0 if rng.random() < 0.2 else int(rng.integers(1, n + 5))
+        flags = tuple(bool(x) for x in rng.random(length) < 0.5)
+        override = None if rng.random() < 0.2 else flags
+        tariff = Tariff(onpeak_start_slot=start, onpeak_end_slot=end, peak_override=override)
+        assert onpeak_vector(tariff, cfg).tolist() == [
+            is_on_peak(t, tariff, cfg) for t in range(n)
+        ]
+        seen.add(f"{slot_minutes} min")
+        if override is not None:
+            seen.add(
+                "empty" if not length else "short" if length < n else "full" if length == n else "long"
+            )
+        if n > spd:
+            seen.add("multi-day")
+        if end == spd - 1:
+            seen.add("ends on the last slot")
+    assert seen == {
+        "15 min", "60 min", "empty", "short", "full", "long", "multi-day",
+        "ends on the last slot",
+    }
+
+
+def test_peak_override_of_any_sequence_prices_as_its_tuple():
+    cfg = SimConfig(horizon_slots=8)
+    flags = (True, False, False, True)
+    want = Tariff(peak_override=flags)
+    for override in (list(flags), np.array(flags)):
+        tariff = Tariff(peak_override=override)
+        assert brown_cost_vector(tariff, cfg).tolist() == brown_cost_vector(want, cfg).tolist()
+        assert tariff == want and hash(tariff) == hash(want)
+        assert tariff.peak_override == flags
+
+
 def test_unit_economics():
     cost = brown_cost_vector(TARIFF, CFG)
     assert cost[40] == pytest.approx(0.00455, abs=1e-15)
@@ -122,10 +168,10 @@ def test_normalized_values_rejects_degenerate_tariffs():
 
 def test_random_fit_params_frozen():
     rp = random_fit_params(normalized_values(TARIFF, CFG))
-    assert rp.x == pytest.approx(X, abs=1e-12)
+    assert rp.p_on_to_off * rp.ratio_on == pytest.approx(X, abs=1e-12)
     assert rp.ratio_on == pytest.approx(RATIO_ON, abs=1e-12)
     assert rp.p_on_to_off == pytest.approx(P_ON_TO_OFF, abs=1e-12)
-    assert rp.y == pytest.approx(V_OFF, abs=1e-12)
+    assert rp.p_off_to_on * rp.ratio_off == pytest.approx(V_OFF, abs=1e-12)
     assert rp.ratio_off == pytest.approx(RATIO_OFF, abs=1e-12)
     assert rp.p_off_to_on == pytest.approx(P_OFF_TO_ON, abs=1e-12)
 

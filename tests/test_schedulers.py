@@ -231,8 +231,8 @@ def _random_jobs(rng, T, M, n):
 @pytest.mark.parametrize("preemptive", [False, True])
 def test_rf_degenerate_coins_match_parents(preemptive):
     # force the coin: p=1 reproduces first-fit, p=0 reproduces best-fit
-    always_ff = RandomFitParams(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    always_ff = RandomFitParams(1.0, 1.0, 0.0, 0.0)
+    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0)
     rng = np.random.default_rng(42)
     for trial in range(100):
         T = int(rng.integers(4, 12))
@@ -343,7 +343,7 @@ def test_choice_priced_to_the_deadline_matches_full_horizon(name):
             seed = int(rng.integers(2**32))
             drawn, asked = [], []
             state.coin = counting(schedulers._seeded_coin(seed), drawn)
-            want = full_horizon_choice(job, state, kind)
+            want = full_horizon_choice(job, state, kind, tariff)
             state.coin = counting(schedulers._seeded_coin(seed), asked)
             got = schedulers._choose(job, state, kind)
             assert got == want
@@ -367,7 +367,7 @@ def test_rf_scans_capacity_once_per_job(monkeypatch):
     monkeypatch.setattr(schedulers, "nonpreemptive_starts", counting)
     cfg = small_cfg(machines=2, horizon=10)
     jobs = [Job(id=i, release=i, deadline=9, proc_time=2, nodes=1) for i in range(4)]
-    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0)
     green = GreenTrace(np.zeros(10, dtype=np.int64))
     sched, _ = run_online(jobs, SchedulerKind("RF", always_bf), green, TARIFF, cfg, seed=1)
     log = decision_log(jobs, sched, green, TARIFF, cfg)
@@ -740,8 +740,8 @@ def test_run_trials_without_seeds_plays_nothing(engine_plays):
 
 @pytest.mark.parametrize("preemptive", [False, True])
 def test_expected_profit_with_sure_coins_is_the_parent_policy(preemptive):
-    always_ff = RandomFitParams(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    always_ff = RandomFitParams(1.0, 1.0, 0.0, 0.0)
+    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0)
     prefix = "P" if preemptive else ""
     rng = np.random.default_rng(8)
     for _ in range(40):
