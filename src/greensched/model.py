@@ -167,8 +167,20 @@ def nonpreemptive_starts(job: Job, schedule: Schedule) -> np.ndarray:
     # full[k] counts the slots before offset k that cannot take the job; a
     # window holds none of them iff the count does not grow across it
     full = np.zeros(region.size + 1, dtype=np.int64)
-    np.cumsum(~region, out=full[1:])
+    np.add.accumulate(~region, dtype=np.int64, out=full[1:])
     return (full[p:] == full[:-p]).nonzero()[0] + job.release
+
+
+def first_start(job: Job, schedule: Schedule) -> int | None:
+    """The earliest feasible contiguous start slot, or None when there is none.
+
+    Equals ``nonpreemptive_starts(job, schedule)[0]``. The region is a fresh
+    contiguous bool array, one byte of 0 or 1 per slot, so a byte search for
+    p ones finds the window without building every start.
+    """
+    p = job.proc_time
+    found = _capacity_region(job, schedule).tobytes().find(b"\x01" * p)
+    return None if found < 0 else job.release + found
 
 
 def preemptive_slots(job: Job, schedule: Schedule) -> np.ndarray:
@@ -207,8 +219,9 @@ def commit(job: Job, slots: tuple[int, ...], schedule: Schedule) -> Schedule:
         raise CapacityError(f"job {job.id}: slot {last} outside horizon")
     if schedule.has_job(job.id):
         raise CapacityError(f"job {job.id}: already placed")
-    idx = slot_index(slots)
-    if schedule.demand[idx].max() > schedule.machines - job.nodes:
+    # scattered slots index by one array, built once for the check and the add
+    idx = slice(first, last + 1) if last - first + 1 == n else np.array(slots)
+    if np.maximum.reduce(schedule.demand[idx]) > schedule.machines - job.nodes:
         raise CapacityError(f"job {job.id}: placement exceeds {schedule.machines} nodes")
     schedule.demand[idx] += job.nodes
     schedule.placements.append(Placement(job.id, slots, job.nodes))

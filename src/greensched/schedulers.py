@@ -46,6 +46,7 @@ from .model import (
     SimConfig,
     check_deadlines,
     commit,
+    first_start,
     nonpreemptive_starts,
     release_order,
     slot_index,
@@ -326,8 +327,9 @@ def _visible_green(job: Job, state: OnlineState) -> np.ndarray:
 def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...] | None:
     """The slots the policy picks for the job, or None when none can take it.
 
-    One capacity scan yields the candidates: the feasible contiguous starts,
-    or the spare slots for the preemptive variants. First-fit takes the
+    A capacity scan yields the candidates: the spare slots for the
+    preemptive variants; otherwise the earliest feasible window, or every
+    feasible start where best-fit prices them all. First-fit takes the
     earliest, best-fit the cheapest marginal brown energy given the visible
     green (earliest on ties). Random-fit takes first-fit's pick when visible
     green covers all of it; otherwise its coin keeps that pick with
@@ -336,25 +338,29 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...
     green path.
     """
     p = job.proc_time
-    if kind.preemptive:
+    name = kind.kind
+    base, preemptive = name[-2:], name[0] == "P"
+    if preemptive:
         spare = spare_slots(job, state.schedule)
         if spare.size < p:
             return None
         first_idx = spare[:p]
-        first = tuple(map(int, first_idx))
-    else:
+        first = tuple(first_idx.tolist())
+    elif base == "BF":
         starts = nonpreemptive_starts(job, state.schedule)
         if starts.size == 0:
             return None
-        s = int(starts[0])
+    else:
+        s = first_start(job, state.schedule)
+        if s is None:
+            return None
         first_idx = slice(s, s + p)
         first = tuple(range(s, s + p))
-    base = kind.kind[-2:]
     if base == "FF":
         return first
     vis = _visible_green(job, state)
     if base == "RF":
-        if vis[first_idx].min() >= job.nodes:
+        if np.minimum.reduce(vis[first_idx]) >= job.nodes:
             return first  # fully green, no coin spent
         params = kind.rf_params
         on_peak = state.on_peak[job.release]
@@ -363,15 +369,20 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...
             raise ValueError("randomized placement needs a seeded state")
         if state.coin(keep_first):
             return first
+        if not preemptive:
+            starts = nonpreemptive_starts(job, state.schedule)
     # marginal $ to run q nodes at each slot, given the residual green pool
     unit = state.brown_cost[: vis.size] * np.maximum(0, job.nodes - vis)
-    if kind.preemptive:
-        order = np.lexsort((spare, unit[spare]))  # cheapest first, then earlier
-        return tuple(map(int, np.sort(spare[order[:p]])))
-    # cumsum adds in slot order, so a window's cost does not depend on where
-    # the priced prefix ends
-    csum = np.concatenate(([0.0], np.cumsum(unit)))
-    window_cost = csum[starts + p] - csum[starts]
+    if preemptive:
+        # cheapest first; the stable sort keeps ascending spare slots in order on ties
+        picked = spare[unit[spare].argsort(kind="stable")[:p]]
+        picked.sort()
+        return tuple(picked.tolist())
+    # the prefix sums add in slot order from slot 0, so a window's cost does
+    # not depend on where the priced prefix ends
+    csum = np.zeros(unit.size + 1)
+    np.add.accumulate(unit, out=csum[1:])
+    window_cost = (csum[p:] - csum[:-p])[starts]
     s = int(starts[window_cost.argmin()])  # argmin keeps earliest tie
     return tuple(range(s, s + p))
 

@@ -25,7 +25,7 @@ from greensched.model import SimConfig
 from greensched.offline import MAX_STEPS
 from greensched.pricing import GreenTrace, synthetic_solar
 from greensched.schedulers import KINDS
-from greensched.workload import ingest_swf, sample_jobs
+from greensched.workload import FAMILIES, ingest_swf, sample_jobs
 
 SMALL = SimConfig(machines=4, horizon_slots=48, forecast_slots=48)
 
@@ -469,6 +469,39 @@ def test_real_sweeps_are_pinned(tmp_path):
                     for name in ("runs", "means", "ratios", "preemption"):
                         digest.update((out / f"{name}.csv").read_bytes())
     assert digest.hexdigest() == "f4b732cf93c8e66d957e3dff7635a704778268e1b69d3168a70a869add28ec12"
+
+
+def test_synthetic_sweeps_are_pinned(tmp_path):
+    # every synthetic family under all six policies, with a forecast that
+    # cuts the visible green: a change to how the engine finds or prices a
+    # pick must not move a table by one byte
+    grids = [
+        SimConfig(machines=8, horizon_slots=96, forecast_slots=24),
+        SimConfig(machines=16, horizon_slots=192, forecast_slots=48),
+    ]
+    digests = []
+    for g, sim in enumerate(grids):
+        digest = hashlib.sha256()
+        for green in ("synthetic", "zero"):
+            out = tmp_path / f"out-{g}-{green}"
+            cfg = ExperimentConfig(
+                sim=sim,
+                green=green,
+                families=FAMILIES,
+                utilization=(0.4, 1.2),
+                algorithms=KINDS,
+                repetitions=2,
+                master_seed=7,
+                output_dir=str(out),
+            )
+            run_suite(cfg, preemption=True)
+            for name in ("runs", "means", "ratios", "preemption"):
+                digest.update((out / f"{name}.csv").read_bytes())
+        digests.append(digest.hexdigest())
+    assert digests == [
+        "7db33df26efa56fc20d2f619448147f8ba2c6006a3ea6b20185f8a87549aa3cd",
+        "f8de3ec6662a3484df92b00fc92e8e08d45eb12207d2a25495221234a87bdd4e",
+    ]
 
 
 def test_real_sweep_reads_its_trace_once(tmp_path, monkeypatch):

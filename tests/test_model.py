@@ -9,6 +9,7 @@ from greensched.model import (
     Schedule,
     SimConfig,
     commit,
+    first_start,
     nonpreemptive_starts,
     preemptive_slots,
     slot_index,
@@ -166,6 +167,39 @@ def test_deadline_outside_horizon_raises():
         nonpreemptive_starts(job, sched)
 
 
+def test_first_start_edges():
+    # an empty grid: p == 1, and p equal to the window's length
+    sched = Schedule(machines=3, horizon=10)
+    assert first_start(Job(id=0, release=2, deadline=7, proc_time=1, nodes=3), sched) == 2
+    whole = Job(id=1, release=2, deadline=7, proc_time=6, nodes=1)
+    assert first_start(whole, sched) == 2
+    # a job wider than the cluster fits nowhere, even on an empty grid
+    assert first_start(Job(id=2, release=0, deadline=9, proc_time=1, nodes=4), sched) is None
+    # busy slots 3 and 7 leave windows [0, 2] (from release) and [8, 9] (to deadline)
+    sched.demand[[3, 7]] = 3
+    assert first_start(Job(id=3, release=0, deadline=9, proc_time=3, nodes=1), sched) == 0
+    assert first_start(Job(id=4, release=1, deadline=9, proc_time=2, nodes=1), sched) == 1
+    assert first_start(Job(id=5, release=1, deadline=9, proc_time=3, nodes=1), sched) == 4
+    assert first_start(Job(id=6, release=4, deadline=9, proc_time=2, nodes=1), sched) == 4
+    assert first_start(Job(id=7, release=5, deadline=9, proc_time=2, nodes=1), sched) == 5
+    assert first_start(Job(id=8, release=6, deadline=9, proc_time=2, nodes=1), sched) == 8
+    assert first_start(Job(id=9, release=4, deadline=9, proc_time=4, nodes=1), sched) is None
+    assert first_start(whole, sched) is None
+    # a full grid takes nothing; a slot with room again takes p == 1
+    sched.demand[:] = 3
+    assert first_start(Job(id=10, release=0, deadline=9, proc_time=1, nodes=1), sched) is None
+    sched.demand[9] = 2
+    assert first_start(Job(id=11, release=0, deadline=9, proc_time=1, nodes=1), sched) == 9
+    assert first_start(Job(id=12, release=0, deadline=9, proc_time=1, nodes=2), sched) is None
+
+
+def test_first_start_rejects_a_deadline_past_the_horizon():
+    sched = Schedule(machines=2, horizon=4)
+    job = Job(id=0, release=0, deadline=4, proc_time=1, nodes=1)
+    with pytest.raises(ValueError, match="outside horizon"):
+        first_start(job, sched)
+
+
 small_grids = st.tuples(
     st.integers(min_value=1, max_value=3),  # machines
     st.integers(min_value=2, max_value=12),  # horizon
@@ -217,6 +251,7 @@ def test_starts_match_bruteforce(data):
     got = [] if sched.has_job(probe.id) else list(nonpreemptive_starts(probe, sched))
     if not sched.has_job(probe.id):
         assert got == expect
+        assert first_start(probe, sched) == (expect[0] if expect else None)
         # every reported window respects release, deadline, and capacity
         for win in feasible_windows(probe, sched):
             assert win[0] >= probe.release and win[-1] <= probe.deadline

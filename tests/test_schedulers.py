@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from greensched import schedulers
 from greensched.experiment import ExperimentConfig, run_suite, stable_seed
-from greensched.model import Job, Schedule, SimConfig, commit, nonpreemptive_starts
+from greensched.model import Job, Schedule, SimConfig, commit
 from greensched.offline import solve_nonpreemptive_exact, solve_preemptive_exact
 from greensched.pricing import (
     GreenTrace,
@@ -355,16 +355,23 @@ def test_choice_priced_to_the_deadline_matches_full_horizon(name):
     assert decisions > 300
 
 
+def count_scans(monkeypatch):
+    """Job ids passed to the engine's two window scans, by scan name."""
+    calls = {"first_start": [], "nonpreemptive_starts": []}
+    for name, calls_of in calls.items():
+        def counted(job, schedule, scan=getattr(schedulers, name), calls_of=calls_of):
+            calls_of.append(job.id)
+            return scan(job, schedule)
+
+        monkeypatch.setattr(schedulers, name, counted)
+    return calls
+
+
 def test_rf_scans_capacity_once_per_job(monkeypatch):
     # zero green and a coin that never keeps first-fit: every job takes the
-    # best-fit branch, which must reuse first-fit's scan
-    calls = []
-
-    def counting(job, schedule):
-        calls.append(job.id)
-        return nonpreemptive_starts(job, schedule)
-
-    monkeypatch.setattr(schedulers, "nonpreemptive_starts", counting)
+    # best-fit branch. Its first pick comes from one byte search, and the
+    # full scan of every start runs once, only to price the best-fit pick
+    calls = count_scans(monkeypatch)
     cfg = small_cfg(machines=2, horizon=10)
     jobs = [Job(id=i, release=i, deadline=9, proc_time=2, nodes=1) for i in range(4)]
     always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0)
@@ -372,7 +379,21 @@ def test_rf_scans_capacity_once_per_job(monkeypatch):
     sched, _ = run_online(jobs, SchedulerKind("RF", always_bf), green, TARIFF, cfg, seed=1)
     log = decision_log(jobs, sched, green, TARIFF, cfg)
     assert [e.decision for e in log] == ["admit"] * 4
-    assert calls == [0, 1, 2, 3]
+    assert calls == {"first_start": [0, 1, 2, 3], "nonpreemptive_starts": [0, 1, 2, 3]}
+
+
+def test_ff_finds_its_window_without_the_full_scan(monkeypatch):
+    # first-fit needs only the earliest window: one byte search per job,
+    # also for the job that fits nowhere, and never the list of every start
+    calls = count_scans(monkeypatch)
+    cfg = small_cfg(machines=1, horizon=10)
+    sizes = (4, 4, 4, 2)
+    jobs = [Job(id=i, release=i, deadline=9, proc_time=p, nodes=1) for i, p in enumerate(sizes)]
+    green = GreenTrace(np.zeros(10, dtype=np.int64))
+    sched, _ = run_online(jobs, FF, green, TARIFF, cfg)
+    log = decision_log(jobs, sched, green, TARIFF, cfg)
+    assert [e.decision for e in log] == ["admit", "admit", "reject", "admit"]
+    assert calls == {"first_start": [0, 1, 2, 3], "nonpreemptive_starts": []}
 
 
 def test_run_online_needs_seed_for_randomized_kinds():
