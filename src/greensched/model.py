@@ -10,6 +10,7 @@ into a horizon of ``horizon_slots`` slots of ``slot_minutes`` minutes each.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,8 +167,8 @@ def nonpreemptive_starts(job: Job, schedule: Schedule) -> np.ndarray:
     region = _capacity_region(job, schedule)
     # full[k] counts the slots before offset k that cannot take the job; a
     # window holds none of them iff the count does not grow across it
-    full = np.zeros(region.size + 1, dtype=np.int64)
-    np.add.accumulate(~region, dtype=np.int64, out=full[1:])
+    full = np.zeros(region.size + 1, dtype=np.int32)
+    np.add.accumulate(~region, dtype=np.int32, out=full[1:])
     return (full[p:] == full[:-p]).nonzero()[0] + job.release
 
 
@@ -197,17 +198,22 @@ def slot_index(slots: tuple[int, ...]) -> slice | list[int]:
     return slice(first, last + 1) if last - first + 1 == len(slots) else list(slots)
 
 
-def commit(job: Job, slots: tuple[int, ...], schedule: Schedule) -> Schedule:
+def commit(job: Job, slots: Sequence[int], schedule: Schedule) -> Schedule:
     """Irrevocably place the job on the given slots, updating demand.
 
-    Defensive checks guard every schedule invariant; violations raise
-    CapacityError and leave the schedule untouched.
+    The slots are stored as a tuple of ints. A unit-step ``range`` is taken
+    as given: it is integral, sorted and distinct by construction, so it
+    skips the per-slot conversion and order scan. Every other input is
+    converted and scanned. Defensive checks guard every schedule invariant,
+    in the same order and with the same messages on both paths; violations
+    raise CapacityError and leave the schedule untouched.
     """
-    slots = tuple(map(int, slots))
+    given = type(slots) is range and slots.step == 1
+    slots = tuple(slots) if given else tuple(map(int, slots))
     n = len(slots)
     if n != job.proc_time:
         raise CapacityError(f"job {job.id}: {n} slots given, needs {job.proc_time}")
-    if not all(map(operator.lt, slots, slots[1:])):
+    if not given and not all(map(operator.lt, slots, slots[1:])):
         raise CapacityError(f"job {job.id}: slots must be sorted and distinct")
     first, last = slots[0], slots[-1]
     if first < job.release or last > job.deadline:
@@ -219,11 +225,16 @@ def commit(job: Job, slots: tuple[int, ...], schedule: Schedule) -> Schedule:
         raise CapacityError(f"job {job.id}: slot {last} outside horizon")
     if schedule.has_job(job.id):
         raise CapacityError(f"job {job.id}: already placed")
-    # scattered slots index by one array, built once for the check and the add
-    idx = slice(first, last + 1) if last - first + 1 == n else np.array(slots)
-    if np.maximum.reduce(schedule.demand[idx]) > schedule.machines - job.nodes:
+    run = last - first + 1 == n
+    idx = slice(first, last + 1) if run else np.array(slots)
+    # a run's view is written through; scattered slots index a copy
+    busy = schedule.demand[idx]
+    if np.maximum.reduce(busy) > schedule.machines - job.nodes:
         raise CapacityError(f"job {job.id}: placement exceeds {schedule.machines} nodes")
-    schedule.demand[idx] += job.nodes
+    if run:
+        busy += job.nodes
+    else:
+        schedule.demand[idx] += job.nodes
     schedule.placements.append(Placement(job.id, slots, job.nodes))
     schedule._placed.add(job.id)
     return schedule

@@ -10,6 +10,8 @@ Decisions may look at green supply only within the forecast window of the
 job's release; slots past the forecast are priced as if no green existed.
 Final accounting always uses the true trace. ``place`` and ``run_online``
 decide and commit only; ``decision_log`` derives the log from a schedule.
+A contiguous pick travels to ``commit`` as a unit-step ``range``, which it
+checks without a per-slot scan, and ``place`` returns the stored tuple.
 
 An ``OnlineState`` holds the per-slot prices and on-peak flags of the
 tariff it was created under, and its config; every decision on it uses
@@ -324,7 +326,13 @@ def _visible_green(job: Job, state: OnlineState) -> np.ndarray:
     return vis
 
 
-def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...] | None:
+def _run_or_slots(picked: np.ndarray) -> Sequence[int]:
+    """Ascending distinct slots as ``commit`` takes them: a range when contiguous."""
+    first, last = int(picked[0]), int(picked[-1])
+    return range(first, last + 1) if last - first + 1 == picked.size else tuple(picked.tolist())
+
+
+def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> Sequence[int] | None:
     """The slots the policy picks for the job, or None when none can take it.
 
     A capacity scan yields the candidates: the spare slots for the
@@ -336,6 +344,11 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...
     p_on_to_off when the release slot is on-peak and p_off_to_on otherwise,
     and takes best-fit's pick on a miss. No randomness is consumed on the
     green path.
+
+    A contiguous pick is returned as ``range(s, s + p)``, which ``commit``
+    takes without a per-slot scan; that is every first-fit, best-fit and
+    random-fit pick, and a preemptive pick whose slots happen to be
+    adjacent. Any other pick is an ascending tuple.
     """
     p = job.proc_time
     name = kind.kind
@@ -345,7 +358,7 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...
         if spare.size < p:
             return None
         first_idx = spare[:p]
-        first = tuple(first_idx.tolist())
+        first = _run_or_slots(first_idx)
     elif base == "BF":
         starts = nonpreemptive_starts(job, state.schedule)
         if starts.size == 0:
@@ -355,7 +368,7 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...
         if s is None:
             return None
         first_idx = slice(s, s + p)
-        first = tuple(range(s, s + p))
+        first = range(s, s + p)
     if base == "FF":
         return first
     vis = _visible_green(job, state)
@@ -377,14 +390,14 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...
         # cheapest first; the stable sort keeps ascending spare slots in order on ties
         picked = spare[unit[spare].argsort(kind="stable")[:p]]
         picked.sort()
-        return tuple(picked.tolist())
+        return _run_or_slots(picked)
     # the prefix sums add in slot order from slot 0, so a window's cost does
     # not depend on where the priced prefix ends
     csum = np.zeros(unit.size + 1)
     np.add.accumulate(unit, out=csum[1:])
     window_cost = (csum[p:] - csum[:-p])[starts]
     s = int(starts[window_cost.argmin()])  # argmin keeps earliest tie
-    return tuple(range(s, s + p))
+    return range(s, s + p)
 
 
 def place(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...] | None:
@@ -394,11 +407,13 @@ def place(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...] 
     marginal brown energy (earliest on ties), random-fit flips the coin of
     ``kind.rf_params`` between the two (see ``_choose``). Prices and on-peak
     flags come from the state's tariff vectors, the forecast from its config.
+    The slots returned are the committed placement's ``active_slots``, an
+    ascending tuple, whatever form ``_choose`` picked them in.
     """
     slots = _choose(job, state, kind)
-    if slots is not None:
-        commit(job, slots, state.schedule)
-    return slots
+    if slots is None:
+        return None
+    return commit(job, slots, state.schedule).placements[-1].active_slots
 
 
 def _play(

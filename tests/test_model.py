@@ -122,22 +122,29 @@ def test_commit_rejects_bad_slot_sets():
         commit(job, (3, 4), sched)  # same job twice
 
 
-# (message, contiguous slots, scattered slots): each breaks one check
+# (id, message, contiguous slots, scattered slots, unit-step range): each
+# breaks one check. A range cannot be unsorted or repeat a slot, so it takes
+# only the checks it can break, and commit trusts its order
 _BAD_SLOTS = [
-    ("needs 3", (2, 3, 4, 5), (1, 3, 5, 6)),
-    ("sorted and distinct", (3, 2, 4), (3, 1, 5)),  # unsorted
-    ("sorted and distinct", (2, 2, 3), (1, 3, 3)),  # duplicate
-    ("leave window", (0, 1, 2), (0, 2, 4)),
-    ("outside horizon", (7, 8, 9), (5, 7, 9)),
-    ("already placed", (2, 3, 4), (1, 3, 5)),
-    ("exceeds 2 nodes", (4, 5, 6), (2, 4, 6)),
+    ("count", "needs 3", (2, 3, 4, 5), (1, 3, 5, 6), range(2, 6)),
+    ("empty", "needs 3", None, None, range(3, 3)),
+    ("unsorted", "sorted and distinct", (3, 2, 4), (3, 1, 5), None),
+    ("duplicate", "sorted and distinct", (2, 2, 3), (1, 3, 3), None),
+    ("window", "leave window", (0, 1, 2), (0, 2, 4), range(0, 3)),
+    ("horizon", "outside horizon", (7, 8, 9), (5, 7, 9), range(7, 10)),
+    ("placed", "already placed", (2, 3, 4), (1, 3, 5), range(2, 5)),
+    ("capacity", "exceeds 2 nodes", (4, 5, 6), (2, 4, 6), range(4, 7)),
 ]
-_BAD_IDS = ["count", "unsorted", "duplicate", "window", "horizon", "placed", "capacity"]
+_BAD_CASES = [
+    pytest.param(message, slots, id=f"{case}-{path}")
+    for case, message, *paths in _BAD_SLOTS
+    for path, slots in zip(("slice", "list", "range"), paths)
+    if slots is not None
+]
 
 
-@pytest.mark.parametrize("contiguous", [True, False], ids=["slice", "list"])
-@pytest.mark.parametrize("message, run, scattered", _BAD_SLOTS, ids=_BAD_IDS)
-def test_commit_keeps_every_check_on_both_index_paths(message, run, scattered, contiguous):
+@pytest.mark.parametrize("message, slots", _BAD_CASES)
+def test_commit_keeps_every_check_on_both_index_paths(message, slots):
     sched = Schedule(machines=2, horizon=8)
     commit(Job(id=7, release=0, deadline=7, proc_time=1, nodes=2), (6,), sched)
     job_id = 7 if message == "already placed" else 0
@@ -145,10 +152,30 @@ def test_commit_keeps_every_check_on_both_index_paths(message, run, scattered, c
     job = Job(id=job_id, release=1, deadline=deadline, proc_time=3, nodes=1)
     demand, placements, placed = sched.demand.copy(), list(sched.placements), set(sched._placed)
     with pytest.raises(CapacityError, match=message):
-        commit(job, run if contiguous else scattered, sched)
+        commit(job, slots, sched)
     assert np.array_equal(sched.demand, demand)
     assert sched.placements == placements
     assert sched._placed == placed
+
+
+def test_commit_takes_only_unit_step_ranges_as_given():
+    job = Job(id=0, release=1, deadline=6, proc_time=3, nodes=1)
+    with pytest.raises(CapacityError, match="sorted and distinct"):
+        commit(job, range(4, 1, -1), Schedule(2, 8))
+    # a step of 2 is scattered: it commits through the index array
+    sched = Schedule(2, 8)
+    commit(job, range(1, 6, 2), sched)
+    assert sched.demand.tolist() == [0, 1, 0, 1, 0, 1, 0, 0]
+    assert sched.placements[0].active_slots == (1, 3, 5)
+    # a range, with numpy bounds or not, is stored as the tuple of the same slots
+    stored = []
+    for slots in (range(2, 5), range(np.int64(2), np.int64(5)), (2, 3, 4)):
+        sched = Schedule(2, 8)
+        commit(job, slots, sched)
+        stored.append((sched.placements[0].active_slots, sched.demand.tolist()))
+    assert stored[0] == stored[1] == stored[2]
+    for active, _ in stored:
+        assert type(active) is tuple and all(type(t) is int for t in active)
 
 
 def test_commit_indexes_runs_by_slice_and_scattered_slots_by_list():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from greensched import schedulers
 from greensched.experiment import ExperimentConfig, run_suite, stable_seed
-from greensched.model import Job, Schedule, SimConfig, commit
+from greensched.model import Job, Schedule, SimConfig, commit, release_order
 from greensched.offline import solve_nonpreemptive_exact, solve_preemptive_exact
 from greensched.pricing import (
     GreenTrace,
@@ -346,13 +346,53 @@ def test_choice_priced_to_the_deadline_matches_full_horizon(name):
             want = full_horizon_choice(job, state, kind, tariff)
             state.coin = counting(schedulers._seeded_coin(seed), asked)
             got = schedulers._choose(job, state, kind)
-            assert got == want
+            # a contiguous pick comes back as a range; the oracle gives a tuple
+            assert (None if got is None else tuple(got)) == want
             assert asked == drawn
             if got is not None:
                 commit(job, got, state.schedule)
                 decisions += 1
     assert forecasts == {True, False}
     assert decisions > 300
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_contiguous_picks_reach_commit_as_unit_step_ranges(name, monkeypatch):
+    # place returns the stored tuple, while commit is handed every
+    # contiguous pick as a range, so it skips the per-slot scan; a change
+    # that rebuilds tuples on the way fails here
+    handed = []
+
+    def recorded(job, slots, schedule):
+        handed.append(slots)
+        return commit(job, slots, schedule)
+
+    monkeypatch.setattr(schedulers, "commit", recorded)
+    kind = SchedulerKind(name, PARAMS if name in ("RF", "PRF") else None)
+    rng = np.random.default_rng(5)
+    cfg = small_cfg(machines=3, horizon=16)
+    green = GreenTrace(rng.integers(0, 4, size=16))
+    state = fresh_state(cfg, green, seed=11)
+    placed = []
+    for job in release_order(_random_jobs(rng, 16, 3, 40)):
+        slots = place(job, state, kind)
+        if slots is not None:
+            assert type(slots) is tuple
+            assert slots is state.schedule.placements[-1].active_slots
+            placed.append(slots)
+    assert len(handed) == len(placed) > 10
+    runs = 0
+    for sent, slots in zip(handed, placed):
+        assert tuple(sent) == slots
+        if slots[-1] - slots[0] + 1 == len(slots):
+            assert type(sent) is range and sent.step == 1
+            runs += 1
+        else:
+            assert type(sent) is tuple
+    if not kind.preemptive:
+        assert runs == len(placed)
+    else:
+        assert 0 < runs < len(placed)
 
 
 def count_scans(monkeypatch):
