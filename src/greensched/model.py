@@ -160,10 +160,6 @@ def spare_slots(job: Job, schedule: Schedule) -> np.ndarray:
 def nonpreemptive_starts(job: Job, schedule: Schedule) -> np.ndarray:
     """Feasible contiguous start slots, ascending (absolute ordinals)."""
     p = job.proc_time
-    if p == 1:
-        # every spare slot starts a window; the prefix count below costs
-        # 3-4x more per call, and about 1 in 10 sweep scans has p == 1
-        return spare_slots(job, schedule)
     region = _capacity_region(job, schedule)
     # full[k] counts the slots before offset k that cannot take the job; a
     # window holds none of them iff the count does not grow across it

@@ -441,23 +441,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _term_strings(terms: list[tuple[float, str]]) -> list[str]:
-    """One string per term, signs attached, ready for wrapping."""
-    parts: list[str] = []
-    for coef, name in terms:
-        sign = "-" if coef < 0 else ("+" if parts else "")
-        mag = abs(coef)
-        body = name if mag == 1 else f"{_fmt(mag)} {name}"
-        parts.append(f"{sign} {body}".strip())
-    return parts
-
-
-def _wrap_terms(head: str, parts: list[str], tail: str = "", width: int = 76) -> list[str]:
-    """Wrap at term boundaries; continuation lines are indented deeper."""
+def _wrap_terms(head: str, terms: list[tuple[float, str]], tail: str = "") -> list[str]:
+    """One LP row: the signed terms after head, then tail, wrapped at term
+    boundaries to 76 columns onto deeper-indented continuation lines."""
     out: list[str] = []
     cur = " " + head
-    for part in parts:
-        if len(cur) + 1 + len(part) > width and cur.strip() != head:
+    for k, (coef, name) in enumerate(terms):
+        body = name if abs(coef) == 1 else f"{_fmt(abs(coef))} {name}"
+        sign = "-" if coef < 0 else ("+" if k else "")
+        part = f"{sign} {body}" if sign else body
+        if len(cur) + 1 + len(part) > 76 and cur.strip() != head:
             out.append(cur)
             cur = "   " + part
         else:
@@ -466,41 +459,6 @@ def _wrap_terms(head: str, parts: list[str], tail: str = "", width: int = 76) ->
         cur = f"{cur} {tail}"
     out.append(cur)
     return out
-
-
-class _LpWriter:
-    def __init__(self, title: str) -> None:
-        self.lines: list[str] = [f"\\ {title}"]
-        self.constraints: list[str] = []
-        self.binaries: list[str] = []
-
-    def comment(self, text: str) -> None:
-        self.lines.append(f"\\ {text}")
-
-    def objective(self, terms: list[tuple[float, str]]) -> None:
-        self.lines.append("Maximize")
-        self.lines.extend(_wrap_terms("obj:", _term_strings(terms)))
-
-    def constraint(
-        self, name: str, terms: list[tuple[float, str]], op: str, rhs: float
-    ) -> None:
-        self.constraints.extend(
-            _wrap_terms(f"{name}:", _term_strings(terms), f"{op} {_fmt(rhs)}")
-        )
-
-    def binary(self, name: str) -> None:
-        self.binaries.append(name)
-
-    def render(self) -> str:
-        out = list(self.lines)
-        out.append("Subject To")
-        out.extend(self.constraints)
-        if self.binaries:
-            out.append("Binaries")
-            for i in range(0, len(self.binaries), 8):
-                out.append(" " + " ".join(self.binaries[i : i + 8]))
-        out.append("End")
-        return "\n".join(out) + "\n"
 
 
 LP_VARIANTS = ("nonpreemptive", "preemptive")
@@ -534,40 +492,38 @@ def emit_lp(
     M = config.machines
     preemptive = variant == "preemptive"
     prefix = "w" if preemptive else "s"
-    w = _LpWriter(f"offline profit model, {variant}, {len(order)} jobs, {T} slots, {M} nodes")
-    for i, job in enumerate(order):
-        w.comment(
-            f"job {i}: id={job.id} window=[{job.release},{job.deadline}] "
-            f"p={job.proc_time} q={job.nodes}"
-        )
+    lines = [f"\\ offline profit model, {variant}, {len(order)} jobs, {T} slots, {M} nodes"]
+    lines += [
+        f"\\ job {i}: id={job.id} window=[{job.release},{job.deadline}] "
+        f"p={job.proc_time} q={job.nodes}"
+        for i, job in enumerate(order)
+    ]
     obj = [(rev[i], f"y_{i}") for i in range(len(order))]
     obj += [(-b[t], f"aux_{t}") for t in range(T) if b[t] != 0]
-    w.objective(obj)
+    lines += ["Maximize", *_wrap_terms("obj:", obj), "Subject To"]
 
     empty = [0] * T
-    busy: list[list[tuple[float, str]]] = [[(1.0, f"e_{t}")] for t in range(T)]
-    activity: list[str] = []
+    busy = [[(1.0, f"e_{t}")] for t in range(T)]
+    binaries = [f"y_{i}" for i in range(len(order))]
     for i, job in enumerate(order):
         # a preemptive job runs as proc_time one-slot pieces, a contiguous one as one
         piece = replace(job, proc_time=1) if preemptive else job
-        names = []
+        once = []
         for slots in _contiguous_options(piece, empty, M):
             name = f"{prefix}_{i}_{slots[0]}"
-            names.append(name)
+            once.append((1.0, name))
+            binaries.append(name)
             for t in slots:
                 busy[t].append((-float(job.nodes), name))
         count = float(job.proc_time if preemptive else 1)
-        w.constraint(
-            f"once_{i}", [(1.0, v) for v in names] + [(-count, f"y_{i}")], "=", 0
-        )
-        activity += names
+        lines += _wrap_terms(f"once_{i}:", once + [(-count, f"y_{i}")], "= 0")
     for t in range(T):
-        w.constraint(f"load_{t}", busy[t], "=", 0)
-        w.constraint(f"cap_{t}", [(1.0, f"e_{t}")], "<=", M)
-        w.constraint(f"energy_{t}", [(1.0, f"e_{t}"), (-1.0, f"aux_{t}")], "<=", g[t])
-
-    for i in range(len(order)):
-        w.binary(f"y_{i}")
-    for name in activity:
-        w.binary(name)
-    return w.render()
+        lines += _wrap_terms(f"load_{t}:", busy[t], "= 0")
+        lines += _wrap_terms(f"cap_{t}:", [(1.0, f"e_{t}")], f"<= {_fmt(M)}")
+        energy = [(1.0, f"e_{t}"), (-1.0, f"aux_{t}")]
+        lines += _wrap_terms(f"energy_{t}:", energy, f"<= {_fmt(g[t])}")
+    if binaries:
+        lines.append("Binaries")
+        lines += [" " + " ".join(binaries[k : k + 8]) for k in range(0, len(binaries), 8)]
+    lines.append("End")
+    return "\n".join(lines) + "\n"

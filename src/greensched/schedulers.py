@@ -26,7 +26,9 @@ path is played once. ``run_trials`` draws every seed's coins in one batched
 numpy pass, bit-equal to ``np.random.default_rng(seed)``, and plays a
 prefix for all its trials at once; at each fresh flip, the trials whose
 draw comes out the other way split off.
-The seeding hashes every seed's words in stacked arrays, so its number of
+A seed is a 64-bit word, in [0, 2**64): ``run_online`` and ``run_trials``
+reject any other before a play, so the batch has one draw path. The
+seeding hashes every seed's words in stacked arrays, so its number of
 numpy calls does not grow with the batch, and a ``range`` of seeds is read
 by its endpoints, with no Python step per seed; any other iterable of
 seeds is read seed by seed.
@@ -242,27 +244,33 @@ def _pcg64_seeded(seeds: np.ndarray) -> list[np.ndarray]:
     return state
 
 
-def _seed_bounds(seeds: Sequence[int]) -> tuple[int, int]:
-    """The lowest and the highest of non-empty ``seeds``; a range by its endpoints."""
-    if isinstance(seeds, range):
-        return min(seeds[0], seeds[-1]), max(seeds[0], seeds[-1])
-    return min(seeds), max(seeds)
+def _check_seeds(seeds: Sequence[int], noun: str) -> None:
+    """Raise ValueError unless every seed is a 64-bit word, in [0, 2**64).
+
+    A ``range`` is checked by its endpoints, with no Python step per seed.
+    """
+    if not seeds:
+        return
+    ends = (seeds[0], seeds[-1]) if isinstance(seeds, range) else seeds
+    if (lowest := min(ends)) < 0:
+        raise ValueError(f"{noun} must be non-negative, got {lowest}")
+    if (highest := max(ends)) >> 64:
+        raise ValueError(f"{noun} must be below 2**64, got {highest}")
 
 
 class _SeedDraws:
     """``np.random.default_rng(s).random()`` for every seed s, a column per draw.
 
-    ``column(d)`` holds each seed's (d+1)-th draw, bit for bit. Seeds below
-    2**64 are set up and stepped together; larger ones draw from their own
-    generator in the same column. A column is computed the first time it
-    is asked for, so seeds that never flip cost nothing.
+    ``column(d)`` holds each seed's (d+1)-th draw, bit for bit. Every seed
+    is a 64-bit word (``run_trials`` checks), so all of them are set up and
+    stepped together on uint64 arrays. A column is computed the first time
+    it is asked for, so seeds that never flip cost nothing.
     """
 
     def __init__(self, seeds: Sequence[int]):
         self.seeds = seeds
         self.columns: list[np.ndarray] = []
         self._pcg: list[np.ndarray] | None = None
-        self._big: dict[int, np.random.Generator] = {}
 
     def column(self, depth: int) -> np.ndarray:
         while len(self.columns) <= depth:
@@ -278,26 +286,18 @@ class _SeedDraws:
         """The next column: one PCG64 step and output per seed."""
         if self._pcg is None:
             seeds = self.seeds
-            if _seed_bounds(seeds)[1] >> 64:
-                self._big = {
-                    i: np.random.default_rng(s) for i, s in enumerate(seeds) if s >> 64
-                }
-                seeds = np.array([0 if s >> 64 else s for s in seeds], dtype=np.uint64)
-            elif isinstance(seeds, range):
+            if isinstance(seeds, range):
                 # i * step + first wraps mod 2**64 onto each seed, whatever the step's sign
                 steps = np.arange(len(seeds), dtype=np.uint64)
                 seeds = steps * np.uint64(seeds.step % 2**64) + np.uint64(seeds[0])
             else:
                 seeds = np.array(seeds, dtype=np.uint64)
-            self._pcg = _pcg64_seeded(seeds)  # big rows are overwritten below
+            self._pcg = _pcg64_seeded(seeds)
         _pcg_step(self._pcg)
         hi, lo = self._pcg[:2]
         x, rot = hi ^ lo, hi >> _U64[58]
         x = x >> rot | x << (_U64[64] - rot & _U64[63])
-        col = (x >> _U64[11]).astype(np.float64) * 2.0**-53
-        for row, rng in self._big.items():
-            col[row] = rng.random()
-        return col
+        return (x >> _U64[11]).astype(np.float64) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -461,12 +461,12 @@ def run_online(
     Jobs are processed sorted by (release, deadline, id); commitments are
     irrevocable. ``decision_log`` derives the per-job log from the returned
     schedule. ``seed`` feeds the RF/PRF coin only, and those kinds require
-    it. A negative seed raises ValueError before any play.
+    it. A seed outside [0, 2**64) raises ValueError before any play.
     """
     if kind.randomized and seed is None:
         raise ValueError(f"{kind.kind} needs a seed for its coin")
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    if seed is not None:
+        _check_seeds((seed,), "seed")
     check_deadlines(jobs, config)
     coin = _seeded_coin(seed) if kind.randomized else None
     schedule, report, _ = _play(jobs, kind, green, tariff, config, (), coin)
@@ -538,19 +538,18 @@ def run_trials(
     trials whose draw at that depth disagrees split off as a new group,
     whose prefix ends in the other outcome. So each distinct path is
     played once, no column is drawn before a play needs it, and a
-    deterministic kind plays once. A negative seed raises ValueError
-    before any play.
+    deterministic kind plays once. A seed outside [0, 2**64) raises
+    ValueError before any play.
 
-    A ``range`` is read by its endpoints: the negative-seed check takes its
-    lowest element, and its seeds become an array through ``np.arange``, so
-    no Python step runs per seed. Any other iterable is turned into a list
-    of ints first.
+    A ``range`` is read by its endpoints: the seed check takes its lowest
+    and highest elements, and its seeds become an array through
+    ``np.arange``, so no Python step runs per seed. Any other iterable is
+    turned into a list of ints first.
     """
     check_deadlines(jobs, config)
     if not isinstance(seeds, range):
         seeds = list(map(operator.index, seeds))
-    if seeds and (lowest := _seed_bounds(seeds)[0]) < 0:
-        raise ValueError(f"seeds must be non-negative, got {lowest}")
+    _check_seeds(seeds, "seeds")
     draws = _SeedDraws(seeds)
     profits = np.empty(len(seeds))
     # (path, trials): the trials, ascending, whose coins come out as path

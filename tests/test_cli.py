@@ -257,6 +257,13 @@ def test_adversary_rejects_bad_integers_before_any_row(flag, value, floor, capsy
     assert f"at least {floor}" in captured.err
 
 
+def test_adversary_seeds_stay_below_2_64(capsys):
+    # the Monte Carlo seeds run from --seed to --seed + --trials - 1
+    rc = main(["adversary", "--seed", str(2**64 - 2), "--trials", "3", "--machines", "4"])
+    assert rc == 1
+    assert "seeds must be below 2**64" in capsys.readouterr().err
+
+
 def test_gen_rejects_a_negative_seed(tmp_path, capsys):
     out = tmp_path / "j.txt"
     with pytest.raises(SystemExit) as exc:

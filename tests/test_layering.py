@@ -191,6 +191,36 @@ def test_onpeak_scan_sees_any_owner_but_self():
     assert onpeak_readers(source) == {None, "f", "h"}
 
 
+RNG_BUILDERS = {"Generator", "default_rng", "PCG64"}
+
+
+def rng_builders(source: str) -> set[str | None]:
+    """Innermost functions that name a numpy generator builder, by any owner
+    (``callers`` sees ``owner.attr`` only, not ``np.random.attr``)."""
+    return enclosing(
+        source, lambda node: isinstance(node, ast.Attribute) and node.attr in RNG_BUILDERS
+    )
+
+
+def test_one_function_builds_a_generator_in_schedulers():
+    # run_trials draws every seed from the batched uint64 path, so no
+    # per-seed generator may return there; the one generator is built at
+    # the first flip of the coin that _seeded_coin returns
+    source = (PACKAGE / "schedulers.py").read_text()
+    [seeded] = [n for n in ast.parse(source).body if getattr(n, "name", None) == "_seeded_coin"]
+    seeded = ast.get_source_segment(source, seeded)
+    assert rng_builders(seeded) == {"coin"}
+    assert rng_builders(source.replace(seeded, "")) == set()
+
+
+def test_rng_scan_sees_any_owner_depth():
+    source = (
+        "np.random.default_rng(1)\ndef f():\n    return np.random.Generator(np.random.PCG64(2))\n"
+        "def g():\n    return rng.random()\ndef h():\n    return random.PCG64\n"
+    )
+    assert rng_builders(source) == {None, "f", "h"}
+
+
 REPO = PACKAGE.parents[1]
 
 # exported but called by nothing outside the tests: the benchmark traces

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import warnings
 
@@ -758,13 +759,28 @@ def test_preemptive_solver_warns_when_witness_impossible():
 
 
 def test_emit_lp_is_byte_stable():
-    rng = np.random.default_rng(4)
-    jobs, green, tariff, config = random_instance(rng)
+    # sha256 over every emitted byte: 200 random models in both variants
+    # (jobs wider than the cluster among them, and wrapped lines), then a
+    # zero-job model whose green of 10**12 must print through %.12g as 1e+12
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(5)
+    wide = wrapped = 0
+    for _ in range(200):
+        jobs, green, tariff, config = random_instance(rng)
+        wide += any(j.nodes > config.machines for j in jobs)
+        for variant in ("nonpreemptive", "preemptive"):
+            text = emit_lp(jobs, green, tariff, config, variant=variant)
+            wrapped += any(line.startswith("   ") for line in text.splitlines())
+            digest.update(text.encode())
+    green = GreenTrace(np.array([0, 10**12, 1]))
     for variant in ("nonpreemptive", "preemptive"):
-        a = emit_lp(jobs, green, tariff, config, variant=variant)
-        b = emit_lp(jobs, green, tariff, config, variant=variant)
-        assert a == b
-        assert a.endswith("End\n")
+        text = emit_lp([], green, TARIFF, cfg_of(2, 3), variant=variant)
+        assert "Binaries" not in text and " energy_1: e_1 - aux_1 <= 1e+12\n" in text
+        digest.update(text.encode())
+    assert wide > 0 and wrapped > 0
+    assert digest.hexdigest() == (
+        "914c05545f4e1e9677965cf9147bac255f9a90152d4df118f06ae4ae66908534"
+    )
 
 
 def test_emit_lp_smallest_model_shape():

@@ -453,6 +453,8 @@ def test_run_online_rejects_a_negative_seed_before_any_play(supply, engine_plays
     green = GreenTrace(np.full(6, supply, dtype=np.int64))
     with pytest.raises(ValueError, match="seed must be non-negative"):
         run_online(jobs, RF, green, TARIFF, cfg, seed=-1)
+    with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+        run_online(jobs, RF, green, TARIFF, cfg, seed=2**64)
     assert engine_plays == []
 
 
@@ -716,13 +718,13 @@ def assert_draws_equal_default_rng(seeds, depth):
         assert draws.column(d).tobytes() == want[:, d].tobytes()
 
 
-@given(st.lists(st.integers(0, 2**130), min_size=1, max_size=12))
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
 def test_seed_draws_equal_default_rng(seeds):
     assert_draws_equal_default_rng(seeds, depth=8)
 
 
 def test_seed_draws_equal_default_rng_at_word_edges():
-    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128]
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
     assert_draws_equal_default_rng(edges, depth=8)
     assert_draws_equal_default_rng(edges[::-1] + edges, depth=3)
     # thousands of seeds across the high word's change, as a range and a list
@@ -732,13 +734,13 @@ def test_seed_draws_equal_default_rng_at_word_edges():
 
 
 def test_run_trials_equals_per_seed_runs_at_and_above_2_64(engine_plays):
-    # seeds from 2**64 up draw from their own generator in the same walk,
-    # also inside a range that crosses 2**64; ranges are checked against
-    # their lists too
+    # seeds up to the top 64-bit word, also in a range that ends there;
+    # ranges are checked against their lists too. A seed of 2**64 or more,
+    # in a list or in a range that crosses it, raises before any play
     seed_sets = (
-        [2**64 + 3, 2**64 - 1, 5, 2**64, 2**128 + 1, 2**64 - 1, 0, 2**63],
+        [2**64 - 1, 5, 2**64 - 2, 2**64 - 1, 0, 2**63],
         range(2**32 - 3, 2**32 + 3),
-        range(2**64 - 3, 2**64 + 3),
+        range(2**64 - 6, 2**64),
     )
     rng = np.random.default_rng(61)
     for name in ("RF", "PRF"):
@@ -755,6 +757,11 @@ def test_run_trials_equals_per_seed_runs_at_and_above_2_64(engine_plays):
                 got = run_trials(jobs, kind, green, tariff, cfg, list(seeds))
                 assert got.tobytes() == want.tobytes(), seeds
         assert min(plays) > 20  # some instances split the seeds
+    engine_plays.clear()
+    for seeds in ([5, 2**64, 0], range(2**64 - 3, 2**64 + 3)):
+        with pytest.raises(ValueError, match=r"seeds must be below 2\*\*64"):
+            run_trials(jobs, kind, green, tariff, cfg, seeds)
+    assert engine_plays == []
 
 
 def test_run_trials_equals_per_seed_runs_on_a_deep_tree(monkeypatch, engine_plays):
