@@ -214,12 +214,13 @@ def measure_ratio(
     The optimum comes from the exact offline solver. Deterministic policies
     need one trial; randomized ones get seeds base_seed + i (base_seed must
     be non-negative). ``run_trials`` draws every seed's coins in one
-    batched pass and plays each distinct coin path once, splitting the
-    trials at each flip by their draws, so trials whose coins come out alike
-    share one run and the engine's cost grows with the distinct coin paths,
-    not with ``trials``. A policy that earns nothing on every trial reports
-    an infinite ratio (flagged via ``infinite``); the standard error follows
-    the delta method.
+    batched pass and plays each distinct coin path once: a group of trials
+    plays its first seed's own run, and the trials whose draw comes out the
+    other way at a flip leave as a new group. So trials whose coins come out
+    alike share one run, and the engine's cost grows with the distinct coin
+    paths, not with ``trials``. A policy that earns nothing on every trial
+    reports an infinite ratio (flagged via ``infinite``); the standard error
+    follows the delta method.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

@@ -121,6 +121,9 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
+    # the Monte Carlo seeds run from --seed to --seed + --trials - 1
+    if (last := args.seed + args.trials - 1) >> 64:
+        raise ValueError(f"seeds must be below 2**64, got {last}")
     print(
         f"{'construction':<22} {'policy':<6} {'formula':>10} {'exact':>10} "
         f"{'measured':>10} {'stderr':>9}"

@@ -9,6 +9,7 @@ scheduler's mixing probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -103,14 +104,23 @@ def job_revenue(job: Job, tariff: Tariff, config: SimConfig) -> float:
 
 @dataclass(frozen=True)
 class GreenTrace:
-    """Free renewable supply per slot, in whole node-slots."""
+    """Free renewable supply per slot, in whole node-slots.
+
+    Float supply must hold finite whole numbers (``2.0`` is read as 2); a
+    fraction, ``nan`` or ``inf`` raises instead of being cast.
+    """
 
     supply: np.ndarray
 
     def __post_init__(self) -> None:
-        supply = np.asarray(self.supply, dtype=np.int64)
+        supply = np.asarray(self.supply)
         if supply.ndim != 1:
             raise ValueError("supply must be one-dimensional")
+        if supply.dtype.kind == "f" and not (
+            np.isfinite(supply).all() and (np.floor(supply) == supply).all()
+        ):
+            raise ValueError("supply must be finite whole node-slots")
+        supply = supply.astype(np.int64, copy=False)
         if (supply < 0).any():
             raise ValueError("supply must be non-negative")
         object.__setattr__(self, "supply", supply)
@@ -171,8 +181,10 @@ def load_solar_csv(path: str | Path, config: SimConfig) -> GreenTrace:
     header. Naive ISO timestamps are read as UTC. The sample period is the
     step between the first two timestamps, and every later step must equal
     it (to the millisecond), so a gap or a repeated stamp raises instead of
-    shifting the slots after it. The slot length must be a whole multiple of
-    the period, else slots would be summed from the wrong span of time.
+    shifting the slots after it. A non-finite timestamp or watts value
+    (``nan``, ``inf``) raises with its line. The slot length must be a whole
+    multiple of the period, else slots would be summed from the wrong span
+    of time.
     Raises if the trace is shorter than the horizon; longer traces are
     truncated.
     """
@@ -198,6 +210,8 @@ def load_solar_csv(path: str | Path, config: SimConfig) -> GreenTrace:
                 if rows == 1:
                     continue  # header row
                 raise ValueError(f"{path}:{lineno}: cannot parse '{line}'") from None
+            if not (math.isfinite(stamp) and math.isfinite(value)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in '{line}'")
             if len(times) == 1:
                 step = stamp - times[0]
                 if step <= 0:

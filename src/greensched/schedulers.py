@@ -17,15 +17,15 @@ An ``OnlineState`` holds the per-slot prices and on-peak flags of the
 tariff it was created under, and its config; every decision on it uses
 them. The coin is random-fit's only randomness, so a run is fixed by its
 coin path, the outcomes of its flips.
-``_play`` is the one place a run is played: it replays a path prefix, then
-asks a coin, and reports the flips past the prefix. ``run_online`` plays
-one seed's coin. ``run_trials`` (many seeds) and ``expected_profit`` (every
-coin path) keep a stack of prefixes: each is played once, and every fresh
-flip pushes the prefix that ends in its other outcome, so each distinct
-path is played once. ``run_trials`` draws every seed's coins in one batched
-numpy pass, bit-equal to ``np.random.default_rng(seed)``, and plays a
-prefix for all its trials at once; at each fresh flip, the trials whose
-draw comes out the other way split off.
+``_play`` is the one place a run is played: it plays with the coin it is
+given and reports every flip. ``run_online`` plays one seed's coin.
+``run_trials`` draws every seed's coins in one batched numpy pass, bit-equal
+to ``np.random.default_rng(seed)``, and keeps groups of trials whose coins
+agree up to a split depth: a group plays its first seed's own run, and at
+each flip from that depth on, the trials whose draw comes out the other way
+leave as a new group one flip deeper. ``expected_profit`` alone replays
+paths: every flip past a played path's end queues the path that switches
+there, so each coin path is played once.
 A seed is a 64-bit word, in [0, 2**64): ``run_online`` and ``run_trials``
 reject any other before a play, so the batch has one draw path. The
 seeding hashes every seed's words in stacked arrays, so its number of
@@ -277,9 +277,9 @@ class _SeedDraws:
             self.columns.append(self._draw())
         return self.columns[depth]
 
-    def coin(self, row: int, depth: int) -> Coin:
-        """The coin of seed ``row``, flipping from its (depth+1)-th draw on."""
-        draws = (self.column(d)[row] for d in itertools.count(depth))
+    def coin(self, row: int) -> Coin:
+        """The coin of seed ``row``: its run's (d+1)-th flip reads ``column(d)``."""
+        draws = (self.column(d)[row] for d in itertools.count())
         return lambda keep_first: bool(next(draws) < keep_first)
 
     def _draw(self) -> np.ndarray:
@@ -422,30 +422,26 @@ def _play(
     green: GreenTrace,
     tariff: Tariff,
     config: SimConfig,
-    path: Sequence[bool],
-    choose: Coin | None,
+    coin: Coin | None,
 ) -> tuple[Schedule, ProfitReport, list[tuple[float, bool]]]:
     """Play one run and price it; every engine run goes through here.
 
-    Jobs are offered in (release, deadline, id) order. The coin replays the
-    outcomes in ``path``, then asks ``choose``. Returns the schedule, its
-    report and each flip past ``path`` as (keep_first, outcome).
+    Jobs are offered in (release, deadline, id) order and random-fit flips
+    ``coin``. Returns the schedule, its report and every flip, in order, as
+    (keep_first, outcome).
     """
-    replay = iter(path)
-    fresh: list[tuple[float, bool]] = []
+    flips: list[tuple[float, bool]] = []
 
-    def coin(keep_first: float) -> bool:
-        outcome = next(replay, None)
-        if outcome is None:
-            outcome = choose(keep_first)
-            fresh.append((keep_first, outcome))
+    def recorded(keep_first: float) -> bool:
+        outcome = coin(keep_first)
+        flips.append((keep_first, outcome))
         return outcome
 
     state = OnlineState.create(green, tariff, config)
-    state.coin = coin
+    state.coin = recorded
     for job in release_order(jobs):
         place(job, state, kind)
-    return state.schedule, account(state.schedule, green, tariff, config), fresh
+    return state.schedule, account(state.schedule, green, tariff, config), flips
 
 
 def run_online(
@@ -469,7 +465,7 @@ def run_online(
         _check_seeds((seed,), "seed")
     check_deadlines(jobs, config)
     coin = _seeded_coin(seed) if kind.randomized else None
-    schedule, report, _ = _play(jobs, kind, green, tariff, config, (), coin)
+    schedule, report, _ = _play(jobs, kind, green, tariff, config, coin)
     return schedule, report
 
 
@@ -532,14 +528,14 @@ def run_trials(
 
     The coin is random-fit's only randomness, so trials whose coins agree
     share one run. Every seed's draws come from one batched pass
-    (``_SeedDraws``), a column per flip depth. Trials are grouped by the
-    coin path prefix their draws share; a group plays once, with the coin
-    of its lowest-index seed past the prefix, and at each fresh flip the
-    trials whose draw at that depth disagrees split off as a new group,
-    whose prefix ends in the other outcome. So each distinct path is
-    played once, no column is drawn before a play needs it, and a
-    deterministic kind plays once. A seed outside [0, 2**64) raises
-    ValueError before any play.
+    (``_SeedDraws``), a column per flip depth. Trials are grouped with a
+    split depth, before which every trial of the group flips alike; a group
+    plays its lowest-index seed's own run, which is therefore every
+    member's run up to that depth. At each flip from the split depth on,
+    the trials whose draw comes out the other way leave as a new group, one
+    flip deeper. So each distinct path is played once, no column is drawn
+    before a play needs it, and a deterministic kind plays once. A seed
+    outside [0, 2**64) raises ValueError before any play.
 
     A ``range`` is read by its endpoints: the seed check takes its lowest
     and highest elements, and its seeds become an array through
@@ -552,22 +548,17 @@ def run_trials(
     _check_seeds(seeds, "seeds")
     draws = _SeedDraws(seeds)
     profits = np.empty(len(seeds))
-    # (path, trials): the trials, ascending, whose coins come out as path
-    pending = [((), np.arange(len(seeds)))] if seeds else []
+    # (split depth, trials): the trials, ascending, whose coins agree on
+    # every flip before the split depth
+    pending = [(0, np.arange(len(seeds)))] if seeds else []
     while pending:
-        path, trials = pending.pop()
-        coin = draws.coin(int(trials[0]), len(path))
-        _, report, fresh = _play(jobs, kind, green, tariff, config, path, coin)
-        for depth, (keep_first, outcome) in enumerate(fresh, len(path)):
-            stay = draws.column(depth)[trials] < keep_first
-            split = ~stay
-            if not outcome:
-                stay, split = split, stay
-            group = trials[split]
-            if group.size:
-                pending.append(((*path, not outcome), group))
-            path += (outcome,)
-            trials = trials[stay]
+        split, trials = pending.pop()
+        _, report, flips = _play(jobs, kind, green, tariff, config, draws.coin(int(trials[0])))
+        for depth, (keep_first, outcome) in enumerate(flips[split:], split):
+            agree = (draws.column(depth)[trials] < keep_first) == outcome
+            if not agree.all():
+                pending.append((depth + 1, trials[~agree]))
+                trials = trials[agree]
         profits[trials] = report.net_profit
     return profits
 
@@ -581,19 +572,23 @@ def expected_profit(
 ) -> float:
     """The policy's exact expected net profit over its coin.
 
-    Each play keeps first-fit's pick at every fresh flip and queues the
-    path that switches there, so each coin path is played once. Its profit
-    is weighted by the product, in flip order, of its outcomes'
-    probabilities (keep_first for a keep, 1 - keep_first for a switch). A
-    run flips at most one coin per job, so n jobs give at most 2^n paths.
+    Each play replays its path, then keeps first-fit's pick at every flip
+    past it and queues the path that switches there, so each coin path is
+    played once. Its profit is weighted by the product, in flip order, of
+    its outcomes' probabilities (keep_first for a keep, 1 - keep_first for
+    a switch). A run flips at most one coin per job, so n jobs give at most
+    2^n paths.
     """
     check_deadlines(jobs, config)
     terms = []
     pending: list[tuple[tuple[bool, ...], float]] = [((), 1.0)]
     while pending:
         path, weight = pending.pop()
-        _, report, fresh = _play(jobs, kind, green, tariff, config, path, lambda _: True)
-        for keep_first, _ in fresh:
+        replay = iter(path)
+        _, report, flips = _play(
+            jobs, kind, green, tariff, config, lambda _: next(replay, True)
+        )
+        for keep_first, _ in flips[len(path) :]:
             pending.append(((*path, False), weight * (1.0 - keep_first)))
             path += (True,)
             weight *= keep_first

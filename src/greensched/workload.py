@@ -148,6 +148,14 @@ def generate(
 SWF_FIELDS = 18  # fields per row of a Standard Workload Format trace
 
 
+def _finite(text: str) -> float:
+    """``float(text)``; ``nan`` and ``inf`` raise ValueError as bad text does."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite field {text!r}")
+    return value
+
+
 def ingest_swf(path: str | Path, config: SimConfig, deadline_factor: int = 4) -> list[Job]:
     """Map a batch trace onto the slot grid: every usable job, in trace order.
 
@@ -158,10 +166,12 @@ def ingest_swf(path: str | Path, config: SimConfig, deadline_factor: int = 4) ->
     requested ones (8) when 5 is -1. Any other width of at least 4 reads
     job id, submit seconds, run seconds and processors from the first four
     columns. Rows whose run time or processor count is missing (-1) or not
-    positive are skipped with one warning. Submit times are rebased to the
-    earliest one. Releases floor to slots, run times round up, node requests
-    clamp to M with a warning, and the deadline is release +
-    deadline_factor * p (a factor below 1 raises) capped at the horizon.
+    positive are skipped with one warning. A field that does not parse as a
+    finite number (``nan`` and ``inf`` included) raises with its line.
+    Submit times are rebased to the earliest one. Releases floor to slots,
+    run times round up, node requests clamp to M with a warning, and the
+    deadline is release + deadline_factor * p (a factor below 1 raises)
+    capped at the horizon.
     Jobs that cannot fit the horizon are skipped with a warning. Jobs keep
     the order of their rows, which ``sample_jobs`` draws indices from.
     """
@@ -188,16 +198,16 @@ def ingest_swf(path: str | Path, config: SimConfig, deadline_factor: int = 4) ->
                     f"row, got {len(parts)}"
                 )
             try:
-                jid = int(float(parts[0]))
-                submit = float(parts[1])
+                jid = int(_finite(parts[0]))
+                submit = _finite(parts[1])
                 if width == SWF_FIELDS:
-                    run = float(parts[3])
-                    procs = int(float(parts[4]))
+                    run = _finite(parts[3])
+                    procs = int(_finite(parts[4]))
                     if procs == -1:
-                        procs = int(float(parts[7]))
+                        procs = int(_finite(parts[7]))
                 else:
-                    run = float(parts[2])
-                    procs = int(float(parts[3]))
+                    run = _finite(parts[2])
+                    procs = int(_finite(parts[3]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: cannot parse '{line}'") from None
             if run <= 0 or procs <= 0:

@@ -55,6 +55,23 @@ def test_gen_real_family(tmp_path):
     assert len(read_jobs(out, SimConfig())) == 4
 
 
+def test_gen_real_family_with_an_inf_run_time_names_its_line(tmp_path, capsys):
+    # an inf run time used to escape main as a bare OverflowError
+    swf = tmp_path / "t.swf"
+    swf.write_text("1 0 inf 2\n2 900 1200 2\n")
+    cfg = tmp_path / "real.cfg"
+    cfg.write_text(f"swf_path = {swf}\n")
+    out = tmp_path / "jobs.txt"
+    rc = main(
+        ["gen", "--config", str(cfg), "--family", "Real", "--point", "1", "--out", str(out)]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "t.swf:1: cannot parse '1 0 inf 2'" in captured.err
+    assert not out.exists()
+
+
 def test_gen_real_family_without_a_trace_names_swf_path(tmp_path, capsys):
     out = tmp_path / "jobs.txt"
     rc = main(["gen", "--family", "Real", "--point", "4", "--out", str(out)])
@@ -261,7 +278,13 @@ def test_adversary_seeds_stay_below_2_64(capsys):
     # the Monte Carlo seeds run from --seed to --seed + --trials - 1
     rc = main(["adversary", "--seed", str(2**64 - 2), "--trials", "3", "--machines", "4"])
     assert rc == 1
-    assert "seeds must be below 2**64" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "seeds must be below 2**64, got 18446744073709551616" in captured.err
+    assert captured.out == ""  # checked before the header and the deterministic rows
+    # the top seed itself is allowed
+    rc = main(["adversary", "--seed", str(2**64 - 3), "--trials", "3", "--machines", "4"])
+    assert rc == 0
+    assert capsys.readouterr().out.count("\n") == 9
 
 
 def test_gen_rejects_a_negative_seed(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import time
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -210,6 +211,17 @@ def test_green_trace_validation():
     with pytest.raises(ValueError):
         GreenTrace(np.zeros((2, 2)))
     assert GreenTrace.zeros(CFG).supply.sum() == 0
+    # a fraction is not floored, and nan names itself without a numpy
+    # cast warning; whole floats stay accepted, as int64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([1.7, 2.0], [1.0, np.nan], [np.inf, 0.0], [-np.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite whole node-slots"):
+                GreenTrace(np.array(bad))
+        supply = GreenTrace(np.array([2.0, 0.0, 3.0])).supply
+    assert supply.dtype == np.int64 and supply.tolist() == [2, 0, 3]
+    with pytest.raises(ValueError, match="non-negative"):
+        GreenTrace(np.array([-1.0, 2.0]))
 
 
 def test_synthetic_solar_shape():
@@ -323,6 +335,18 @@ def test_load_solar_csv_errors(tmp_path):
     backwards.write_text("900,100\n900,100\n1800,100\n")
     with pytest.raises(ValueError, match="backwards.csv:2: timestamps must increase"):
         load_solar_csv(backwards, cfg)
+    # a nan watts value is not read as 0, a nan stamp does not pass the
+    # period check, and inf watts fail at their line, not in GreenTrace
+    regular = [f"{900 * k},100" for k in range(10)]
+    for name, row, line in (
+        ("nan_watts", "900,nan", 2), ("nan_stamp", "nan,100", 3), ("inf_watts", "2700,inf", 4),
+    ):
+        rows = list(regular)
+        rows[line - 1] = row
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=rf"{name}.csv:{line}: non-finite value"):
+            load_solar_csv(bad, cfg)
 
 
 def test_account_pools_green_by_slot():

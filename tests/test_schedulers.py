@@ -636,22 +636,62 @@ def test_run_trials_equals_per_seed_runs(name, engine_plays):
     assert 4 <= most_paths < len(seeds)
 
 
-def seed_paths(jobs, kind, green, tariff, cfg, seeds, monkeypatch):
-    """The distinct coin-outcome paths of per-seed ``run_online`` runs."""
+def seed_flips(jobs, kind, green, tariff, cfg, seeds, monkeypatch):
+    """Each seed's per-seed ``run_online`` flips, as (keep_first, outcome) lists."""
     seeded = schedulers._seeded_coin
-    paths = set()
+    runs = []
     for seed in seeds:
-        outcomes = []
+        flips = []
 
         def recording(keep_first, coin=seeded(seed)):
-            outcomes.append(coin(keep_first))
-            return outcomes[-1]
+            flips.append((keep_first, coin(keep_first)))
+            return flips[-1][1]
 
         monkeypatch.setattr(schedulers, "_seeded_coin", lambda _: recording)
         run_online(jobs, kind, green, tariff, cfg, seed=seed)
-        paths.add(tuple(outcomes))
+        runs.append(flips)
     monkeypatch.setattr(schedulers, "_seeded_coin", seeded)
-    return paths
+    return runs
+
+
+def seed_paths(jobs, kind, green, tariff, cfg, seeds, monkeypatch):
+    """The distinct coin-outcome paths of per-seed ``run_online`` runs."""
+    runs = seed_flips(jobs, kind, green, tariff, cfg, seeds, monkeypatch)
+    return {tuple(outcome for _, outcome in flips) for flips in runs}
+
+
+@pytest.mark.parametrize("name", ["RF", "PRF"])
+def test_each_trial_group_plays_its_first_seeds_own_run(name, monkeypatch):
+    # a group's play is the whole run of its lowest-index seed, flip 0 on,
+    # with the same probabilities and outcomes as that seed's run_online
+    kind = SchedulerKind(name, PARAMS)
+    rng = np.random.default_rng(97)
+    seeds = range(11, 71)
+    rows, plays = [], []
+    coin, play = schedulers._SeedDraws.coin, schedulers._play
+    split = 0
+    for _ in range(25):
+        jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
+        want = seed_flips(jobs, kind, green, tariff, cfg, seeds, monkeypatch)
+        rows.clear()
+        plays.clear()
+        monkeypatch.setattr(
+            schedulers._SeedDraws, "coin", lambda self, row: rows.append(row) or coin(self, row)
+        )
+        monkeypatch.setattr(schedulers, "_play", lambda *a: plays.append(play(*a)) or plays[-1])
+        run_trials(jobs, kind, green, tariff, cfg, seeds)
+        monkeypatch.setattr(schedulers, "_play", play)
+        monkeypatch.setattr(schedulers._SeedDraws, "coin", coin)
+        # seeds with one path always share a group, whose first seed is the
+        # lowest of them: one play per path, by its lowest seed
+        firsts = {}
+        for row, flips in enumerate(want):
+            firsts.setdefault(tuple(outcome for _, outcome in flips), row)
+        assert sorted(rows) == sorted(firsts.values()) and len(plays) == len(rows)
+        for row, (_, _, flips) in zip(rows, plays):
+            assert flips == want[row], row
+        split += len(rows) - 1
+    assert split >= 10  # many plays belong to a group split off a deeper run
 
 
 @pytest.mark.parametrize("name", ["RF", "PRF"])

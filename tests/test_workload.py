@@ -265,6 +265,26 @@ def test_swf_parse_errors(tmp_path):
     dup = _write_trace(tmp_path / "c.swf", ["1 0 900 2", "1 900 900 2"])
     with pytest.raises(ValueError, match="duplicate"):
         ingest_swf(dup, CFG)
+    # nan and inf fail at their line, as any other unreadable field: an inf
+    # run time no longer overflows math.ceil, a nan submit no longer fails
+    # in the slot arithmetic, and both 18-field processor fields are checked
+    def swf18(submit, run, alloc, requested="4"):
+        fields = ["1"] * 18
+        fields[1], fields[3], fields[4], fields[7] = submit, run, alloc, requested
+        return " ".join(fields)
+
+    for name, good, bad in (
+        ("run_inf", "7 0 900 2", "1 0 inf 2"),
+        ("run_nan", "7 0 900 2", "1 0 nan 2"),
+        ("submit_nan", "7 0 900 2", "1 nan 900 2"),
+        ("submit_inf", "7 0 900 2", "1 -inf 900 2"),
+        ("procs_inf", "7 0 900 2", "1 0 900 inf"),
+        ("alloc_nan", swf18("0", "900", "2"), swf18("0", "900", "nan")),
+        ("requested_inf", swf18("0", "900", "2"), swf18("0", "900", "-1", "inf")),
+    ):
+        trace = _write_trace(tmp_path / f"{name}.swf", [good, bad])
+        with pytest.raises(ValueError, match=rf"{name}.swf:2: cannot parse"):
+            ingest_swf(trace, CFG)
 
 
 SWF_18 = Path(__file__).parent / "data" / "standard_18_field.swf"
