@@ -212,8 +212,8 @@ def measure_ratio(
     """Run a policy on the construction and report OPT over its mean profit.
 
     The optimum comes from the exact offline solver. Deterministic policies
-    need one trial; randomized ones get seeds base_seed + i (base_seed must
-    be non-negative). ``run_trials`` draws every seed's coins in one
+    need one trial; randomized ones get seeds base_seed + i, which
+    ``run_trials`` checks before the solve. It draws every seed's coins in one
     batched pass and plays each distinct coin path once: a group of trials
     plays its first seed's own run, and the trials whose draw comes out the
     other way at a flip leave as a new group. So trials whose coins come out
@@ -224,10 +224,7 @@ def measure_ratio(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if base_seed < 0:
-        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
     kind = instance.target if kind is None else kind
-    opt = _opt(instance)
     profits = run_trials(
         list(instance.jobs),
         kind,
@@ -236,6 +233,7 @@ def measure_ratio(
         instance.config,
         range(base_seed, base_seed + trials),
     )
+    opt = _opt(instance)
     mean = float(profits.mean())
     se_mean = float(profits.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     if mean <= 0:

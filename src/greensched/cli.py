@@ -121,16 +121,16 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
-    # the Monte Carlo seeds run from --seed to --seed + --trials - 1
-    if (last := args.seed + args.trials - 1) >> 64:
-        raise ValueError(f"seeds must be below 2**64, got {last}")
+    # every row is measured before the header, so a bad seed prints nothing
+    rows = []
+    for inst in standard_suite(machines=args.machines):
+        trials = args.trials if inst.target.randomized else 1
+        rows.append((inst, measure_ratio(inst, trials=trials, base_seed=args.seed)))
     print(
         f"{'construction':<22} {'policy':<6} {'formula':>10} {'exact':>10} "
         f"{'measured':>10} {'stderr':>9}"
     )
-    for inst in standard_suite(machines=args.machines):
-        trials = args.trials if inst.target.randomized else 1
-        m = measure_ratio(inst, trials=trials, base_seed=args.seed)
+    for inst, m in rows:
         print(
             f"{inst.name:<22} {inst.target.kind:<6} {inst.formula_ratio:>10.6f} "
             f"{expected_ratio(inst):>10.6f} {m.ratio:>10.6f} {m.stderr:>9.2g}"

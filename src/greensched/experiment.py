@@ -62,6 +62,11 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        # a point is one value: stable_seed would key 1 and 1.0 apart
+        self.utilization = tuple(map(float, self.utilization))
+        if any(n % 1 for n in self.job_counts):  # nan and inf leave a nan remainder
+            raise ValueError(f"job counts must be whole numbers, got {self.job_counts}")
+        self.job_counts = tuple(map(int, self.job_counts))
         for f in self.families:
             if f not in FAMILIES and f != "Real":
                 raise ValueError(f"unknown family {f!r}")
@@ -131,13 +136,13 @@ def _points(cfg: ExperimentConfig, family: str) -> tuple:
 def cell_spec(cfg: ExperimentConfig, family: str, point, seed: int) -> WorkloadSpec:
     """One synthetic sweep cell's workload at utilization ``point``."""
     knobs = cfg.fixed_p, cfg.fixed_q, cfg.day_fraction, cfg.span_days
-    return WorkloadSpec(family, float(point), *knobs, rng_seed=seed)
+    return WorkloadSpec(family, point, *knobs, rng_seed=seed)
 
 
 def cell_jobs(cfg: ExperimentConfig, family: str, point, seed: int, trace: list[Job]) -> list[Job]:
     """One sweep cell's jobs: ``trace`` (read once) sampled at a Real job count, else generated."""
     if family == "Real":
-        return sample_jobs(trace, int(point), seed)
+        return sample_jobs(trace, point, seed)
     return generate(cell_spec(cfg, family, point, seed), cfg.sim, cfg.tariff)
 
 
@@ -296,12 +301,7 @@ def _preemption_rows(means: list[dict], bases: list[str]) -> list[dict]:
 
 
 def _row_key(row: dict):
-    return (
-        row["family"],
-        float(row["point"]),
-        row["algorithm"],
-        row.get("rep", 0),
-    )
+    return row["family"], row["point"], row["algorithm"], row.get("rep", 0)
 
 
 def _mean_rows(runs: list[dict]) -> list[dict]:

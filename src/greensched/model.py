@@ -48,8 +48,8 @@ class SimConfig:
             raise ValueError(
                 f"slot_minutes must divide a day of 1440 minutes, got {self.slot_minutes}"
             )
-        if self.node_power_watts < 0:
-            raise ValueError("node_power_watts must be non-negative")
+        if not 0 <= self.node_power_watts < np.inf:
+            raise ValueError("node_power_watts must be finite and non-negative")
         if self.forecast_slots < 1:
             raise ValueError("forecast_slots must be positive")
 

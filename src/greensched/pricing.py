@@ -43,12 +43,12 @@ class Tariff:
     peak_override: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.offpeak_price <= self.onpeak_price:
-            raise ValueError("prices must satisfy 0 <= offpeak <= onpeak")
+        if not 0 <= self.offpeak_price <= self.onpeak_price < math.inf:
+            raise ValueError("prices must be finite and satisfy 0 <= offpeak <= onpeak")
         if not 0 <= self.onpeak_start_slot <= self.onpeak_end_slot:
             raise ValueError("onpeak window must satisfy 0 <= start <= end")
-        if self.charge_rate < 0:
-            raise ValueError("charge_rate must be non-negative")
+        if not 0 <= self.charge_rate < math.inf:
+            raise ValueError("charge_rate must be finite and non-negative")
         if self.peak_override is not None:
             flags = tuple(bool(x) for x in self.peak_override)
             object.__setattr__(self, "peak_override", flags)

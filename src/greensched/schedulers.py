@@ -26,20 +26,18 @@ each flip from that depth on, the trials whose draw comes out the other way
 leave as a new group one flip deeper. ``expected_profit`` alone replays
 paths: every flip past a played path's end queues the path that switches
 there, so each coin path is played once.
-A seed is a 64-bit word, in [0, 2**64): ``run_online`` and ``run_trials``
-reject any other before a play, so the batch has one draw path. The
-seeding hashes every seed's words in stacked arrays, so its number of
-numpy calls does not grow with the batch, and a ``range`` of seeds is read
-by its endpoints, with no Python step per seed; any other iterable of
-seeds is read seed by seed.
+``run_trials`` takes its seeds as one ``range`` of any step, and only
+``_check_seeds`` states that a seed is a 64-bit word, in [0, 2**64);
+``run_online`` checks its seed as a one-seed range. The seeding reads the
+range through ``np.arange`` and hashes every seed's words in stacked
+arrays, so no Python step runs per seed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,30 +242,32 @@ def _pcg64_seeded(seeds: np.ndarray) -> list[np.ndarray]:
     return state
 
 
-def _check_seeds(seeds: Sequence[int], noun: str) -> None:
-    """Raise ValueError unless every seed is a 64-bit word, in [0, 2**64).
+def _check_seeds(seeds: range, noun: str) -> None:
+    """Raise unless ``seeds`` is a range of 64-bit words, in [0, 2**64).
 
-    A ``range`` is checked by its endpoints, with no Python step per seed.
+    Anything but a ``range`` raises TypeError; a seed out of bounds raises
+    ValueError. The check reads the range's two ends, whatever its step.
     """
-    if not seeds:
-        return
-    ends = (seeds[0], seeds[-1]) if isinstance(seeds, range) else seeds
-    if (lowest := min(ends)) < 0:
+    if not isinstance(seeds, range):
+        raise TypeError(f"{noun} must be a range, got {type(seeds).__name__}")
+    lowest, highest = sorted((seeds[0], seeds[-1])) if seeds else (0, 0)
+    if lowest < 0:
         raise ValueError(f"{noun} must be non-negative, got {lowest}")
-    if (highest := max(ends)) >> 64:
+    if highest >> 64:
         raise ValueError(f"{noun} must be below 2**64, got {highest}")
 
 
 class _SeedDraws:
     """``np.random.default_rng(s).random()`` for every seed s, a column per draw.
 
-    ``column(d)`` holds each seed's (d+1)-th draw, bit for bit. Every seed
-    is a 64-bit word (``run_trials`` checks), so all of them are set up and
-    stepped together on uint64 arrays. A column is computed the first time
-    it is asked for, so seeds that never flip cost nothing.
+    ``column(d)`` holds each seed's (d+1)-th draw, bit for bit. The seeds
+    are a range of 64-bit words (``_check_seeds`` checks), so all of them
+    are set up from ``np.arange`` and stepped together on uint64 arrays. A
+    column is computed the first time it is asked for, so seeds that never
+    flip cost nothing.
     """
 
-    def __init__(self, seeds: Sequence[int]):
+    def __init__(self, seeds: range):
         self.seeds = seeds
         self.columns: list[np.ndarray] = []
         self._pcg: list[np.ndarray] | None = None
@@ -285,14 +285,10 @@ class _SeedDraws:
     def _draw(self) -> np.ndarray:
         """The next column: one PCG64 step and output per seed."""
         if self._pcg is None:
+            # i * step + first wraps mod 2**64 onto each seed, whatever the step's sign
             seeds = self.seeds
-            if isinstance(seeds, range):
-                # i * step + first wraps mod 2**64 onto each seed, whatever the step's sign
-                steps = np.arange(len(seeds), dtype=np.uint64)
-                seeds = steps * np.uint64(seeds.step % 2**64) + np.uint64(seeds[0])
-            else:
-                seeds = np.array(seeds, dtype=np.uint64)
-            self._pcg = _pcg64_seeded(seeds)
+            steps = np.arange(len(seeds), dtype=np.uint64)
+            self._pcg = _pcg64_seeded(steps * np.uint64(seeds.step % 2**64) + np.uint64(seeds[0]))
         _pcg_step(self._pcg)
         hi, lo = self._pcg[:2]
         x, rot = hi ^ lo, hi >> _U64[58]
@@ -462,7 +458,7 @@ def run_online(
     if kind.randomized and seed is None:
         raise ValueError(f"{kind.kind} needs a seed for its coin")
     if seed is not None:
-        _check_seeds((seed,), "seed")
+        _check_seeds(range(seed, seed + 1), "seed")
     check_deadlines(jobs, config)
     coin = _seeded_coin(seed) if kind.randomized else None
     schedule, report, _ = _play(jobs, kind, green, tariff, config, coin)
@@ -522,7 +518,7 @@ def run_trials(
     green: GreenTrace,
     tariff: Tariff,
     config: SimConfig,
-    seeds: Iterable[int],
+    seeds: range,
 ) -> np.ndarray:
     """Net profit of ``run_online(..., seed=s)`` for each seed, bit for bit.
 
@@ -534,17 +530,13 @@ def run_trials(
     member's run up to that depth. At each flip from the split depth on,
     the trials whose draw comes out the other way leave as a new group, one
     flip deeper. So each distinct path is played once, no column is drawn
-    before a play needs it, and a deterministic kind plays once. A seed
-    outside [0, 2**64) raises ValueError before any play.
+    before a play needs it, and a deterministic kind plays once.
 
-    A ``range`` is read by its endpoints: the seed check takes its lowest
-    and highest elements, and its seeds become an array through
-    ``np.arange``, so no Python step runs per seed. Any other iterable is
-    turned into a list of ints first.
+    ``seeds`` is a ``range`` of any step, read by its ends: anything else
+    raises TypeError, and a seed outside [0, 2**64) ValueError, before any
+    play. No Python step runs per seed.
     """
     check_deadlines(jobs, config)
-    if not isinstance(seeds, range):
-        seeds = list(map(operator.index, seeds))
     _check_seeds(seeds, "seeds")
     draws = _SeedDraws(seeds)
     profits = np.empty(len(seeds))

@@ -156,6 +156,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _whole(text: str) -> int:
+    """``_finite(text)`` as an int; a fraction raises ValueError as bad text does."""
+    if not (value := _finite(text)).is_integer():
+        raise ValueError(f"fractional field {text!r}")
+    return int(value)
+
+
 def ingest_swf(path: str | Path, config: SimConfig, deadline_factor: int = 4) -> list[Job]:
     """Map a batch trace onto the slot grid: every usable job, in trace order.
 
@@ -167,7 +174,8 @@ def ingest_swf(path: str | Path, config: SimConfig, deadline_factor: int = 4) ->
     job id, submit seconds, run seconds and processors from the first four
     columns. Rows whose run time or processor count is missing (-1) or not
     positive are skipped with one warning. A field that does not parse as a
-    finite number (``nan`` and ``inf`` included) raises with its line.
+    finite number (``nan`` and ``inf`` included), or a job id or processor
+    count that is not a whole number (``4.0`` is), raises with its line.
     Submit times are rebased to the earliest one. Releases floor to slots,
     run times round up, node requests clamp to M with a warning, and the
     deadline is release + deadline_factor * p (a factor below 1 raises)
@@ -198,16 +206,16 @@ def ingest_swf(path: str | Path, config: SimConfig, deadline_factor: int = 4) ->
                     f"row, got {len(parts)}"
                 )
             try:
-                jid = int(_finite(parts[0]))
+                jid = _whole(parts[0])
                 submit = _finite(parts[1])
                 if width == SWF_FIELDS:
                     run = _finite(parts[3])
-                    procs = int(_finite(parts[4]))
+                    procs = _whole(parts[4])
                     if procs == -1:
-                        procs = int(_finite(parts[7]))
+                        procs = _whole(parts[7])
                 else:
                     run = _finite(parts[2])
-                    procs = int(_finite(parts[3]))
+                    procs = _whole(parts[3])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: cannot parse '{line}'") from None
             if run <= 0 or procs <= 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from greensched import adversary
 from greensched.adversary import (
     AdversarialInstance,
     bf_lower_bound_instance,
@@ -201,10 +202,22 @@ def test_measure_ratio_rejects_fewer_than_one_trial():
             measure_ratio(inst, trials=trials)
 
 
-def test_measure_ratio_rejects_a_negative_base_seed():
+def test_measure_ratio_rejects_a_negative_base_seed(monkeypatch):
+    # the seeds base_seed .. base_seed + trials - 1 are checked as one
+    # range, before the exact solve
     inst = rf_worst_case_suite(NV)[0]
-    with pytest.raises(ValueError, match="base_seed must be non-negative"):
+    solves = []
+    solve = adversary.solve_nonpreemptive_exact
+    monkeypatch.setattr(
+        adversary, "solve_nonpreemptive_exact", lambda *a: solves.append(a) or solve(*a)
+    )
+    with pytest.raises(ValueError, match="seeds must be non-negative, got -2$"):
         measure_ratio(inst, trials=3, base_seed=-2)
+    with pytest.raises(ValueError, match=rf"seeds must be below 2\*\*64, got {2**64}$"):
+        measure_ratio(inst, trials=3, base_seed=2**64 - 2)
+    assert solves == []
+    measure_ratio(inst, trials=3, base_seed=2**64 - 3)
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("machines", [1, 3, 16])

@@ -116,11 +116,12 @@ def test_gen_config_matches_the_sweep_cell(tmp_path, family, point):
     )
     assert rc == 0
     trace = ingest_swf(swf, cfg.sim, cfg.deadline_factor)
-    expected = cell_jobs(cfg, family, point, 5, trace)
+    value = int(point) if family == "Real" else float(point)  # as the sweep holds it
+    expected = cell_jobs(cfg, family, value, 5, trace)
     assert read_jobs(out, cfg.sim) == expected
     if family == "Staggered":  # the config's tariff decides the release slots
         stock_hours = Tariff(onpeak_start_slot=18, onpeak_end_slot=45)  # 9:00-23:00
-        assert generate(cell_spec(cfg, family, point, 5), cfg.sim, stock_hours) != expected
+        assert generate(cell_spec(cfg, family, value, 5), cfg.sim, stock_hours) != expected
 
 
 def test_opt_solve_prints_schedule(tmp_path, capsys, small):
@@ -338,6 +339,26 @@ def test_missing_config_is_a_clean_error(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [("charge_rate = nan", "charge_rate"), ("node_power_watts = inf", "node_power_watts")],
+)
+def test_run_rejects_non_finite_money_and_power(tmp_path, capsys, line, field):
+    # a nan or inf here would price every run and print a table of nan profits
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "machines = 4\nhorizon_slots = 48\ngreen = zero\nutilization = 0.3\n"
+        f"fixed_p = 3\nfixed_q = 2\nrepetitions = 1\n{line}\n"
+    )
+    out = tmp_path / "results"
+    rc = main(["run", "--config", str(cfg), "--output-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be finite" in captured.err
+    assert not out.exists()
 
 
 def test_bad_job_file_is_a_clean_error(tmp_path, capsys, small):

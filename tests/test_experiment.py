@@ -124,6 +124,22 @@ def test_config_rejects_repeated_sweep_entries(tmp_path, knobs, text, message):
         load_config(path)
 
 
+def test_a_sweep_point_is_one_value():
+    # 1 and 1.0 are one point, so they must key the same workloads: the
+    # seeds hash the point's text, and both rows are labelled 1
+    cfg = small_cfg(families=("UU",), utilization=(1,), algorithms=("FF",), repetitions=2)
+    assert cfg.utilization == (1.0,) and type(cfg.utilization[0]) is float
+    as_float = replace(cfg, utilization=(1.0,))
+    assert run_suite(cfg)["runs"] == run_suite(as_float)["runs"]
+    # a job count is a whole number; 2.5 would label rows that sample 2 jobs
+    real = dict(families=("Real",), swf_path="t.swf", utilization=())
+    cfg = small_cfg(job_counts=(4.0, 8), **real)
+    assert cfg.job_counts == (4, 8) and all(type(n) is int for n in cfg.job_counts)
+    for counts in ((2.5,), (4, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match="job counts must be whole numbers"):
+            small_cfg(job_counts=counts, **real)
+
+
 def test_stable_seed_is_deterministic_and_keyed():
     assert stable_seed(0, "UE", 0.5, 3) == stable_seed(0, "UE", 0.5, 3)
     seen = {

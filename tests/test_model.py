@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -39,6 +41,9 @@ def test_simconfig_validation_and_units():
         SimConfig(machines=0)
     with pytest.raises(ValueError):
         SimConfig(horizon_slots=0)
+    for watts in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="node_power_watts must be finite"):
+            SimConfig(node_power_watts=watts)
 
 
 @pytest.mark.parametrize("minutes", [7, 25, 1441])

@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -143,6 +144,13 @@ def test_tariff_validation():
         Tariff(onpeak_start_slot=50, onpeak_end_slot=40)
     with pytest.raises(ValueError):
         Tariff(charge_rate=-1)
+    # a non-finite price or charge rate would price every run as nan or inf
+    for bad in (math.nan, math.inf):
+        for field in ("onpeak_price", "offpeak_price", "charge_rate"):
+            with pytest.raises(ValueError, match="must be finite"):
+                Tariff(**{field: bad})
+    with pytest.raises(ValueError, match="must be finite"):
+        Tariff(offpeak_price=-math.inf)
 
 
 def test_normalized_values_frozen():

@@ -625,13 +625,11 @@ def test_run_trials_equals_per_seed_runs(name, engine_plays):
         got = run_trials(jobs, kind, green, tariff, cfg, seeds)
         assert got.tobytes() == want.tobytes()
         most_paths = max(most_paths, len(engine_plays))
-        # a range is read by its endpoints: every third seed, the seeds
-        # descending and no seed at all, each as a range, a list and an
-        # iterator
-        for part in (slice(None), slice(None, None, 3), slice(None, None, -1), slice(0)):
-            for given in (seeds[part], list(seeds[part]), iter(seeds[part])):
-                got = run_trials(jobs, kind, green, tariff, cfg, given)
-                assert got.tobytes() == want[part].tobytes(), (part, type(given))
+        # a range of any step is read by its ends: every third seed, the
+        # seeds descending and no seed at all
+        for part in (slice(None, None, 3), slice(None, None, -1), slice(0)):
+            got = run_trials(jobs, kind, green, tariff, cfg, seeds[part])
+            assert got.tobytes() == want[part].tobytes(), part
     # the instances flip several coins per run, so trials do share paths
     assert 4 <= most_paths < len(seeds)
 
@@ -744,11 +742,12 @@ def test_run_trials_plays_a_deterministic_kind_once(engine_plays):
     cfg = small_cfg()
     jobs = [Job(id=0, release=0, deadline=9, proc_time=2, nodes=1)]
     green = GreenTrace(np.zeros(10, dtype=np.int64))
-    got = run_trials(jobs, BF, green, TARIFF, cfg, [3, 1, 4])
+    seeds = range(7, 0, -3)
+    got = run_trials(jobs, BF, green, TARIFF, cfg, seeds)
     assert len(engine_plays) == 1
-    want = per_seed_profits(jobs, BF, green, TARIFF, cfg, [3, 1, 4])
+    want = per_seed_profits(jobs, BF, green, TARIFF, cfg, seeds)
     assert got.tobytes() == want.tobytes()
-    assert run_trials(jobs, BF, green, TARIFF, cfg, []).size == 0
+    assert run_trials(jobs, BF, green, TARIFF, cfg, range(0)).size == 0
 
 
 def assert_draws_equal_default_rng(seeds, depth):
@@ -758,27 +757,40 @@ def assert_draws_equal_default_rng(seeds, depth):
         assert draws.column(d).tobytes() == want[:, d].tobytes()
 
 
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
-def test_seed_draws_equal_default_rng(seeds):
+@given(st.data())
+def test_seed_draws_equal_default_rng(data):
+    # a range of 1 to 12 seeds, of any nonzero step, with every seed in [0, 2**64)
+    n = data.draw(st.integers(1, 12))
+    start = data.draw(st.integers(0, 2**64 - 1))
+    span = max(n - 1, 1)
+    step = data.draw(st.integers(-(start // span), (2**64 - 1 - start) // span).filter(bool))
+    seeds = range(start, start + n * step, step)
+    assert len(seeds) == n
     assert_draws_equal_default_rng(seeds, depth=8)
 
 
 def test_seed_draws_equal_default_rng_at_word_edges():
-    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-    assert_draws_equal_default_rng(edges, depth=8)
-    assert_draws_equal_default_rng(edges[::-1] + edges, depth=3)
-    # thousands of seeds across the high word's change, as a range and a list
+    edges = (
+        range(0, 2**64, 2**62),  # 0 and 2**63 among words with a zero low half
+        range(2**64 - 1, 2**32 - 2, -(2**64 - 2**32)),  # 2**64 - 1, then 2**32 - 1
+        range(2**32 - 1, 2**32 + 2),  # across the high word's change
+        range(2**64 - 1, 2**64 - 7, -1),  # the top words, descending
+        range(2, -1, -1),  # the lowest words, descending
+    )
+    for seeds in edges:
+        assert_draws_equal_default_rng(seeds, depth=8)
+    # thousands of seeds across the high word's change, either way round
     wide = range(2**32 - 1500, 2**32 + 1500)
     assert_draws_equal_default_rng(wide, depth=2)
-    assert_draws_equal_default_rng(list(wide), depth=2)
+    assert_draws_equal_default_rng(wide[::-1], depth=2)
 
 
 def test_run_trials_equals_per_seed_runs_at_and_above_2_64(engine_plays):
-    # seeds up to the top 64-bit word, also in a range that ends there;
-    # ranges are checked against their lists too. A seed of 2**64 or more,
-    # in a list or in a range that crosses it, raises before any play
+    # seeds up to the top 64-bit word: strided down from it, across the
+    # high word's change and in a range that ends there. A range that
+    # reaches 2**64, from either end, raises before any play
     seed_sets = (
-        [2**64 - 1, 5, 2**64 - 2, 2**64 - 1, 0, 2**63],
+        range(2**64 - 1, 0, -(2**61 + 3)),
         range(2**32 - 3, 2**32 + 3),
         range(2**64 - 6, 2**64),
     )
@@ -794,11 +806,9 @@ def test_run_trials_equals_per_seed_runs_at_and_above_2_64(engine_plays):
                 got = run_trials(jobs, kind, green, tariff, cfg, seeds)
                 plays[i] += len(engine_plays)
                 assert got.tobytes() == want.tobytes(), seeds
-                got = run_trials(jobs, kind, green, tariff, cfg, list(seeds))
-                assert got.tobytes() == want.tobytes(), seeds
         assert min(plays) > 20  # some instances split the seeds
     engine_plays.clear()
-    for seeds in ([5, 2**64, 0], range(2**64 - 3, 2**64 + 3)):
+    for seeds in (range(2**64, 0, -(2**63)), range(2**64 - 3, 2**64 + 3)):
         with pytest.raises(ValueError, match=r"seeds must be below 2\*\*64"):
             run_trials(jobs, kind, green, tariff, cfg, seeds)
     assert engine_plays == []
@@ -829,11 +839,21 @@ def test_run_trials_rejects_a_negative_seed_before_any_play(engine_plays):
     cfg = small_cfg()
     jobs = [Job(id=0, release=0, deadline=9, proc_time=2, nodes=1)]
     green = GreenTrace(np.zeros(10, dtype=np.int64))
-    with pytest.raises(ValueError, match="non-negative"):
-        run_trials(jobs, RF, green, TARIFF, cfg, [3, -1, 4])
-    # a range is checked by its lowest endpoint
+    # a range is checked by its lowest end, whichever way it runs
+    with pytest.raises(ValueError, match="non-negative, got -1$"):
+        run_trials(jobs, RF, green, TARIFF, cfg, range(3, -2, -2))
     with pytest.raises(ValueError, match="non-negative, got -2$"):
         run_trials(jobs, RF, green, TARIFF, cfg, range(-2, 5))
+    assert engine_plays == []
+
+
+def test_run_trials_takes_only_a_range(engine_plays):
+    cfg = small_cfg()
+    jobs = [Job(id=0, release=0, deadline=9, proc_time=2, nodes=1)]
+    green = GreenTrace(np.zeros(10, dtype=np.int64))
+    for seeds in ([3, 1, 4], (0, 1), iter(range(5)), np.arange(3)):
+        with pytest.raises(TypeError, match="seeds must be a range"):
+            run_trials(jobs, RF, green, TARIFF, cfg, seeds)
     assert engine_plays == []
 
 
@@ -841,8 +861,10 @@ def test_run_trials_without_seeds_plays_nothing(engine_plays):
     cfg = small_cfg()
     jobs = [Job(id=0, release=0, deadline=9, proc_time=2, nodes=1)]
     green = GreenTrace(np.zeros(10, dtype=np.int64))
-    got = run_trials(jobs, RF, green, TARIFF, cfg, [])
-    assert got.shape == (0,)
+    # an empty range has no seed to check, wherever it starts
+    for seeds in (range(0), range(-5, -5), range(2**64, 2**64 + 9, -1)):
+        got = run_trials(jobs, RF, green, TARIFF, cfg, seeds)
+        assert got.shape == (0,)
     assert engine_plays == []
 
 

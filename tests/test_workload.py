@@ -281,10 +281,18 @@ def test_swf_parse_errors(tmp_path):
         ("procs_inf", "7 0 900 2", "1 0 900 inf"),
         ("alloc_nan", swf18("0", "900", "2"), swf18("0", "900", "nan")),
         ("requested_inf", swf18("0", "900", "2"), swf18("0", "900", "-1", "inf")),
+        # a job id or processor count must be whole, not truncated
+        ("procs_frac", "7 0 900 2", "1 0 900 2.7"),
+        ("id_frac", "2 0 900 2", "2.9 900 900 2"),
+        ("alloc_frac", swf18("0", "900", "2"), swf18("0", "900", "2.5")),
+        ("requested_frac", swf18("0", "900", "2"), swf18("0", "900", "-1", "3.5")),
     ):
         trace = _write_trace(tmp_path / f"{name}.swf", [good, bad])
         with pytest.raises(ValueError, match=rf"{name}.swf:2: cannot parse"):
             ingest_swf(trace, CFG)
+    # whole numbers written with a fraction part stay accepted
+    trace = _write_trace(tmp_path / "whole.swf", ["7.0 0 900 2", "8 0 900 4.0"])
+    assert [(j.id, j.nodes) for j in ingest_swf(trace, CFG)] == [(7, 2), (8, 4)]
 
 
 SWF_18 = Path(__file__).parent / "data" / "standard_18_field.swf"
