@@ -194,18 +194,50 @@ def slot_index(slots: tuple[int, ...]) -> slice | list[int]:
     return slice(first, last + 1) if last - first + 1 == len(slots) else list(slots)
 
 
+def _is_whole(slot: object) -> bool:
+    try:
+        return int(slot) == slot
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _whole_slots(job: Job, slots: Sequence[int]) -> tuple[int, ...]:
+    """The slots as a tuple of ints; a slot that is not a whole number raises.
+
+    Whole floats (``2.0``) and numpy integers pass, since each equals its
+    int; a fraction, ``nan``, ``inf`` or a string raises CapacityError
+    naming the first such slot, where ``int`` alone would truncate or parse it.
+    """
+    given = tuple(slots)
+    try:
+        whole = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole != given:
+        bad = next(t for t in given if not _is_whole(t))
+        raise CapacityError(f"job {job.id}: slot {bad} is not a whole number")
+    return whole
+
+
 def commit(job: Job, slots: Sequence[int], schedule: Schedule) -> Schedule:
     """Irrevocably place the job on the given slots, updating demand.
 
     The slots are stored as a tuple of ints. A unit-step ``range`` is taken
     as given: it is integral, sorted and distinct by construction, so it
     skips the per-slot conversion and order scan. Every other input is
-    converted and scanned. Defensive checks guard every schedule invariant,
-    in the same order and with the same messages on both paths; violations
-    raise CapacityError and leave the schedule untouched.
+    converted to ints, where a slot that is not a whole number raises
+    instead of being truncated, and scanned for order. Defensive checks
+    guard every schedule invariant, in the same order and with the same
+    messages on both paths; violations raise CapacityError and leave the
+    schedule untouched.
+
+    A pick holds only a few slots, where numpy's fixed cost per call
+    exceeds the work, so capacity is checked and demand written in Python:
+    a run through one slice view, scattered slots one by one, every slot
+    checked before any is written.
     """
     given = type(slots) is range and slots.step == 1
-    slots = tuple(slots) if given else tuple(map(int, slots))
+    slots = tuple(slots) if given else _whole_slots(job, slots)
     n = len(slots)
     if n != job.proc_time:
         raise CapacityError(f"job {job.id}: {n} slots given, needs {job.proc_time}")
@@ -221,16 +253,24 @@ def commit(job: Job, slots: Sequence[int], schedule: Schedule) -> Schedule:
         raise CapacityError(f"job {job.id}: slot {last} outside horizon")
     if schedule.has_job(job.id):
         raise CapacityError(f"job {job.id}: already placed")
+    demand, room = schedule.demand, schedule.machines - job.nodes
     run = last - first + 1 == n
-    idx = slice(first, last + 1) if run else np.array(slots)
-    # a run's view is written through; scattered slots index a copy
-    busy = schedule.demand[idx]
-    if np.maximum.reduce(busy) > schedule.machines - job.nodes:
+    if run:
+        busy = demand[first : last + 1]  # a view, written through
+        over = max(busy.tolist()) > room
+    else:
+        over = False
+        for t in slots:
+            if demand[t] > room:
+                over = True
+                break
+    if over:
         raise CapacityError(f"job {job.id}: placement exceeds {schedule.machines} nodes")
     if run:
         busy += job.nodes
     else:
-        schedule.demand[idx] += job.nodes
+        for t in slots:
+            demand[t] += job.nodes
     schedule.placements.append(Placement(job.id, slots, job.nodes))
     schedule._placed.add(job.id)
     return schedule

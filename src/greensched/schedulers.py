@@ -12,6 +12,12 @@ Final accounting always uses the true trace. ``place`` and ``run_online``
 decide and commit only; ``decision_log`` derives the log from a schedule.
 A contiguous pick travels to ``commit`` as a unit-step ``range``, which it
 checks without a per-slot scan, and ``place`` returns the stored tuple.
+Numpy's fixed cost per call exceeds the work on a pick's few slots, so
+random-fit tests green on its pick's own slots with one subtraction read
+out by ``tolist``, and ``commit`` checks and writes a pick's slots in
+Python. The horizon-length visible green and prices are built only where
+best-fit prices a pick: every BF and PBF decision, and a random-fit
+decision whose coin switches.
 
 An ``OnlineState`` holds the per-slot prices and on-peak flags of the
 tariff it was created under, and its config; every decision on it uses
@@ -324,8 +330,9 @@ def _visible_green(job: Job, state: OnlineState) -> np.ndarray:
 
 def _run_or_slots(picked: np.ndarray) -> Sequence[int]:
     """Ascending distinct slots as ``commit`` takes them: a range when contiguous."""
-    first, last = int(picked[0]), int(picked[-1])
-    return range(first, last + 1) if last - first + 1 == picked.size else tuple(picked.tolist())
+    slots = picked.tolist()
+    first, last = slots[0], slots[-1]
+    return range(first, last + 1) if last - first + 1 == len(slots) else tuple(slots)
 
 
 def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> Sequence[int] | None:
@@ -341,6 +348,10 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> Sequence[int] 
     and takes best-fit's pick on a miss. No randomness is consumed on the
     green path.
 
+    Random-fit tests the green on the pick's own slots: they are visible
+    when the last lies inside the forecast, and each must hold q nodes of
+    residual green (q >= 1, so a slot with none fails).
+
     A contiguous pick is returned as ``range(s, s + p)``, which ``commit``
     takes without a per-slot scan; that is every first-fit, best-fit and
     random-fit pick, and a preemptive pick whose slots happen to be
@@ -353,8 +364,9 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> Sequence[int] 
         spare = spare_slots(job, state.schedule)
         if spare.size < p:
             return None
-        first_idx = spare[:p]
-        first = _run_or_slots(first_idx)
+        if base != "BF":
+            first_idx = spare[:p]
+            first = _run_or_slots(first_idx)
     elif base == "BF":
         starts = nonpreemptive_starts(job, state.schedule)
         if starts.size == 0:
@@ -367,9 +379,10 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> Sequence[int] 
         first = range(s, s + p)
     if base == "FF":
         return first
-    vis = _visible_green(job, state)
     if base == "RF":
-        if np.minimum.reduce(vis[first_idx]) >= job.nodes:
+        if first[-1] < job.release + state.config.forecast_slots and min(
+            (state.green[first_idx] - state.schedule.demand[first_idx]).tolist()
+        ) >= job.nodes:
             return first  # fully green, no coin spent
         params = kind.rf_params
         on_peak = state.on_peak[job.release]
@@ -380,6 +393,7 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> Sequence[int] 
             return first
         if not preemptive:
             starts = nonpreemptive_starts(job, state.schedule)
+    vis = _visible_green(job, state)
     # marginal $ to run q nodes at each slot, given the residual green pool
     unit = state.brown_cost[: vis.size] * np.maximum(0, job.nodes - vis)
     if preemptive:

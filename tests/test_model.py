@@ -167,20 +167,51 @@ def test_commit_takes_only_unit_step_ranges_as_given():
     job = Job(id=0, release=1, deadline=6, proc_time=3, nodes=1)
     with pytest.raises(CapacityError, match="sorted and distinct"):
         commit(job, range(4, 1, -1), Schedule(2, 8))
-    # a step of 2 is scattered: it commits through the index array
+    # a step of 2 is scattered: it commits slot by slot
     sched = Schedule(2, 8)
     commit(job, range(1, 6, 2), sched)
     assert sched.demand.tolist() == [0, 1, 0, 1, 0, 1, 0, 0]
     assert sched.placements[0].active_slots == (1, 3, 5)
-    # a range, with numpy bounds or not, is stored as the tuple of the same slots
+    # a range, with numpy bounds or not, and whole floats or numpy integers
+    # are stored as the tuple of the same slots, in ints
     stored = []
-    for slots in (range(2, 5), range(np.int64(2), np.int64(5)), (2, 3, 4)):
+    for slots in (
+        range(2, 5),
+        range(np.int64(2), np.int64(5)),
+        (2, 3, 4),
+        [2.0, 3.0, 4.0],
+        np.array([2.0, 3.0, 4.0]),
+        (np.int32(2), 3, np.int64(4)),
+    ):
         sched = Schedule(2, 8)
         commit(job, slots, sched)
         stored.append((sched.placements[0].active_slots, sched.demand.tolist()))
-    assert stored[0] == stored[1] == stored[2]
+    assert all(s == stored[0] for s in stored)
     for active, _ in stored:
         assert type(active) is tuple and all(type(t) is int for t in active)
+
+
+@pytest.mark.parametrize(
+    "slots, bad",
+    [
+        ([1.5, 2.7], "1.5"),
+        (np.array([1.0, 3.9]), "3.9"),
+        ([2, math.nan], "nan"),
+        ((2.0, math.inf), "inf"),
+        (("2", "3"), "2"),
+    ],
+)
+def test_commit_rejects_a_slot_that_is_not_a_whole_number(slots, bad):
+    # int() alone would truncate 1.5 to 1 and 3.9 to 3, or parse "2"
+    sched = Schedule(machines=2, horizon=8)
+    commit(Job(id=7, release=0, deadline=7, proc_time=1, nodes=1), (6,), sched)
+    job = Job(id=0, release=1, deadline=6, proc_time=2, nodes=1)
+    demand, placements, placed = sched.demand.copy(), list(sched.placements), set(sched._placed)
+    with pytest.raises(CapacityError, match=rf"job 0: slot {bad} is not a whole number"):
+        commit(job, slots, sched)
+    assert np.array_equal(sched.demand, demand)
+    assert sched.placements == placements
+    assert sched._placed == placed
 
 
 def test_commit_indexes_runs_by_slice_and_scattered_slots_by_list():
@@ -262,6 +293,42 @@ def test_demand_roundtrip_after_commits(data):
             commit(job, windows[0], sched)
     assert np.array_equal(sched.demand, recomputed_demand(sched))
     assert (sched.demand <= machines).all()
+
+
+@st.composite
+def grid_and_picks(draw):
+    """A grid and sorted slot picks with their node counts, some overlapping."""
+    machines, horizon = draw(small_grids)
+    picks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        slots = draw(st.sets(st.integers(0, horizon - 1), min_size=1, max_size=min(5, horizon)))
+        nodes = draw(st.integers(min_value=1, max_value=machines))
+        picks.append((sorted(slots), nodes, draw(st.booleans())))
+    return machines, horizon, picks
+
+
+@given(grid_and_picks())
+def test_commit_of_any_sorted_slots_keeps_demand_or_the_schedule(data):
+    # scattered picks commit slot by slot and runs through one view; a pick
+    # over capacity anywhere, first slot or last, must write nothing
+    machines, horizon, picks = data
+    sched = Schedule(machines, horizon)
+    for i, (slots, nodes, as_range) in enumerate(picks):
+        job = Job(id=i, release=slots[0], deadline=slots[-1], proc_time=len(slots), nodes=nodes)
+        run = slots[-1] - slots[0] + 1 == len(slots)
+        given = range(slots[0], slots[-1] + 1) if run and as_range else tuple(slots)
+        fits = (recomputed_demand(sched)[slots] + nodes <= machines).all()
+        demand, placements, placed = sched.demand.copy(), list(sched.placements), set(sched._placed)
+        if fits:
+            commit(job, given, sched)
+            assert sched.placements[-1].active_slots == tuple(slots)
+            assert np.array_equal(sched.demand, recomputed_demand(sched))
+        else:
+            with pytest.raises(CapacityError, match=f"exceeds {machines} nodes"):
+                commit(job, given, sched)
+            assert np.array_equal(sched.demand, demand)
+            assert sched.placements == placements
+            assert sched._placed == placed
 
 
 @given(grid_and_jobs())

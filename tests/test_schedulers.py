@@ -436,6 +436,70 @@ def test_ff_finds_its_window_without_the_full_scan(monkeypatch):
     assert calls == {"first_start": [0, 1, 2, 3], "nonpreemptive_starts": []}
 
 
+def count_pricing(monkeypatch):
+    """Job ids passed to ``_visible_green``, the horizon-length pricing."""
+    calls = []
+    visible_green = schedulers._visible_green
+
+    def counted(job, state):
+        calls.append(job.id)
+        return visible_green(job, state)
+
+    monkeypatch.setattr(schedulers, "_visible_green", counted)
+    return calls
+
+
+ALWAYS_FF = RandomFitParams(1.0, 1.0, 0.0, 0.0)
+ALWAYS_BF = RandomFitParams(0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "name, params, supply, priced",
+    [
+        pytest.param("BF", None, 0, True, id="BF"),
+        pytest.param("PBF", None, 0, True, id="PBF"),
+        pytest.param("BF", None, 1, True, id="BF-green"),
+        pytest.param("RF", ALWAYS_FF, 0, False, id="RF-keeps"),
+        pytest.param("PRF", ALWAYS_FF, 0, False, id="PRF-keeps"),
+        pytest.param("RF", PARAMS, 1, False, id="RF-green"),
+        pytest.param("PRF", PARAMS, 1, False, id="PRF-green"),
+        pytest.param("RF", ALWAYS_BF, 0, True, id="RF-switches"),
+        pytest.param("PRF", ALWAYS_BF, 0, True, id="PRF-switches"),
+    ],
+)
+def test_visible_green_is_built_only_to_price_a_best_fit_pick(name, params, supply, priced, monkeypatch):
+    # best-fit prices every job the scan finds room for; random-fit builds
+    # the prices only after its coin switches, never when it keeps first-fit
+    # or when green covers the pick. A job with no room is never priced
+    calls = count_pricing(monkeypatch)
+    cfg = small_cfg(machines=1, horizon=10)
+    sizes = (4, 4, 4, 2, 3)
+    jobs = [Job(id=i, release=i, deadline=9, proc_time=p, nodes=1) for i, p in enumerate(sizes)]
+    green = GreenTrace(np.full(10, supply, dtype=np.int64))
+    sched, _ = run_online(jobs, SchedulerKind(name, params), green, TARIFF, cfg, seed=3)
+    admitted = [e.job_id for e in decision_log(jobs, sched, green, TARIFF, cfg) if e.decision == "admit"]
+    assert 0 < len(admitted) < len(jobs)
+    assert calls == (admitted if priced else [])
+
+
+@pytest.mark.parametrize("name, pick", [("RF", (3, 4, 5)), ("PRF", (1, 3, 4))])
+def test_random_fit_sees_green_up_to_the_forecast_edge(name, pick):
+    # green covers the pick. It is visible, and the decision spends no coin,
+    # while its last slot is before release + forecast_slots; one slot
+    # further, the forecast ends on the pick and the coin is flipped
+    kind = SchedulerKind(name, PARAMS)
+    job = Job(id=0, release=1, deadline=7, proc_time=3, nodes=1)
+    for forecast, flips in ((pick[-1] - job.release + 1, 0), (pick[-1] - job.release, 1)):
+        cfg = SimConfig(machines=2, horizon_slots=8, forecast_slots=forecast)
+        state = fresh_state(cfg, GreenTrace(np.full(8, 2, dtype=np.int64)))
+        # a full slot 2: the window starts after it, the spare slots skip it
+        commit(Job(id=9, release=2, deadline=2, proc_time=1, nodes=2), (2,), state.schedule)
+        asked = []
+        state.coin = counting(lambda keep_first: True, asked)
+        assert tuple(schedulers._choose(job, state, kind)) == pick
+        assert len(asked) == flips
+
+
 def test_run_online_needs_seed_for_randomized_kinds():
     cfg = small_cfg()
     jobs = [Job(id=0, release=0, deadline=9, proc_time=1, nodes=1)]
