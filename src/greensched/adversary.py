@@ -1,22 +1,25 @@
 """Executable worst-case instances for the online policies.
 
 Each builder returns a tiny two-slot instance on which a named policy earns
-its provable floor, together with the closed-form profit ratio the
-construction forces. Profits quote in normalized units (profit divided by
+the floor of its construction, together with the closed-form profit ratio
+the construction forces. Profits quote in normalized units (profit divided by
 one full-cluster slot of revenue); the instances carry the dollar value of
-one normalized unit so measured runs compare exactly.
+one normalized unit so measured runs compare exactly, and the exact offline
+optimum in dollars, solved once when the instance is made.
 
 First-fit is trapped by what it ignores: a later slot that is greener or
 cheaper. Best-fit is trapped by what it chases: the cheap slot it grabs is
 exactly the one a later job needed. The randomized policy mixes the two and
 caps the damage on every such dilemma; its four suite instances realize the
-worst cases for both arrival periods.
+two-slot worst cases for both arrival periods. The closed forms bound only
+these constructions: longer windows and mixed job sizes push every policy's
+ratio past them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +40,12 @@ BF_VARIANTS = ("on_to_off", "off_to_on")
 
 @dataclass(frozen=True)
 class AdversarialInstance:
-    """A runnable construction plus the profits it is engineered to force."""
+    """A runnable construction plus the profits it is engineered to force.
+
+    ``opt_profit`` is not passed in: every instance, however it is made
+    (a builder, a direct call, ``dataclasses.replace``), solves its own
+    offline optimum exactly once, with the exact solver's default budget.
+    """
 
     name: str
     jobs: tuple[Job, ...]
@@ -49,6 +57,13 @@ class AdversarialInstance:
     expected_alg: float  # target policy's (expected) profit, normalized units
     formula_ratio: float  # expected_opt / expected_alg in closed form
     unit_value: float  # dollars per normalized unit
+    opt_profit: float = field(init=False)  # exact offline optimum, dollars
+
+    def __post_init__(self) -> None:
+        opt, _ = solve_nonpreemptive_exact(
+            list(self.jobs), self.green, self.tariff, self.config
+        )
+        object.__setattr__(self, "opt_profit", opt)
 
 
 @dataclass(frozen=True)
@@ -162,13 +177,13 @@ def bf_lower_bound_instance(
 def rf_worst_case_suite(
     nv: NormalizedValues, machines: int = 16
 ) -> list[AdversarialInstance]:
-    """The four dilemmas that pin the randomized policy's guarantee.
+    """The four two-slot dilemmas that pin the randomized policy's ratio.
 
     For each arrival period (on-peak with off-peak next, off-peak with green
     next) there are two cases: a lone job, where hasty placement loses, and
     a job pair, where patient placement loses. With the tuned coin both
     cases of a period share one expected ratio (1 + k - k^2 for the period's
-    value ratio k), which is the policy's worst case.
+    value ratio k), the worst case of these constructions.
     """
     params = random_fit_params(nv)
     p_on, p_off = params.p_on_to_off, params.p_off_to_on
@@ -195,14 +210,6 @@ def rf_worst_case_suite(
     ]
 
 
-def _opt(instance: AdversarialInstance) -> float:
-    """The construction's offline optimum, from the exact solver's default budget."""
-    opt, _ = solve_nonpreemptive_exact(
-        list(instance.jobs), instance.green, instance.tariff, instance.config
-    )
-    return opt
-
-
 def measure_ratio(
     instance: AdversarialInstance,
     kind: SchedulerKind | None = None,
@@ -211,16 +218,17 @@ def measure_ratio(
 ) -> RatioMeasurement:
     """Run a policy on the construction and report OPT over its mean profit.
 
-    The optimum comes from the exact offline solver. Deterministic policies
-    need one trial; randomized ones get seeds base_seed + i, which
-    ``run_trials`` checks before the solve. It draws every seed's coins in one
-    batched pass and plays each distinct coin path once: a group of trials
-    plays its first seed's own run, and the trials whose draw comes out the
-    other way at a flip leave as a new group. So trials whose coins come out
-    alike share one run, and the engine's cost grows with the distinct coin
-    paths, not with ``trials``. A policy that earns nothing on every trial
-    reports an infinite ratio (flagged via ``infinite``); the standard error
-    follows the delta method.
+    The optimum is the instance's own ``opt_profit``, so nothing is solved
+    here. Deterministic policies need one trial; randomized ones get seeds
+    base_seed + i, which ``run_trials`` checks before any play. It draws
+    every seed's coins in one batched pass and plays each distinct coin
+    path once: a group of trials plays its first seed's own run, and the
+    trials whose draw comes out the other way at a flip leave as a new
+    group. So trials whose coins come out alike share one run, and the
+    engine's cost grows with the distinct coin paths, not with ``trials``.
+    A policy that earns nothing on every trial reports an infinite ratio
+    (flagged via ``infinite``); the standard error follows the delta
+    method.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -233,7 +241,7 @@ def measure_ratio(
         instance.config,
         range(base_seed, base_seed + trials),
     )
-    opt = _opt(instance)
+    opt = instance.opt_profit
     mean = float(profits.mean())
     se_mean = float(profits.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     if mean <= 0:
@@ -252,16 +260,15 @@ def expected_ratio(
 ) -> float:
     """OPT over the policy's exact expected profit on the construction.
 
-    The expectation enumerates every coin path (``expected_profit``), up
-    to 2^n for n jobs. A policy whose expected profit is not positive
-    gives an infinite ratio.
+    OPT is the instance's own ``opt_profit``. The expectation enumerates
+    every coin path (``expected_profit``), up to 2^n for n jobs. A policy
+    whose expected profit is not positive gives an infinite ratio.
     """
     kind = instance.target if kind is None else kind
-    opt = _opt(instance)
     mean = expected_profit(
         list(instance.jobs), kind, instance.green, instance.tariff, instance.config
     )
-    return opt / mean if mean > 0 else math.inf
+    return instance.opt_profit / mean if mean > 0 else math.inf
 
 
 def standard_suite(machines: int = 16) -> list[AdversarialInstance]:

@@ -125,15 +125,16 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     rows = []
     for inst in standard_suite(machines=args.machines):
         trials = args.trials if inst.target.randomized else 1
-        rows.append((inst, measure_ratio(inst, trials=trials, base_seed=args.seed)))
+        m = measure_ratio(inst, trials=trials, base_seed=args.seed)
+        rows.append((inst, expected_ratio(inst), m))
     print(
         f"{'construction':<22} {'policy':<6} {'formula':>10} {'exact':>10} "
         f"{'measured':>10} {'stderr':>9}"
     )
-    for inst, m in rows:
+    for inst, exact, m in rows:
         print(
             f"{inst.name:<22} {inst.target.kind:<6} {inst.formula_ratio:>10.6f} "
-            f"{expected_ratio(inst):>10.6f} {m.ratio:>10.6f} {m.stderr:>9.2g}"
+            f"{exact:>10.6f} {m.ratio:>10.6f} {m.stderr:>9.2g}"
         )
     return 0
 

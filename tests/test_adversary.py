@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from greensched.adversary import (
     rf_worst_case_suite,
     standard_suite,
 )
-from greensched.model import SimConfig
-from greensched.offline import solve_nonpreemptive_exact
-from greensched.pricing import Tariff, normalized_values, random_fit_params
-from greensched.schedulers import SchedulerKind, run_online, run_trials
+from greensched.model import Job, SimConfig
+from greensched.offline import solve_nonpreemptive_exact, solve_preemptive_exact
+from greensched.pricing import GreenTrace, Tariff, normalized_values, random_fit_params
+from greensched.schedulers import SchedulerKind, expected_profit, run_online, run_trials
 
 from oracles import per_seed_profits
 
@@ -165,6 +167,29 @@ def test_loss_making_tariff_flags_infinite_ratio():
     assert np.isnan(m.stderr)
 
 
+def test_every_instance_carries_its_exact_optimum(monkeypatch):
+    # solved once when made, by a builder, directly or by replace, with the
+    # solver's default budget; the ratios read it and solve nothing
+    solves = []
+    solve = adversary.solve_nonpreemptive_exact
+    monkeypatch.setattr(
+        adversary, "solve_nonpreemptive_exact", lambda *a: solves.append(a) or solve(*a)
+    )
+    suite = standard_suite()
+    assert len(solves) == len(suite)
+    for inst in suite:
+        want, _ = solve(list(inst.jobs), inst.green, inst.tariff, inst.config)
+        assert inst.opt_profit == want, inst.name
+        measure_ratio(inst, trials=3)
+        expected_ratio(inst)
+    assert len(solves) == len(suite)
+    inst = suite[0]  # ff_green_next: without its green, OPT pays on-peak brown
+    dark = dataclasses.replace(inst, green=GreenTrace(np.zeros(2, dtype=int)))
+    assert len(solves) == len(suite) + 1
+    assert dark.opt_profit == solve(list(inst.jobs), dark.green, inst.tariff, inst.config)[0]
+    assert dark.opt_profit == pytest.approx(inst.unit_value * V_ON, abs=1e-12)
+
+
 def test_machine_count_scales_units_not_ratios():
     narrow = by_name(standard_suite(machines=4))
     wide = by_name(standard_suite(machines=16))
@@ -204,7 +229,8 @@ def test_measure_ratio_rejects_fewer_than_one_trial():
 
 def test_measure_ratio_rejects_a_negative_base_seed(monkeypatch):
     # the seeds base_seed .. base_seed + trials - 1 are checked as one
-    # range, before the exact solve
+    # range; the optimum was solved when the instance was made, so no call
+    # solves, valid or not
     inst = rf_worst_case_suite(NV)[0]
     solves = []
     solve = adversary.solve_nonpreemptive_exact
@@ -217,7 +243,7 @@ def test_measure_ratio_rejects_a_negative_base_seed(monkeypatch):
         measure_ratio(inst, trials=3, base_seed=2**64 - 2)
     assert solves == []
     measure_ratio(inst, trials=3, base_seed=2**64 - 3)
-    assert len(solves) == 1
+    assert solves == []
 
 
 @pytest.mark.parametrize("machines", [1, 3, 16])
@@ -254,3 +280,74 @@ def test_expected_ratio_of_a_deterministic_policy_is_its_one_run():
     for inst in standard_suite():
         if not inst.target.randomized:
             assert expected_ratio(inst) == measure_ratio(inst).ratio, inst.name
+
+
+def on_peak_instance(green, jobs):
+    """The stock ladder on M=2, every slot on-peak; jobs as (r, d, p, q)."""
+    horizon = len(green)
+    jobs = [
+        Job(id=i, release=r, deadline=d, proc_time=p, nodes=q)
+        for i, (r, d, p, q) in enumerate(jobs)
+    ]
+    tariff = Tariff(peak_override=(True,) * horizon)
+    return jobs, GreenTrace(np.array(green)), tariff, SimConfig(2, horizon)
+
+
+def online_profit(jobs, kind, green, tariff, config):
+    """The policy's net profit; random-fit's exact expectation over its coin."""
+    if kind.randomized:
+        return expected_profit(jobs, kind, green, tariff, config)
+    return run_online(jobs, kind, green, tariff, config)[1].net_profit
+
+
+NV2 = normalized_values(Tariff(), SimConfig(machines=2))
+RF2 = SchedulerKind("RF", random_fit_params(NV2))
+P_ON2 = RF2.rf_params.p_on_to_off
+
+
+def test_best_fit_trap_on_three_slots_beats_the_two_slot_forms():
+    # job 0 may use any of slots 0-2, job 1 only slot 1; green fills slots
+    # 1 and 2. FF burns on-peak brown in slot 0, BF parks job 0 on the
+    # earlier green slot and turns job 1 away, and OPT runs both on green.
+    jobs, green, tariff, config = on_peak_instance([0, 2, 2], [(0, 2, 1, 2), (1, 1, 1, 2)])
+    opt, _ = solve_nonpreemptive_exact(jobs, green, tariff, config)
+    for kind, closed_form in (
+        (SchedulerKind("FF"), 2 / (1 + NV2.v_on)),
+        (SchedulerKind("BF"), 2.0),
+        (RF2, 2 / (1 + P_ON2 * NV2.v_on)),
+    ):
+        ratio = opt / online_profit(jobs, kind, green, tariff, config)
+        assert abs(ratio - closed_form) <= 1e-12, kind.kind
+    assert round(2 / (1 + NV2.v_on), 5) == 1.70543
+    assert round(2 / (1 + P_ON2 * NV2.v_on), 5) == 1.90569
+    # BF's 2 is above both two-slot BF forms
+    assert 2.0 > max(BF_ON_TO_OFF_RATIO, BF_OFF_TO_ON_RATIO)
+
+
+def test_random_fit_on_a_lone_on_peak_job_with_green_next():
+    # the coin keys on the release period, so RF keeps first-fit's on-peak
+    # brown slot with p_on although slot 1 is green: worse than the 1.228
+    # that RF's on-peak dilemmas force
+    jobs, green, tariff, config = on_peak_instance([0, 2], [(0, 1, 1, 2)])
+    opt, _ = solve_nonpreemptive_exact(jobs, green, tariff, config)
+    ratio = opt / online_profit(jobs, RF2, green, tariff, config)
+    closed_form = 1 / (1 - P_ON2 * (1 - NV2.v_on))
+    assert abs(ratio - closed_form) <= 1e-12
+    assert round(closed_form, 5) == 1.31066
+    assert ratio > RF2.rf_params.ratio_on
+
+
+def test_mixed_sizes_break_every_closed_form():
+    # a 1-node job takes one of the two nodes of slot 0 that the 2-node,
+    # 2-slot job released with it needs: every policy admits the small job
+    # and turns the large one away, which OPT runs instead. The ratio is the
+    # large job's 4 node-slots over the small job's 1.
+    jobs, green, tariff, config = on_peak_instance([0, 0], [(0, 0, 1, 1), (0, 1, 2, 2)])
+    opt, schedule = solve_nonpreemptive_exact(jobs, green, tariff, config)
+    assert [pl.job_id for pl in schedule.placements] == [1]
+    assert solve_preemptive_exact(jobs, green, tariff, config)[0] == opt
+    for kind in ("FF", "BF", "PFF", "PBF"):
+        schedule, report = run_online(jobs, SchedulerKind(kind), green, tariff, config)
+        assert [pl.job_id for pl in schedule.placements] == [0], kind
+        assert abs(opt / report.net_profit - 4.0) <= 1e-12, kind
+    assert abs(opt / online_profit(jobs, RF2, green, tariff, config) - 4.0) <= 1e-12

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from greensched import experiment
+from greensched import adversary, cli, experiment
 from greensched.cli import build_parser, main
 from greensched.experiment import cell_jobs, cell_spec, load_config, resolve_green
 from greensched.model import SimConfig
@@ -254,6 +254,38 @@ def test_adversary_table(capsys):
     ]
     assert any(line.startswith("ff_green_next") for line in lines)
     assert any(line.startswith("rf_off_to_on_pair") for line in lines)
+
+
+ADVERSARY_TABLE_4_MACHINES = """\
+construction           policy    formula      exact   measured    stderr
+ff_green_next          FF       5.789474   5.789474   5.789474         0
+ff_offpeak_next        FF       2.842105   2.842105   2.842105         0
+bf_on_to_off           BF       1.351852   1.351852   1.351852         0
+bf_off_to_on           BF       1.490909   1.490909   1.490909         0
+rf_on_to_off_single    RF       1.228052   1.228052   1.184211     0.055
+rf_on_to_off_pair      RF       1.228052   1.228052   1.246585     0.025
+rf_off_to_on_single    RF       1.249917   1.249917   1.224399     0.052
+rf_off_to_on_pair      RF       1.249917   1.249917   1.266996     0.036
+"""
+
+
+def test_adversary_solves_each_optimum_once_before_printing(capsys, monkeypatch):
+    # one exact solve per construction and every exact ratio taken before
+    # the header; the table's bytes are pinned
+    solves, events = [], []
+    solve = adversary.solve_nonpreemptive_exact
+    monkeypatch.setattr(
+        adversary, "solve_nonpreemptive_exact", lambda *a: solves.append(a) or solve(*a)
+    )
+    exact = cli.expected_ratio
+    monkeypatch.setattr(cli, "expected_ratio", lambda *a: events.append("exact") or exact(*a))
+    monkeypatch.setattr(
+        cli, "print", lambda *a: events.append("print") or print(*a), raising=False
+    )
+    assert main(["adversary", "--trials", "50", "--machines", "4"]) == 0
+    assert len(solves) == 8
+    assert events == ["exact"] * 8 + ["print"] * 9
+    assert capsys.readouterr().out == ADVERSARY_TABLE_4_MACHINES
 
 
 def test_adversary_rejects_fewer_than_one_trial(capsys):
