@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -30,7 +31,8 @@ MAX_STEPS = 1_000_000  # options priced; see README for the time it takes
 
 
 class SearchBudgetError(ValueError):
-    """The exact search priced more options than its step budget allows."""
+    """The exact search priced more options than its step budget allows, or
+    holds more jobs than Python's recursion limit lets it nest."""
 
 
 def _prepared(
@@ -66,51 +68,88 @@ def _canonical_profit(
     return revenue - cost
 
 
-def _slot_costs(job: Job, demand: list[int], g: list[int], b: list[float]) -> list[float]:
+def _fields(n: int, w: int) -> int:
+    """n consecutive w-bit fields that each hold 1."""
+    return ((1 << (w * n)) - 1) // ((1 << w) - 1)
+
+
+def _slot_costs(job: Job, packed: int, w: int, g: list[int], b: list[float]) -> list[float]:
     """Marginal cost of the job's nodes in each slot up to its deadline:
     b[t] times the shortfall they add (never more than q), 0.0 before its
-    release. An option's cost is its slots' costs added left to right from 0.0.
+    release. Slot t's demand is the w-bit field of ``packed`` at bit w * t.
+    An option's cost is its slots' costs added left to right from 0.0.
     """
     q = job.nodes
+    field = (1 << w) - 1
+    # the window's fields alone: d is 0 from its last loaded slot on
+    d = packed >> (w * job.release) & (1 << (w * (job.deadline - job.release + 1))) - 1
     costs = [0.0] * job.release
     for t in range(job.release, job.deadline + 1):
-        over = demand[t] + q - g[t]
+        over = q - g[t]
+        if d:
+            over += d & field
+            d >>= w
         costs.append(b[t] * (q if over > q else over) if over > 0 else 0.0)
     return costs
 
 
 # Each variant of the search is one option generator: it lists the job's
-# placements under the current demand in ascending lexicographic order.
+# placements under the packed demand in ascending lexicographic order, each
+# with the packed demand it adds. That is an int, or for a scattered option
+# the node's dict of per-slot parts, summed over the option's slots only for
+# a child past the bound.
 
 
-def _contiguous_options(job: Job, demand: list[int], M: int):
+def _short(job: Job, packed: int, M: int) -> tuple[int, int]:
+    """The field width w, and the guard bits of the job's window slots that
+    lack room for its q nodes: slot release + k's is bit w * k + w - 1.
+
+    Fields are M.bit_length() + 1 bits wide, so adding 2**(w-1) - 1 - (M - q)
+    to a field of at most M demand sets its top (guard) bit exactly where
+    demand + q > M, and never carries into the next field.
+    """
+    w = M.bit_length() + 1
+    top = 1 << (w - 1)
+    ones = _fields(job.deadline - job.release + 1, w)
+    lifted = (packed >> (w * job.release)) + (top - 1 - (M - job.nodes)) * ones
+    return w, lifted & ones * top
+
+
+def _contiguous_options(job: Job, packed: int, M: int):
     """Every window of proc_time consecutive slots with q spare nodes each."""
     p, q = job.proc_time, job.nodes
     if q > M:
         return
+    w, short = _short(job, packed, M)
+    block = _fields(p, w)
+    need = block << (w - 1)
+    block *= q
     for s in range(job.release, job.deadline - p + 2):
-        end = s + p
-        for t in range(s, end):
-            if demand[t] + q > M:
-                break
-        else:
-            yield range(s, end)
+        if not short & need:
+            yield range(s, s + p), block << (w * s)
+        short >>= w
 
 
-def _scattered_options(job: Job, demand: list[int], M: int):
+def _scattered_options(job: Job, packed: int, M: int):
     """Every proc_time-subset of the slots with q spare nodes."""
     q = job.nodes
     if q > M:
         return ()
-    spare = [t for t in range(job.release, job.deadline + 1) if demand[t] + q <= M]
-    return itertools.combinations(spare, job.proc_time)
+    w, short = _short(job, packed, M)
+    top = 1 << (w - 1)
+    parts = {}  # spare slot -> the packed demand q nodes add there, in slot order
+    for t in range(job.release, job.deadline + 1):
+        if not short & top:
+            parts[t] = q << (w * t)
+        short >>= w
+    return zip(itertools.combinations(parts, job.proc_time), itertools.repeat(parts))
 
 
 def _window_costs(job: Job, g: list[int], b: list[float]) -> list[float]:
     """The job's slot costs over its window [release, deadline] on an empty
     grid, cheapest first. On a loaded grid a slot's marginal cost is never
-    below its empty-grid cost."""
-    return sorted(_slot_costs(job, [0] * len(b), g, b)[job.release :])
+    below its empty-grid cost. An empty grid reads 0 at any field width."""
+    return sorted(_slot_costs(job, 0, 1, g, b)[job.release :])
 
 
 def _job_bound(job: Job, rev: float, costs: list[float], M: int) -> float:
@@ -182,7 +221,7 @@ def _ceiling_margins(order: list[Job], rev: list[float], b: list[float]) -> list
     return margins
 
 
-_REJECT = ((),)  # rejection, the last option of every job: no slots
+_REJECT = (((), 0),)  # rejection, the last option of every job: no slots
 
 
 def _solve(
@@ -220,7 +259,9 @@ def _solve(
     entered, cut or a leaf. Past ``max_steps`` steps the search raises
     ``SearchBudgetError``. The memo and peer lists grow by at most one key
     per step, so the budget bounds memory; a step's time is not fixed, as
-    it scans the child's same-value peers.
+    it scans the child's same-value peers. The search nests one call per
+    job, so more jobs than Python's recursion limit allows raise
+    ``SearchBudgetError`` too.
     """
     order, g, b, rev = _prepared(jobs, green, tariff, config)
     n = len(order)
@@ -238,7 +279,6 @@ def _solve(
     best_value = -math.inf
     best_assign: list = []
     steps = 0
-    demand = [0] * T
     chosen: list = [()] * n
     # Jobs are in release order, so jobs i.. only touch slots in window[i]:
     # their options and marginal costs depend on the demand there alone.
@@ -246,13 +286,13 @@ def _solve(
         slice(order[i].release, max(j.deadline for j in order[i:]) + 1)
         for i in range(n)
     ]
-    # Demand is also packed into one int, w bits per slot with the top one
-    # spare, so masking out window[i] gives the memo key, and one subtraction
-    # tests two keys pointwise: no field borrows, and each field of
-    # (key | guard) - peer keeps its guard bit exactly where peer's is no larger.
+    # A node's demand is one int, w bits per slot with the top one spare, so
+    # masking out window[i] gives the memo key, and one subtraction tests two
+    # keys pointwise: no field borrows, and each field of (key | guard) - peer
+    # keeps its guard bit exactly where peer's is no larger. A child is its
+    # parent's int plus its option's, so a child cut unentered writes nothing.
     w = M.bit_length() + 1
-    unit = [1 << (w * t) for t in range(T)]
-    fields = [sum(unit[window[i]]) for i in range(n)]
+    fields = [_fields(s.stop - s.start, w) << (w * s.start) for s in window]
     key_masks = [f * ((1 << w) - 1) for f in fields]
     guards = [f << (w - 1) for f in fields]
     memo: list[dict] = [{} for _ in range(n)]  # demand in window[i] -> best cur
@@ -264,12 +304,11 @@ def _solve(
         # entered, and a child at depth n sets the incumbent directly.
         nonlocal best_value, best_assign, steps
         job = order[i]
-        q = job.nodes
         gain = rev[i]
         reach = cur + suffix[i]
         near = reach - margins[i]
         ceiled = False
-        costs = _slot_costs(job, demand, g, b)
+        costs = _slot_costs(job, packed, w, g, b)
         nxt = i + 1
         rest = suffix[nxt]
         leaf = nxt == n
@@ -278,7 +317,7 @@ def _solve(
             peers_at = peers[nxt]
             mask = key_masks[nxt]
             guard = guards[nxt]
-        for slots in itertools.chain(options(job, demand, M), _REJECT):
+        for slots, add in itertools.chain(options(job, packed, M), _REJECT):
             steps += 1
             if steps > max_steps:
                 raise SearchBudgetError(
@@ -307,11 +346,7 @@ def _solve(
                 best_value = value
                 best_assign = chosen.copy()
                 continue
-            span = 0
-            for t in slots:
-                demand[t] += q
-                span += unit[t]
-            child = packed + q * span
+            child = packed + (add if add.__class__ is int else sum(map(add.__getitem__, slots)))
             key = child & mask
             seen = seen_at.get(key)
             if seen is None or seen < value:
@@ -329,12 +364,17 @@ def _solve(
                     else:
                         same.append(key)
                         expand(nxt, value, child)
-            for t in slots:
-                demand[t] -= q
 
     try:
         if n:
             expand(0, 0.0, 0)
+    except RecursionError:
+        # one frame per job, so the depth is the job count
+        raise SearchBudgetError(
+            f"{label} exact search of {n} jobs needs {n} nested calls, past "
+            f"Python's recursion limit of {sys.getrecursionlimit()}; solve "
+            "fewer jobs at once"
+        ) from None
     finally:
         expand = None  # expand reaches itself through its closure; unlink to free the search
 
@@ -502,14 +542,13 @@ def emit_lp(
     obj += [(-b[t], f"aux_{t}") for t in range(T) if b[t] != 0]
     lines += ["Maximize", *_wrap_terms("obj:", obj), "Subject To"]
 
-    empty = [0] * T
     busy = [[(1.0, f"e_{t}")] for t in range(T)]
     binaries = [f"y_{i}" for i in range(len(order))]
     for i, job in enumerate(order):
         # a preemptive job runs as proc_time one-slot pieces, a contiguous one as one
         piece = replace(job, proc_time=1) if preemptive else job
         once = []
-        for slots in _contiguous_options(piece, empty, M):
+        for slots, _ in _contiguous_options(piece, 0, M):
             name = f"{prefix}_{i}_{slots[0]}"
             once.append((1.0, name))
             binaries.append(name)

@@ -1,4 +1,5 @@
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,21 @@ def test_opt_solve_respects_step_budget(tmp_path, capsys):
         assert main(args + ["--variant", variant]) == 1
         err = capsys.readouterr().err
         assert "budget of 2 options priced" in err and "offline_max_steps" in err
+
+
+def test_opt_solve_of_too_many_jobs_fails_with_the_job_count(tmp_path, capsys):
+    # more jobs than Python's recursion limit: exit code 1 and a message
+    # that names the job count, not a bare recursion error
+    n = sys.getrecursionlimit() + 200
+    path = tmp_path / "deep.cfg"
+    path.write_text(f"machines = 1\nhorizon_slots = {n}\ngreen = zero\n")
+    jf = tmp_path / "jobs.txt"
+    write_job_file(jf, [(i, i, i, 1, 1) for i in range(n)])
+    args = ["opt", "solve", "--config", str(path), "--jobs", str(jf)]
+    for variant in LP_VARIANTS:
+        assert main(args + ["--variant", variant]) == 1
+        err = capsys.readouterr().err
+        assert f"search of {n} jobs" in err and "recursion limit" in err
 
 
 def test_opt_solve_on_default_grid(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -15,6 +16,7 @@ from greensched.experiment import (
     ExperimentError,
     MEANS_HEADER,
     RUNS_HEADER,
+    cell_jobs,
     load_config,
     preemption_comparison,
     resolve_green,
@@ -274,6 +276,23 @@ def test_offline_failure_names_the_cell():
     )
     # the first job's first option is the search's only step
     with pytest.raises(ExperimentError, match=r"UE point 1\.0 rep 0: .*offline_max_steps"):
+        run_suite(cfg)
+
+
+def test_offline_search_too_deep_names_the_cell():
+    # UE p=1 q=1 at 100% load on 1x1500 offers 1,500 jobs, one nested search
+    # call each: past the recursion limit, which must fail like a budget stop
+    cfg = small_cfg(
+        sim=SimConfig(machines=1, horizon_slots=1500, forecast_slots=1500),
+        utilization=(1.0,),
+        fixed_p=1,
+        fixed_q=1,
+        algorithms=("FF",),
+        repetitions=1,
+        include_offline=True,
+    )
+    assert len(cell_jobs(cfg, "UE", 1.0, 0, [])) > sys.getrecursionlimit()
+    with pytest.raises(ExperimentError, match=r"UE point 1\.0 rep 0: .*recursion limit"):
         run_suite(cfg)
 
 

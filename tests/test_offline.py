@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -260,11 +262,53 @@ def test_acceptance_six_instance_is_solved_in_few_nodes():
     (value, sched), nodes = counted_nodes(
         solve_nonpreemptive_exact, jobs, synthetic_solar(sim), Tariff(), sim
     )
-    assert nodes <= 250
+    assert nodes == 187
     assert repr(value) == "0.21059999999999993"
     starts = [(0, 11), (1, 30), (2, 16), (3, 18), (4, 26), (5, 25), (6, 34), (7, 36)]
     assert [(p.job_id, p.active_slots) for p in sched.placements] == [
         (j, tuple(range(s, s + 4))) for j, s in starts
+    ]
+
+
+# Desk solves whose node counts the README quotes, with acc6-r1 and pre-r9
+# pinned above: label -> (nodes entered, repr of the value, first slot of
+# each placement in job order). Any change to the search's node set shows.
+PINNED_SOLVES = {
+    "acc6-r2": (87, "0.22529999999999994", [2, 5, 8, 13, 29, 34, 33, 38]),
+    "acc6-r3": (464, "0.2231999999999999", [37, 5, 20, 21, 27, 27, 31, 33]),
+    "ident11": (243, "0.021599999999999987", [0, 0, 1, 1, 2, 2, 3, 3]),
+    "pre-r2": (6, "0.09720000000000004", [0, 1, 3, 4, 8, 16]),
+}
+
+
+def pinned_instance(label):
+    """(solver, proc_time, jobs, green, tariff, sim) of a PINNED_SOLVES label."""
+    if label == "ident11":  # 11 identical one-slot jobs on 2x4, no green
+        sim = cfg_of(2, 4)
+        jobs = [Job(id=i, release=0, deadline=3, proc_time=1, nodes=1) for i in range(11)]
+        return solve_nonpreemptive_exact, 1, jobs, zeros(4), Tariff(), sim
+    # UE q=2 at 40% load with synthetic green: p=4 on 4x42, or p=3 on 4x24
+    # searched preemptively
+    family, r = label.split("-r")
+    preemptive = family == "pre"
+    p, T, seed = (3, 24, ("bench-exact-p", int(r))) if preemptive else (4, 42, (6, int(r)))
+    sim = cfg_of(4, T)
+    spec = WorkloadSpec(
+        family="UE", target_utilization=0.4, fixed_p=p, fixed_q=2, rng_seed=stable_seed(*seed)
+    )
+    solver = solve_preemptive_exact if preemptive else solve_nonpreemptive_exact
+    return solver, p, generate(spec, sim, Tariff()), synthetic_solar(sim), Tariff(), sim
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_SOLVES))
+def test_desk_solves_enter_their_pinned_node_counts(label):
+    solver, p, *inst = pinned_instance(label)
+    (value, sched), nodes = counted_nodes(solver, *inst)
+    want_nodes, want_value, starts = PINNED_SOLVES[label]
+    assert nodes == want_nodes
+    assert repr(value) == want_value
+    assert [(pl.job_id, pl.active_slots) for pl in sched.placements] == [
+        (j, tuple(range(s, s + p))) for j, s in enumerate(starts)
     ]
 
 
@@ -371,6 +415,18 @@ def test_limits_are_enforced():
         assert len(sched.placements) == 2
 
 
+def test_a_search_deeper_than_the_recursion_limit_stops_with_a_budget_error():
+    # the search nests one call per job, so more jobs than Python's
+    # recursion limit cannot be searched; the solve must say so, not raise
+    # a bare RecursionError
+    n = sys.getrecursionlimit() + 200
+    cfg = cfg_of(1, n)
+    jobs = [Job(id=i, release=i, deadline=i, proc_time=1, nodes=1) for i in range(n)]
+    for solver in (solve_nonpreemptive_exact, solve_preemptive_exact):
+        with pytest.raises(SearchBudgetError, match=rf"search of {n} jobs needs {n} nested"):
+            solver(jobs, zeros(n), TARIFF, cfg)
+
+
 def test_one_job_preemptive_solve_stops_at_its_budget():
     # one machine, p = 24 of 48 slots, green in slots 24..47 only: the cheapest
     # subset is the last one listed, so the one node the search enters would
@@ -427,7 +483,7 @@ def test_job_bound_covers_every_option_on_an_empty_grid():
             bound = _job_bound(job, r, _window_costs(job, g, b), M)
             assert bound >= 0.0
             for options in (_contiguous_options, _scattered_options):
-                for slots in options(job, empty, M):
+                for slots, _ in options(job, 0, M):
                     cost = marginal_cost(slots, empty, g, b, job.nodes)
                     assert bound >= max(0.0, r - cost) - math.ulp(r)
                     checked += 1
@@ -455,6 +511,20 @@ def reachable_demand(rng, order, M, T):
     return demand
 
 
+def pack(demand, M):
+    """A demand list as the search holds it: one int, M.bit_length() + 1
+    bits per slot, slot t's field at bit w * t."""
+    w = M.bit_length() + 1
+    return sum(d << (w * t) for t, d in enumerate(demand))
+
+
+def added(slots, add):
+    """The packed demand an option adds, given as an int, or as the per-slot
+    parts a scattered option sums over its slots once its child passes the
+    bound."""
+    return add if isinstance(add, int) else sum(add[t] for t in slots)
+
+
 def test_cost_floor_is_below_every_option_to_the_bit():
     # every option's cost, summed left to right as the search sums it, is at
     # least its job's floor, on any demand the search can reach: exactly,
@@ -465,13 +535,13 @@ def test_cost_floor_is_below_every_option_to_the_bit():
         jobs, green, tariff, config = random_instance(rng, max_jobs=4, max_slots=12)
         order, g, b, _ = _prepared(jobs, green, tariff, config)
         M = config.machines
-        demand = reachable_demand(rng, order, M, config.horizon_slots)
+        packed = pack(reachable_demand(rng, order, M, config.horizon_slots), M)
         for job in order:
             floor = _cost_floor(job, _window_costs(job, g, b), M)
             assert (floor == math.inf) == (job.nodes > M)
-            costs = _slot_costs(job, demand, g, b)
+            costs = _slot_costs(job, packed, M.bit_length() + 1, g, b)
             for options in (_contiguous_options, _scattered_options):
-                for slots in options(job, demand, M):
+                for slots, _ in options(job, packed, M):
                     mc = 0.0
                     for t in slots:
                         mc += costs[t]
@@ -544,7 +614,7 @@ def test_preemptive_search_stops_at_a_leaf_that_meets_its_ceiling():
     (value, sched), nodes = counted_nodes(
         solve_preemptive_exact, jobs, synthetic_solar(sim), Tariff(), sim
     )
-    assert nodes <= 50
+    assert nodes == 6
     assert repr(value) == "0.09720000000000001"
     assert [(p.job_id, p.active_slots) for p in sched.placements] == [
         (0, (1, 2, 3)),
@@ -591,30 +661,56 @@ def test_ceiling_margin_skips_only_sums_that_cannot_cut(solver, monkeypatch):
 
 
 def test_slot_costs_sum_to_the_marginal_cost_on_loaded_grids():
-    # a node prices each window slot once; every option, contiguous or
-    # scattered, must cost what the slot-by-slot oracle charges, to the bit
+    # a node reads its window's demand from the packed int and prices each
+    # slot once. Every option, contiguous or scattered, must be one a scan
+    # of the demand list finds, add q to each of its slots' fields, and cost
+    # what the slot-by-slot oracle charges, to the bit. Field widths 2 to 6:
+    # M at and next to powers of two, q up to one wider than the cluster,
+    # and every demand from 0 to M, so a lift or guard one field off fails
     rng = np.random.default_rng(15)
+    T = 8
     checked = 0
     branches = set()
-    for _ in range(400):
-        jobs, green, tariff, config = random_instance(rng, max_jobs=4, max_slots=12)
-        order, g, b, _ = _prepared(jobs, green, tariff, config)
-        M = config.machines
-        demand = [int(v) for v in rng.integers(0, M + 1, size=config.horizon_slots)]
-        for job in order:
-            costs = _slot_costs(job, demand, g, b)
-            q = job.nodes
-            for t in range(job.release, job.deadline + 1):
-                over = demand[t] + q - g[t]
-                branches.add("none" if over <= 0 else "part" if over <= q else "full")
-            for options in (_contiguous_options, _scattered_options):
-                for slots in options(job, demand, M):
-                    mc = 0.0
-                    for t in slots:
-                        mc += costs[t]
-                    assert repr(mc) == repr(marginal_cost(slots, demand, g, b, q))
-                    checked += 1
-    assert checked > 1000
+    for M in (1, 2, 3, 4, 7, 8, 15, 16):
+        w = M.bit_length() + 1
+        loads = set()
+        for _ in range(40):
+            demand = [int(v) for v in rng.integers(0, M + 1, size=T)]
+            g = [int(v) for v in rng.integers(0, M + 1, size=T)]
+            b = [float(v) for v in rng.random(T)]
+            packed = pack(demand, M)
+            for q in range(1, M + 2):
+                p = int(rng.integers(1, 4))
+                r = int(rng.integers(0, T - p + 1))
+                d = int(rng.integers(r + p - 1, T))
+                job = Job(id=0, release=r, deadline=d, proc_time=p, nodes=q)
+                costs = _slot_costs(job, packed, w, g, b)
+                assert costs[:r] == [0.0] * r and len(costs) == d + 1
+                for t in range(r, d + 1):
+                    loads.add(demand[t])
+                    over = demand[t] + q - g[t]
+                    branches.add("none" if over <= 0 else "part" if over <= q else "full")
+                spare = [t for t in range(r, d + 1) if demand[t] + q <= M]
+                scans = {
+                    _contiguous_options: [
+                        tuple(range(s, s + p))
+                        for s in range(r, d - p + 2)
+                        if all(t in spare for t in range(s, s + p))
+                    ],
+                    _scattered_options: list(itertools.combinations(spare, p)),
+                }
+                for options, scan in scans.items():
+                    listed = [(tuple(s), added(s, add)) for s, add in options(job, packed, M)]
+                    assert [slots for slots, _ in listed] == scan
+                    for slots, add in listed:
+                        assert add == pack([q * (t in slots) for t in range(T)], M)
+                        mc = 0.0
+                        for t in slots:
+                            mc += costs[t]
+                        assert repr(mc) == repr(marginal_cost(slots, demand, g, b, q))
+                        checked += 1
+        assert loads == set(range(M + 1))
+    assert checked > 5000
     assert branches == {"none", "part", "full"}
 
 
