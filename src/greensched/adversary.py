@@ -76,10 +76,6 @@ class RatioMeasurement:
     mean_alg_profit: float
     trials: int
 
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.ratio)
-
 
 def _build(
     name: str,
@@ -226,16 +222,14 @@ def measure_ratio(
     trials whose draw comes out the other way at a flip leave as a new
     group. So trials whose coins come out alike share one run, and the
     engine's cost grows with the distinct coin paths, not with ``trials``.
-    A policy that earns nothing on every trial reports an infinite ratio
-    (flagged via ``infinite``); the standard error follows the delta
-    method.
+    A policy that earns nothing on every trial reports an infinite ratio;
+    the standard error follows the delta method.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    kind = instance.target if kind is None else kind
     profits = run_trials(
         list(instance.jobs),
-        kind,
+        instance.target if kind is None else kind,
         instance.green,
         instance.tariff,
         instance.config,
@@ -255,18 +249,15 @@ def measure_ratio(
     )
 
 
-def expected_ratio(
-    instance: AdversarialInstance, kind: SchedulerKind | None = None
-) -> float:
-    """OPT over the policy's exact expected profit on the construction.
+def expected_ratio(instance: AdversarialInstance) -> float:
+    """OPT over the target policy's exact expected profit on the construction.
 
     OPT is the instance's own ``opt_profit``. The expectation enumerates
     every coin path (``expected_profit``), up to 2^n for n jobs. A policy
     whose expected profit is not positive gives an infinite ratio.
     """
-    kind = instance.target if kind is None else kind
     mean = expected_profit(
-        list(instance.jobs), kind, instance.green, instance.tariff, instance.config
+        list(instance.jobs), instance.target, instance.green, instance.tariff, instance.config
     )
     return instance.opt_profit / mean if mean > 0 else math.inf
 

@@ -109,6 +109,11 @@ def _cmd_opt(args: argparse.Namespace) -> int:
         f"revenue {report.revenue:.10g}, brown cost {report.brown_cost:.10g}"
     )
     nodes = node_assignment(schedule) if preemptive else None
+    if preemptive and nodes is None:
+        print(
+            "warning: no fixed per-job node assignment exists for the optimal schedule",
+            file=sys.stderr,
+        )
     for pl in sorted(schedule.placements, key=lambda p: p.job_id):
         span = f"slots {pl.active_slots[0]}..{pl.active_slots[-1]}"
         if len(pl.active_slots) != pl.active_slots[-1] - pl.active_slots[0] + 1:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import warnings
+from collections.abc import Iterator
 from dataclasses import replace
 
 from .model import Job, Schedule, SimConfig, check_deadlines, commit, release_order
@@ -419,56 +419,61 @@ def solve_preemptive_exact(
     Branches per job over rejection and every proc_time-subset of its spare
     slots (lexicographic order, so ties resolve to the smallest slot
     vector). Node identities are not part of the search: capacity is
-    fungible, and a concrete node assignment is emitted afterwards as a
-    witness via ``node_assignment`` (a warning fires in the rare case no
-    fixed per-job node set exists). Raises ``SearchBudgetError`` past
-    ``max_steps`` options priced.
+    fungible, so the optimum holds slots and node counts only.
+    ``node_assignment`` finds fixed node ids for it where they exist.
+    Raises ``SearchBudgetError`` past ``max_steps`` options priced.
     """
-    profit, schedule = _solve(
-        jobs, green, tariff, config, max_steps, "preemptive", _scattered_options
-    )
-    if node_assignment(schedule) is None:
-        warnings.warn(
-            "no fixed per-job node assignment exists for the optimal schedule",
-            stacklevel=2,
-        )
-    return profit, schedule
+    return _solve(jobs, green, tariff, config, max_steps, "preemptive", _scattered_options)
+
+
+def _picks(free: list[int], group: dict[int, int], q: int) -> Iterator[tuple[int, ...]]:
+    """The q-subsets of ``free`` (ascending ids) that hold a prefix of every
+    group (the nodes of one ``group`` value), in ``combinations`` order."""
+    if q == 0:
+        yield ()
+    elif len(free) >= q:
+        m, rest = free[0], free[1:]
+        for tail in _picks(rest, group, q - 1):
+            yield (m, *tail)
+        yield from _picks([n for n in rest if group[n] != group[m]], group, q)
 
 
 def node_assignment(schedule: Schedule) -> dict[int, tuple[int, ...]] | None:
     """Concrete node sets realizing a fungible-capacity schedule.
 
     Each job gets a fixed set of node ids it holds in every active slot,
-    with no two time-overlapping jobs sharing a node. Backtracking search;
-    returns None when no such assignment exists (possible only for
-    scattered placements with odd overlap structure, never for contiguous
-    ones).
+    with no two time-overlapping jobs sharing a node; returns None when no
+    such assignment exists (possible only for scattered placements with
+    odd overlap structure, never for contiguous ones). Of all assignments,
+    the first in ``itertools.combinations`` order per job, taken in order
+    of first active slot, is returned.
+
+    Backtracking search in which each node holds a bitmask of the later
+    jobs it is barred from. Free nodes with equal masks are interchangeable,
+    so a job branches only over how many it takes from each such group,
+    lowest ids first: swapping a pick's node for a lower free one of its
+    group gives a smaller pick that works whenever the first one does.
     """
-    M = schedule.machines
     order = sorted(schedule.placements, key=lambda p: (p.active_slots[0], p.job_id))
     slot_sets = [set(p.active_slots) for p in order]
-    overlaps = [
-        [j for j in range(i) if slot_sets[i] & slot_sets[j]] for i in range(len(order))
+    later = [
+        sum(1 << j for j in range(i + 1, len(order)) if slot_sets[i] & slot_sets[j])
+        for i in range(len(order))
     ]
     assign: dict[int, tuple[int, ...]] = {}
 
-    def rec(i: int) -> bool:
+    def rec(i: int, barred: list[int]) -> bool:
         if i == len(order):
             return True
-        taken: set[int] = set()
-        for j in overlaps[i]:
-            taken.update(assign[order[j].job_id])
-        free = [m for m in range(M) if m not in taken]
-        if len(free) < order[i].nodes:
-            return False
-        for combo in itertools.combinations(free, order[i].nodes):
-            assign[order[i].job_id] = combo
-            if rec(i + 1):
+        group = {m: mask >> i for m, mask in enumerate(barred) if not mask >> i & 1}
+        for pick in _picks(list(group), group, order[i].nodes):
+            assign[order[i].job_id] = pick
+            after = [mask | later[i] if m in pick else mask for m, mask in enumerate(barred)]
+            if rec(i + 1, after):
                 return True
-        del assign[order[i].job_id]
         return False
 
-    found = rec(0)
+    found = rec(0, [0] * schedule.machines)
     rec = None  # rec reaches itself through its closure; unlink to free it
     return assign if found else None
 

@@ -92,10 +92,6 @@ class SchedulerKind:
             raise ValueError(f"{self.kind} needs rf_params")
 
     @property
-    def preemptive(self) -> bool:
-        return self.kind.startswith("P")
-
-    @property
     def randomized(self) -> bool:
         return self.kind in ("RF", "PRF")
 

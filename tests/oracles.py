@@ -62,6 +62,37 @@ def recomputed_demand(schedule) -> np.ndarray:
     return demand
 
 
+def backtrack_node_assignment(schedule):
+    """``offline.node_assignment`` by plain backtracking: every
+    ``itertools.combinations`` of a job's free nodes, in order, with no
+    grouping of interchangeable nodes."""
+    M = schedule.machines
+    order = sorted(schedule.placements, key=lambda p: (p.active_slots[0], p.job_id))
+    slot_sets = [set(p.active_slots) for p in order]
+    overlaps = [
+        [j for j in range(i) if slot_sets[i] & slot_sets[j]] for i in range(len(order))
+    ]
+    assign = {}
+
+    def rec(i):
+        if i == len(order):
+            return True
+        taken = set()
+        for j in overlaps[i]:
+            taken.update(assign[order[j].job_id])
+        free = [m for m in range(M) if m not in taken]
+        if len(free) < order[i].nodes:
+            return False
+        for combo in itertools.combinations(free, order[i].nodes):
+            assign[order[i].job_id] = combo
+            if rec(i + 1):
+                return True
+        del assign[order[i].job_id]
+        return False
+
+    return assign if rec(0) else None
+
+
 def feasible_windows(job, schedule, preemptive=False) -> list[tuple[int, ...]]:
     """All placements open to the job under current demand.
 
@@ -381,7 +412,8 @@ def full_horizon_choice(job, state, kind, tariff):
     the same slots and draw the same coins.
     """
     p = job.proc_time
-    if kind.preemptive:
+    preemptive = kind.kind.startswith("P")
+    if preemptive:
         spare = spare_slots(job, state.schedule)
         if spare.size < p:
             return None
@@ -406,7 +438,7 @@ def full_horizon_choice(job, state, kind, tariff):
         if state.coin(keep_first):
             return first
     unit = state.brown_cost * np.maximum(0, job.nodes - vis)
-    if kind.preemptive:
+    if preemptive:
         order = np.lexsort((spare, unit[spare]))
         return tuple(int(t) for t in np.sort(spare[order[:p]]))
     csum = np.concatenate(([0.0], np.cumsum(unit)))

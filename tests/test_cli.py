@@ -167,6 +167,23 @@ def test_opt_solve_preemptive_lists_node_witness(tmp_path, capsys, small):
     assert "job 1: slots 2..4 on 2 nodes [0, 1]" in captured
 
 
+def test_opt_solve_preemptive_warns_when_no_node_witness_exists(tmp_path, capsys):
+    # the optimum's active slot pairs form a 5-cycle on two nodes, so no
+    # fixed node sets exist: the schedule prints without ids, and a warning
+    path = tmp_path / "cycle.cfg"
+    path.write_text("machines = 2\nhorizon_slots = 5\ngreen = zero\n")
+    jf = tmp_path / "jobs.txt"
+    write_job_file(jf, [(0, 0, 1, 2, 1), (1, 1, 2, 2, 1), (2, 2, 3, 2, 1), (3, 3, 4, 2, 1), (4, 0, 4, 2, 1)])
+    args = ["opt", "solve", "--config", str(path), "--jobs", str(jf), "--variant", "preemptive"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: no fixed per-job node assignment exists for the optimal schedule\n"
+    )
+    assert "scheduled 5/5 jobs" in captured.out
+    assert "  job 4: slots 0,4 on 1 nodes\n" in captured.out
+
+
 def test_opt_solve_prints_split_placement(tmp_path, capsys):
     # one node, slots 1..2 on-peak, no green: the preemptive optimum skips
     # the peak, the contiguous one takes the earliest window

@@ -106,6 +106,18 @@ def test_one_function_plays_the_engine():
     assert sites == {("schedulers", "_play")}
 
 
+def test_only_the_cli_searches_node_ids():
+    # the exact solvers return fungible capacity; fixed node ids are a
+    # separate search, run once where they are printed
+    sites = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for owner in (None, "offline")
+        for name in callers(path.read_text(), owner, "node_assignment")
+    }
+    assert sites == {("cli", "_cmd_opt")}
+
+
 def test_call_scan_sees_nested_and_module_level_calls():
     source = (
         "OnlineState.create(g)\ndef f():\n    def g():\n        OnlineState.create(1)\n"

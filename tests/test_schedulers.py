@@ -80,8 +80,6 @@ def test_kind_validation():
         SchedulerKind("XX")
     with pytest.raises(ValueError):
         SchedulerKind("RF")  # params missing
-    assert SchedulerKind("PBF").preemptive
-    assert not SchedulerKind("BF").preemptive
     assert SchedulerKind("PRF", PARAMS).randomized
 
 
@@ -389,7 +387,7 @@ def test_contiguous_picks_reach_commit_as_unit_step_ranges(name, monkeypatch):
             runs += 1
         else:
             assert type(sent) is tuple
-    if not kind.preemptive:
+    if not kind.kind.startswith("P"):
         assert runs == len(placed)
     else:
         assert 0 < runs < len(placed)
