@@ -19,6 +19,7 @@ ratio past them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,6 +207,13 @@ def rf_worst_case_suite(
     ]
 
 
+def _plain_int(value, name: str) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def measure_ratio(
     instance: AdversarialInstance,
     kind: SchedulerKind | None = None,
@@ -222,9 +230,15 @@ def measure_ratio(
     trials whose draw comes out the other way at a flip leave as a new
     group. So trials whose coins come out alike share one run, and the
     engine's cost grows with the distinct coin paths, not with ``trials``.
-    A policy that earns nothing on every trial reports an infinite ratio;
-    the standard error follows the delta method.
+    The seeds' draws are seeded once per range for the process, so a suite
+    measured under one ``trials`` and ``base_seed`` draws each coin once.
+    ``trials`` and ``base_seed`` must be integers, not bools: anything else
+    raises TypeError before any play, and a numpy integer is taken as an
+    ``int``. A policy that earns nothing on every trial reports an infinite
+    ratio; the standard error follows the delta method.
     """
+    trials = _plain_int(trials, "trials")
+    base_seed = _plain_int(base_seed, "base_seed")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     profits = run_trials(

@@ -7,7 +7,8 @@ same pooled green-then-brown accounting the online engine uses, so online
 profits are always comparable lower bounds.
 
 The searches are exponential in the worst case, so each one stops at a step
-budget: past ``max_steps`` options priced it raises ``SearchBudgetError``.
+budget: past ``max_steps`` options priced it raises ``SearchBudgetError``,
+which carries the best schedule found so far.
 Steps are counted, not seconds, so an input gives the same answer or the
 same error on any host. For anything larger,
 ``emit_lp`` writes the problem either search solves, with the same fungible
@@ -32,7 +33,16 @@ MAX_STEPS = 1_000_000  # options priced; see README for the time it takes
 
 class SearchBudgetError(ValueError):
     """The exact search priced more options than its step budget allows, or
-    holds more jobs than Python's recursion limit lets it nest."""
+    holds more jobs than Python's recursion limit lets it nest.
+
+    ``incumbent`` is the best complete assignment found before the stop, as
+    ``(value, Schedule)`` priced as a returned optimum is, so a feasible
+    lower bound on the optimum; None when the search reached no leaf.
+    """
+
+    def __init__(self, message: str, incumbent: tuple[float, Schedule] | None = None):
+        super().__init__(message)
+        self.incumbent = incumbent
 
 
 def _prepared(
@@ -257,9 +267,10 @@ def _solve(
 
     Each pass of a node's option loop is one step, whether its child is
     entered, cut or a leaf. Past ``max_steps`` steps the search raises
-    ``SearchBudgetError``. The memo and peer lists grow by at most one key
-    per step, so the budget bounds memory; a step's time is not fixed, as
-    it scans the child's same-value peers. The search nests one call per
+    ``SearchBudgetError``, which carries the incumbent. The memo and peer
+    lists grow by at most one key per step, so the budget bounds memory; a
+    step's time is not fixed, as it scans the child's same-value peers.
+    The search nests one call per
     job, so more jobs than Python's recursion limit allows raise
     ``SearchBudgetError`` too.
     """
@@ -297,6 +308,16 @@ def _solve(
     guards = [f << (w - 1) for f in fields]
     memo: list[dict] = [{} for _ in range(n)]  # demand in window[i] -> best cur
     peers: list[dict] = [{} for _ in range(n)]  # cur -> demands in window[i] entered at cur
+
+    def priced(assign: list) -> tuple[float, Schedule]:
+        # a complete assignment's schedule, valued in the canonical order
+        schedule = Schedule(M, T)
+        rev_selected = []
+        for i, slots in enumerate(assign):
+            if slots:
+                commit(order[i], slots, schedule)
+                rev_selected.append(rev[i])
+        return _canonical_profit(rev_selected, schedule.demand, g, b), schedule
 
     def expand(i: int, cur: float, packed: int) -> None:
         # Search job i's options, then its rejection. The caller has cut this
@@ -368,23 +389,21 @@ def _solve(
     try:
         if n:
             expand(0, 0.0, 0)
+    except SearchBudgetError as stop:
+        # priced here, off the search's deep stack
+        stop.incumbent = priced(best_assign) if best_assign else None
+        raise
     except RecursionError:
         # one frame per job, so the depth is the job count
         raise SearchBudgetError(
             f"{label} exact search of {n} jobs needs {n} nested calls, past "
             f"Python's recursion limit of {sys.getrecursionlimit()}; solve "
-            "fewer jobs at once"
+            "fewer jobs at once",
+            priced(best_assign) if best_assign else None,
         ) from None
     finally:
         expand = None  # expand reaches itself through its closure; unlink to free the search
-
-    schedule = Schedule(M, T)
-    rev_selected = []
-    for i, slots in enumerate(best_assign):
-        if slots:
-            commit(order[i], slots, schedule)
-            rev_selected.append(rev[i])
-    return _canonical_profit(rev_selected, schedule.demand, g, b), schedule
+    return priced(best_assign)
 
 
 def solve_nonpreemptive_exact(

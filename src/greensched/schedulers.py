@@ -26,10 +26,12 @@ coin path, the outcomes of its flips.
 ``_play`` is the one place a run is played: it plays with the coin it is
 given and reports every flip. ``run_online`` plays one seed's coin.
 ``run_trials`` draws every seed's coins in one batched numpy pass, bit-equal
-to ``np.random.default_rng(seed)``, and keeps groups of trials whose coins
-agree up to a split depth: a group plays its first seed's own run, and at
-each flip from that depth on, the trials whose draw comes out the other way
-leave as a new group one flip deeper. ``expected_profit`` alone replays
+to ``np.random.default_rng(seed)``, seeded once per seed range: the draw
+columns of the last range it was given are kept, read-only, for the next
+call on an equal range. It keeps groups of trials whose coins agree up to
+a split depth: a group plays its first seed's own run, and at each flip
+from that depth on, the trials whose draw comes out the other way leave as
+a new group one flip deeper. ``expected_profit`` alone replays
 paths: every flip past a played path's end queues the path that switches
 there, so each coin path is played once.
 ``run_trials`` takes its seeds as one ``range`` of any step, and only
@@ -41,6 +43,7 @@ arrays, so no Python step runs per seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Sequence
@@ -205,12 +208,12 @@ def _mulhi_mult_lo(a: np.ndarray) -> np.ndarray:
     return a1 * b1 + (p01 >> half) + (p10 >> half) + (mid >> half)
 
 
-def _pcg_step(state: list[np.ndarray]) -> None:
-    """state = state * multiplier + inc (mod 2**128), on (hi, lo) pairs."""
+def _pcg_step(state: list[np.ndarray]) -> list[np.ndarray]:
+    """A new state: state * multiplier + inc (mod 2**128), on (hi, lo) pairs."""
     hi, lo, inc_hi, inc_lo = state
     hi = _mulhi_mult_lo(lo) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
     lo = lo * _PCG_MULT_LO + inc_lo
-    state[:2] = hi + inc_hi + (lo < inc_lo), lo
+    return [hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo]
 
 
 def _pcg64_seeded(seeds: np.ndarray) -> list[np.ndarray]:
@@ -239,9 +242,7 @@ def _pcg64_seeded(seeds: np.ndarray) -> list[np.ndarray]:
     one = _U64[1]
     inc_hi, inc_lo = w2 << one | w3 >> _U64[63], w3 << one | one
     lo = inc_lo + w1
-    state = [inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo]
-    _pcg_step(state)
-    return state
+    return _pcg_step([inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo])
 
 
 def _check_seeds(seeds: range, noun: str) -> None:
@@ -259,14 +260,25 @@ def _check_seeds(seeds: range, noun: str) -> None:
         raise ValueError(f"{noun} must be below 2**64, got {highest}")
 
 
+def _pcg64_output(state: list[np.ndarray]) -> np.ndarray:
+    """PCG64's XSL-RR output of each state, as ``random()``'s double."""
+    hi, lo = state[:2]
+    x, rot = hi ^ lo, hi >> _U64[58]
+    x = x >> rot | x << (_U64[64] - rot & _U64[63])
+    return (x >> _U64[11]).astype(np.float64) * 2.0**-53
+
+
 class _SeedDraws:
     """``np.random.default_rng(s).random()`` for every seed s, a column per draw.
 
-    ``column(d)`` holds each seed's (d+1)-th draw, bit for bit. The seeds
-    are a range of 64-bit words (``_check_seeds`` checks), so all of them
-    are set up from ``np.arange`` and stepped together on uint64 arrays. A
+    ``column(d)`` holds each seed's (d+1)-th draw, bit for bit, in a
+    read-only array. The seeds are a range of 64-bit words (``_check_seeds``
+    checks), so all of them are set up from ``np.arange`` and stepped
+    together on uint64 arrays. The seeding runs at the first column, and a
     column is computed the first time it is asked for, so seeds that never
-    flip cost nothing.
+    flip cost nothing. A column is a pure function of (range, depth), so
+    ``run_trials`` shares one object per range (``_shared_draws``): the
+    range is seeded once, and each column drawn once, for the process.
     """
 
     def __init__(self, seeds: range):
@@ -276,7 +288,7 @@ class _SeedDraws:
 
     def column(self, depth: int) -> np.ndarray:
         while len(self.columns) <= depth:
-            self.columns.append(self._draw())
+            self._draw()
         return self.columns[depth]
 
     def coin(self, row: int) -> Coin:
@@ -284,18 +296,31 @@ class _SeedDraws:
         draws = (self.column(d)[row] for d in itertools.count())
         return lambda keep_first: bool(next(draws) < keep_first)
 
-    def _draw(self) -> np.ndarray:
-        """The next column: one PCG64 step and output per seed."""
-        if self._pcg is None:
+    def _draw(self) -> None:
+        """Append the next column: one PCG64 step and output per seed.
+
+        The stepped state and its column are computed first and stored
+        together, so a draw that raises leaves the object as it was and
+        every later column in its place.
+        """
+        pcg = self._pcg
+        if pcg is None:
             # i * step + first wraps mod 2**64 onto each seed, whatever the step's sign
             seeds = self.seeds
             steps = np.arange(len(seeds), dtype=np.uint64)
-            self._pcg = _pcg64_seeded(steps * np.uint64(seeds.step % 2**64) + np.uint64(seeds[0]))
-        _pcg_step(self._pcg)
-        hi, lo = self._pcg[:2]
-        x, rot = hi ^ lo, hi >> _U64[58]
-        x = x >> rot | x << (_U64[64] - rot & _U64[63])
-        return (x >> _U64[11]).astype(np.float64) * 2.0**-53
+            pcg = _pcg64_seeded(steps * np.uint64(seeds.step % 2**64) + np.uint64(seeds[0]))
+        pcg = _pcg_step(pcg)
+        column = _pcg64_output(pcg)
+        column.flags.writeable = False
+        self.columns.append(column)
+        self._pcg = pcg
+
+
+# The draws of the last randomized run_trials range. Equal ranges hold the
+# same seeds, so they share; a deterministic kind never asks, so it cannot
+# evict the range. A draw appends to the shared object, so calls on one
+# range must not run in concurrent threads (the package starts none).
+_shared_draws = functools.lru_cache(maxsize=1)(_SeedDraws)
 
 
 @dataclass(frozen=True)
@@ -534,13 +559,16 @@ def run_trials(
 
     The coin is random-fit's only randomness, so trials whose coins agree
     share one run. Every seed's draws come from one batched pass
-    (``_SeedDraws``), a column per flip depth. Trials are grouped with a
-    split depth, before which every trial of the group flips alike; a group
-    plays its lowest-index seed's own run, which is therefore every
-    member's run up to that depth. At each flip from the split depth on,
-    the trials whose draw comes out the other way leave as a new group, one
-    flip deeper. So each distinct path is played once, no column is drawn
-    before a play needs it, and a deterministic kind plays once.
+    (``_SeedDraws``), a column per flip depth, seeded once per range: a
+    randomized kind reads the draws shared by every call on an equal range
+    (``_shared_draws``), and a deterministic kind, which never flips, does
+    not touch them. Trials are grouped with a split depth, before which
+    every trial of the group flips alike; a group plays its lowest-index
+    seed's own run, which is therefore every member's run up to that
+    depth. At each flip from the split depth on, the trials whose draw
+    comes out the other way leave as a new group, one flip deeper. So each
+    distinct path is played once, no column is drawn before a play needs
+    it, and a deterministic kind plays once.
 
     ``seeds`` is a ``range`` of any step, read by its ends: anything else
     raises TypeError, and a seed outside [0, 2**64) ValueError, before any
@@ -548,14 +576,15 @@ def run_trials(
     """
     check_deadlines(jobs, config)
     _check_seeds(seeds, "seeds")
-    draws = _SeedDraws(seeds)
+    draws = _shared_draws(seeds) if kind.randomized else None
     profits = np.empty(len(seeds))
     # (split depth, trials): the trials, ascending, whose coins agree on
     # every flip before the split depth
     pending = [(0, np.arange(len(seeds)))] if seeds else []
     while pending:
         split, trials = pending.pop()
-        _, report, flips = _play(jobs, kind, green, tariff, config, draws.coin(int(trials[0])))
+        coin = None if draws is None else draws.coin(int(trials[0]))
+        _, report, flips = _play(jobs, kind, green, tariff, config, coin)
         for depth, (keep_first, outcome) in enumerate(flips[split:], split):
             agree = (draws.column(depth)[trials] < keep_first) == outcome
             if not agree.all():

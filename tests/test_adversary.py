@@ -226,6 +226,20 @@ def test_measure_ratio_rejects_fewer_than_one_trial():
             measure_ratio(inst, trials=trials)
 
 
+def test_measure_ratio_takes_plain_integers(engine_plays):
+    # a bool or a non-integer is refused by name before any play; a numpy
+    # integer is taken and reported as an int
+    inst = rf_worst_case_suite(NV)[0]
+    for bad in (True, 2.0, "3", None):
+        with pytest.raises(TypeError, match=f"^trials must be an integer, got {type(bad).__name__}$"):
+            measure_ratio(inst, trials=bad)
+        with pytest.raises(TypeError, match=f"^base_seed must be an integer, got {type(bad).__name__}$"):
+            measure_ratio(inst, trials=3, base_seed=bad)
+    assert engine_plays == []
+    m = measure_ratio(inst, trials=np.int64(40), base_seed=np.uint32(9))
+    assert type(m.trials) is int and m == measure_ratio(inst, trials=40, base_seed=9)
+
+
 def test_measure_ratio_rejects_a_negative_base_seed(monkeypatch):
     # the seeds base_seed .. base_seed + trials - 1 are checked as one
     # range; the optimum was solved when the instance was made, so no call

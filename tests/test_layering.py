@@ -233,6 +233,39 @@ def test_rng_scan_sees_any_owner_depth():
     assert rng_builders(source) == {None, "f", "h"}
 
 
+SHARED_DRAWS = {"_shared_draws", "_SeedDraws"}
+
+
+def draw_readers(source: str) -> set[str | None]:
+    """Innermost functions that name the shared draws or their class, bare
+    or as an attribute of any owner."""
+    return enclosing(
+        source,
+        lambda node: (isinstance(node, ast.Name) and node.id in SHARED_DRAWS)
+        or (isinstance(node, ast.Attribute) and node.attr in SHARED_DRAWS),
+    )
+
+
+def test_only_run_trials_reaches_the_shared_draws():
+    # a seed range's draw columns are built once and shared: the module
+    # level wraps the class in the one cache, and run_trials is its one
+    # reader, so no other path draws a column or holds one
+    sites = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in draw_readers(path.read_text())
+    }
+    assert sites == {("schedulers", None), ("schedulers", "run_trials")}
+
+
+def test_draw_scan_sees_names_and_attributes():
+    source = (
+        "_shared_draws = cache(_SeedDraws)\ndef f(s):\n    return schedulers._shared_draws(s)\n"
+        "def g():\n    x = _SeedDraws\n    return '_shared_draws'\ndef h(d):\n    return d.columns\n"
+    )
+    assert draw_readers(source) == {None, "f", "g"}
+
+
 REPO = PACKAGE.parents[1]
 
 # exported but called by nothing outside the tests: the benchmark traces

@@ -50,6 +50,7 @@ from oracles import (
     marginal_cost,
     profit_of,
     random_instance,
+    recomputed_demand,
 )
 
 TARIFF = Tariff()
@@ -414,6 +415,40 @@ def test_limits_are_enforced():
     for solver in (solve_nonpreemptive_exact, solve_preemptive_exact):
         _, sched = solver(wide_jobs, zeros(4), TARIFF, fleet)
         assert len(sched.placements) == 2
+
+
+@pytest.mark.parametrize("solver", [solve_nonpreemptive_exact, solve_preemptive_exact])
+def test_a_stopped_search_carries_its_incumbent(solver):
+    # the best leaf found before the stop is a feasible schedule, priced
+    # like a returned optimum and worth no more than the full-budget optimum
+    rng = np.random.default_rng(5)
+    carried = empty = 0
+    for _ in range(30):
+        jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
+        opt, _ = solver(jobs, green, tariff, cfg)
+        order, g, b, _ = _prepared(jobs, green, tariff, cfg)
+        for budget in (1, 8, 30):
+            try:
+                solver(jobs, green, tariff, cfg, max_steps=budget)
+                continue
+            except SearchBudgetError as stop:
+                incumbent = stop.incumbent
+            if incumbent is None:
+                empty += 1
+                continue
+            carried += 1
+            value, sched = incumbent
+            assert value <= opt
+            placed = {p.job_id: p for p in sched.placements}
+            picked = [job_revenue(j, tariff, cfg) for j in order if j.id in placed]
+            assert profit_of(picked, sched.demand, g, b) == value
+            assert (recomputed_demand(sched) <= cfg.machines).all()
+            for job in jobs:
+                if job.id in placed:
+                    slots = placed[job.id].active_slots
+                    assert job.release <= slots[0] <= slots[-1] <= job.deadline
+                    assert len(slots) == job.proc_time and placed[job.id].nodes == job.nodes
+    assert carried >= 15 and empty >= 15
 
 
 def test_a_search_deeper_than_the_recursion_limit_stops_with_a_budget_error():

@@ -784,6 +784,7 @@ def test_run_trials_on_all_green_builds_no_generator(monkeypatch, engine_plays):
         Job(id=2, release=2, deadline=5, proc_time=2, nodes=1),
     ]
     want = per_seed_profits(jobs, RF, green, TARIFF, cfg, range(50))
+    schedulers._shared_draws.cache_clear()  # no column is left from an earlier test
     built = []
     generator = np.random.Generator
     monkeypatch.setattr(np.random, "Generator", lambda *a: built.append(a) or generator(*a))
@@ -810,6 +811,105 @@ def test_run_trials_plays_a_deterministic_kind_once(engine_plays):
     want = per_seed_profits(jobs, BF, green, TARIFF, cfg, seeds)
     assert got.tobytes() == want.tobytes()
     assert run_trials(jobs, BF, green, TARIFF, cfg, range(0)).size == 0
+
+
+def flipping_instance():
+    """One job, no green: every run of RF or PRF flips its coin once."""
+    cfg = small_cfg()
+    jobs = [Job(id=0, release=0, deadline=9, proc_time=2, nodes=1)]
+    return jobs, GreenTrace(np.zeros(10, dtype=np.int64)), TARIFF, cfg
+
+
+def counted_seedings(monkeypatch) -> list:
+    """A list of each seeding's seed count, from an emptied cache of shared draws."""
+    seeded = []
+    seed = schedulers._pcg64_seeded
+    monkeypatch.setattr(schedulers, "_pcg64_seeded", lambda a: seeded.append(a.size) or seed(a))
+    schedulers._shared_draws.cache_clear()
+    return seeded
+
+
+def test_run_trials_seeds_a_range_once(monkeypatch):
+    # calls on one range share its draws; a deterministic call in between
+    # leaves them, and another range seeds anew
+    jobs, green, tariff, cfg = flipping_instance()
+    seeded = counted_seedings(monkeypatch)
+    seeds = range(7, 57)
+    first = run_trials(jobs, RF, green, tariff, cfg, seeds)
+    assert seeded == [50]
+    run_trials(jobs, BF, green, tariff, cfg, range(3))
+    run_trials(jobs, BF, green, tariff, cfg, seeds)
+    again = run_trials(jobs, SchedulerKind("PRF", PARAMS), green, tariff, cfg, range(7, 57))
+    assert seeded == [50] and again.tobytes() == first.tobytes()
+    run_trials(jobs, RF, green, tariff, cfg, range(7, 57, 2))
+    assert seeded == [50, 25]
+    run_trials(jobs, RF, green, tariff, cfg, seeds)
+    assert seeded == [50, 25, 50]
+
+
+@pytest.mark.parametrize("name", ["RF", "PRF"])
+def test_shared_draws_equal_per_seed_runs_cold_or_warm(name, monkeypatch):
+    # overlapping ranges of other steps or lengths share no column; every
+    # call equals the per-seed runs, on a cold cache or on one that holds
+    # the columns another instance drew on the same range
+    kind = SchedulerKind(name, PARAMS)
+    rng = np.random.default_rng(71)
+    cases = []
+    for _ in range(12):
+        jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
+        want = per_seed_profits(jobs, kind, green, tariff, cfg, range(7, 57))
+        cases.append((jobs, green, tariff, cfg, want))
+    ranges = (range(7, 57), range(7, 57, 2), range(7, 57), range(7, 40), range(56, 6, -1))
+    seeded = counted_seedings(monkeypatch)
+    warm_misses = 0
+    for seeds in ranges:
+        rows = [s - 7 for s in seeds]
+        for jobs, green, tariff, cfg, want in cases:
+            before = schedulers._shared_draws.cache_info().misses
+            warm = run_trials(jobs, kind, green, tariff, cfg, seeds)
+            warm_misses += schedulers._shared_draws.cache_info().misses - before
+            schedulers._shared_draws.cache_clear()
+            cold = run_trials(jobs, kind, green, tariff, cfg, seeds)
+            assert warm.tobytes() == cold.tobytes() == want[rows].tobytes(), seeds
+    # a warm call builds new draws only where the range changed
+    assert len(seeded) > 2 * len(ranges) and warm_misses == len(ranges)
+
+
+def test_shared_draw_columns_are_read_only(monkeypatch):
+    jobs, green, tariff, cfg = flipping_instance()
+    counted_seedings(monkeypatch)
+    seeds = range(5, 25)
+    run_trials(jobs, RF, green, tariff, cfg, seeds)
+    draws = schedulers._shared_draws(seeds)
+    assert draws.columns
+    for column in draws.columns:
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 2.0
+
+
+def test_a_draw_that_raises_shifts_no_later_column(monkeypatch):
+    # a column that fails after its step must not advance the stored state,
+    # or every later column of the shared object is one flip off
+    seeds = range(3, 40, 5)
+    draws = schedulers._SeedDraws(seeds)
+    output = schedulers._pcg64_output
+    calls = []
+
+    def failing_once(state):
+        calls.append(None)
+        if len(calls) == 3:
+            raise MemoryError("column 2")
+        return output(state)
+
+    monkeypatch.setattr(schedulers, "_pcg64_output", failing_once)
+    draws.column(1)
+    with pytest.raises(MemoryError):
+        draws.column(2)
+    assert len(draws.columns) == 2
+    want = np.array([np.random.default_rng(s).random(6) for s in seeds])
+    for d in range(6):
+        assert draws.column(d).tobytes() == want[:, d].tobytes(), d
 
 
 def assert_draws_equal_default_rng(seeds, depth):
