@@ -216,11 +216,10 @@ def _plain_int(value, name: str) -> int:
 
 def measure_ratio(
     instance: AdversarialInstance,
-    kind: SchedulerKind | None = None,
     trials: int = 1,
     base_seed: int = 0,
 ) -> RatioMeasurement:
-    """Run a policy on the construction and report OPT over its mean profit.
+    """Run the instance's target policy on it and report OPT over its mean profit.
 
     The optimum is the instance's own ``opt_profit``, so nothing is solved
     here. Deterministic policies need one trial; randomized ones get seeds
@@ -243,7 +242,7 @@ def measure_ratio(
         raise ValueError(f"trials must be at least 1, got {trials}")
     profits = run_trials(
         list(instance.jobs),
-        instance.target if kind is None else kind,
+        instance.target,
         instance.green,
         instance.tariff,
         instance.config,

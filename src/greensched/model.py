@@ -101,14 +101,19 @@ def release_order(jobs: list[Job]) -> list[Job]:
     return sorted(jobs, key=lambda j: (j.release, j.deadline, j.id))
 
 
-def check_deadlines(jobs: list[Job], config: SimConfig) -> None:
-    """Raise ValueError naming the first job whose deadline is past the horizon."""
+def check_jobs(jobs: list[Job], config: SimConfig) -> None:
+    """Raise ValueError naming the first job whose deadline is past the
+    horizon or whose id an earlier job already holds."""
+    ids = set()
     for job in jobs:
         if job.deadline >= config.horizon_slots:
             raise ValueError(
                 f"job {job.id}: deadline {job.deadline} outside horizon "
                 f"{config.horizon_slots}"
             )
+        if job.id in ids:
+            raise ValueError(f"job {job.id}: id repeated")
+        ids.add(job.id)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
-from .model import Job, Schedule, SimConfig, check_deadlines, commit, release_order
+from .model import Job, Schedule, SimConfig, check_jobs, commit, release_order
 from .pricing import GreenTrace, Tariff, brown_cost_vector, horizon_supply, job_revenue
 
 
@@ -50,7 +50,7 @@ def _prepared(
 ) -> tuple[list[Job], list[int], list[float], list[float]]:
     """Jobs in release order, plus per-slot green g, per-slot brown price b
     and per-job revenue rev as plain Python numbers."""
-    check_deadlines(jobs, config)
+    check_jobs(jobs, config)
     order = release_order(jobs)
     g = [int(v) for v in horizon_supply(green, config)]
     b = [float(v) for v in brown_cost_vector(tariff, config)]
@@ -155,43 +155,34 @@ def _scattered_options(job: Job, packed: int, M: int):
     return zip(itertools.combinations(parts, job.proc_time), itertools.repeat(parts))
 
 
-def _window_costs(job: Job, g: list[int], b: list[float]) -> list[float]:
-    """The job's slot costs over its window [release, deadline] on an empty
-    grid, cheapest first. On a loaded grid a slot's marginal cost is never
-    below its empty-grid cost. An empty grid reads 0 at any field width."""
-    return sorted(_slot_costs(job, 0, 1, g, b)[job.release :])
+def _job_bounds(
+    job: Job, rev: float, g: list[int], b: list[float], M: int
+) -> tuple[float, float]:
+    """The job's bound and cost floor, from its slot costs over its window
+    [release, deadline] on an empty grid, cheapest first. On a loaded grid
+    a slot's marginal cost is never below its empty-grid cost.
 
-
-def _job_bound(job: Job, rev: float, costs: list[float], M: int) -> float:
-    """Best profit the job could add on an empty grid, never below zero.
-
-    Revenue less the proc_time cheapest of its ``_window_costs``. Any
-    placement, contiguous or not, costs at least that much.
+    The bound is the best profit the job could add, never below zero:
+    revenue less its proc_time cheapest costs. Any placement, contiguous
+    or not, costs at least that much. The floor is proc_time copies of the
+    cheapest cost; no placement, on any grid, sums to less. Both are added
+    left to right from 0.0 as an option's costs are (not sum(): it rounds
+    by Python version), and IEEE addition is monotone in each operand, so
+    the floor holds to the bit. A job wider than the cluster has no
+    placement: its bound is 0.0 and its floor ``math.inf``, so
+    ``_ceiling`` never adds it.
     """
+    costs = sorted(_slot_costs(job, 0, 1, g, b)[job.release :])  # empty at any field width
     if job.nodes > M:
-        return 0.0
-    cheapest = 0.0
-    for c in costs[: job.proc_time]:  # not sum(): it rounds by Python version
+        return 0.0, math.inf
+    cheapest = floor = 0.0
+    for c in costs[: job.proc_time]:  # the window holds proc_time slots
         cheapest += c
-    return max(0.0, rev - cheapest)
-
-
-def _cost_floor(job: Job, costs: list[float], M: int) -> float:
-    """No placement of the job, on any grid, sums to less: proc_time copies
-    of its cheapest ``_window_costs`` entry, added left to right from 0.0 as
-    an option's costs are. IEEE addition is monotone in each operand, so the
-    floor holds to the bit. ``math.inf`` for a job wider than the cluster,
-    which has no placement, so ``_ceiling`` never adds it.
-    """
-    if job.nodes > M:
-        return math.inf
-    floor = 0.0
-    for _ in range(job.proc_time):
         floor += costs[0]
-    return floor
+    return max(0.0, rev - cheapest), floor
 
 
-def _ceiling(cur: float, rest: list[tuple[float, float]]) -> float:
+def _ceiling(cur: float, rest: Iterable[tuple[float, float]]) -> float:
     """No leaf below a node at value ``cur`` is worth more, as the search
     sums it: each remaining (revenue, cost floor) pair is added in the
     leaf's own steps, ``v + rev - floor``, or skipped as a rejection would.
@@ -248,7 +239,7 @@ def _solve(
     Job i branches over ``options`` in order, then rejection. There is no
     starting incumbent: the first leaf sets it and only strict improvements
     replace it. A subtree is cut when its value so far plus the remaining
-    jobs' ``_job_bound`` sum cannot beat the incumbent. A subtree is also
+    jobs' ``_job_bounds`` sum cannot beat the incumbent. A subtree is also
     cut when an earlier one at the same depth held, over the slots the
     remaining jobs can use, the same demand at no lower value, or pointwise
     no more demand at the same value. Marginal slot costs never fall as
@@ -267,47 +258,48 @@ def _solve(
 
     Each pass of a node's option loop is one step, whether its child is
     entered, cut or a leaf. Past ``max_steps`` steps the search raises
-    ``SearchBudgetError``, which carries the incumbent. The memo and peer
-    lists grow by at most one key per step, so the budget bounds memory; a
-    step's time is not fixed, as it scans the child's same-value peers.
-    The search nests one call per
-    job, so more jobs than Python's recursion limit allows raise
-    ``SearchBudgetError`` too.
+    ``SearchBudgetError``, which carries the incumbent. Set-up is one pass
+    over the jobs, linear in jobs times window length, and the memo and
+    peer lists grow by at most one key per step, so the budget bounds
+    memory; a step's time is not fixed, as it scans the child's same-value
+    peers. The search nests one call per job, so more jobs than Python's
+    recursion limit allows raise ``SearchBudgetError`` too. Jobs that
+    share an id raise ValueError before the search starts.
     """
     order, g, b, rev = _prepared(jobs, green, tariff, config)
     n = len(order)
     T = config.horizon_slots
     M = config.machines
+    # A node's demand is one int, w bits per slot with the top one spare.
+    # Jobs are in release order, so jobs i.. only touch slots from order[i]'s
+    # release to the last deadline of jobs i..: their options and marginal
+    # costs depend on the demand there alone. Masking out those slots gives
+    # the memo key, and one subtraction tests two keys pointwise: no field
+    # borrows, and each field of (key | guard) - peer keeps its guard bit
+    # exactly where peer's is no larger. A child is its parent's int plus
+    # its option's, so a child cut unentered writes nothing.
+    w = M.bit_length() + 1
     suffix = [0.0] * (n + 1)
     floors = [0.0] * n
+    key_masks = [0] * n
+    guards = [0] * n
+    end = -1
     for i in range(n - 1, -1, -1):
-        costs = _window_costs(order[i], g, b)
-        suffix[i] = suffix[i + 1] + _job_bound(order[i], rev[i], costs, M)
-        floors[i] = _cost_floor(order[i], costs, M)
-    rests = [list(zip(rev[i:], floors[i:])) for i in range(n)]
+        job = order[i]
+        bound, floors[i] = _job_bounds(job, rev[i], g, b, M)
+        suffix[i] = suffix[i + 1] + bound
+        end = max(end, job.deadline)
+        ones = _fields(end + 1 - job.release, w) << (w * job.release)
+        key_masks[i] = ones * ((1 << w) - 1)
+        guards[i] = ones << (w - 1)
     margins = _ceiling_margins(order, rev, b)
 
     best_value = -math.inf
     best_assign: list = []
     steps = 0
     chosen: list = [()] * n
-    # Jobs are in release order, so jobs i.. only touch slots in window[i]:
-    # their options and marginal costs depend on the demand there alone.
-    window = [
-        slice(order[i].release, max(j.deadline for j in order[i:]) + 1)
-        for i in range(n)
-    ]
-    # A node's demand is one int, w bits per slot with the top one spare, so
-    # masking out window[i] gives the memo key, and one subtraction tests two
-    # keys pointwise: no field borrows, and each field of (key | guard) - peer
-    # keeps its guard bit exactly where peer's is no larger. A child is its
-    # parent's int plus its option's, so a child cut unentered writes nothing.
-    w = M.bit_length() + 1
-    fields = [_fields(s.stop - s.start, w) << (w * s.start) for s in window]
-    key_masks = [f * ((1 << w) - 1) for f in fields]
-    guards = [f << (w - 1) for f in fields]
-    memo: list[dict] = [{} for _ in range(n)]  # demand in window[i] -> best cur
-    peers: list[dict] = [{} for _ in range(n)]  # cur -> demands in window[i] entered at cur
+    memo: list[dict] = [{} for _ in range(n)]  # masked demand -> best cur
+    peers: list[dict] = [{} for _ in range(n)]  # cur -> masked demands entered at cur
 
     def priced(assign: list) -> tuple[float, Schedule]:
         # a complete assignment's schedule, valued in the canonical order
@@ -349,7 +341,7 @@ def _solve(
             # a deeper leaf may have raised the incumbent since the parent's cut
             if best_value >= near:
                 if not ceiled:
-                    reach = min(reach, _ceiling(cur, rests[i]))
+                    reach = min(reach, _ceiling(cur, zip(rev[i:], floors[i:])))
                     ceiled = True
                 if reach <= best_value:
                     break

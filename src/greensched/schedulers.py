@@ -55,7 +55,7 @@ from .model import (
     Job,
     Schedule,
     SimConfig,
-    check_deadlines,
+    check_jobs,
     commit,
     first_start,
     nonpreemptive_starts,
@@ -488,13 +488,14 @@ def run_online(
     Jobs are processed sorted by (release, deadline, id); commitments are
     irrevocable. ``decision_log`` derives the per-job log from the returned
     schedule. ``seed`` feeds the RF/PRF coin only, and those kinds require
-    it. A seed outside [0, 2**64) raises ValueError before any play.
+    it. A seed outside [0, 2**64), a deadline past the horizon or two jobs
+    that share an id raise ValueError before any play.
     """
     if kind.randomized and seed is None:
         raise ValueError(f"{kind.kind} needs a seed for its coin")
     if seed is not None:
         _check_seeds(range(seed, seed + 1), "seed")
-    check_deadlines(jobs, config)
+    check_jobs(jobs, config)
     coin = _seeded_coin(seed) if kind.randomized else None
     schedule, report, _ = _play(jobs, kind, green, tariff, config, coin)
     return schedule, report
@@ -574,7 +575,7 @@ def run_trials(
     raises TypeError, and a seed outside [0, 2**64) ValueError, before any
     play. No Python step runs per seed.
     """
-    check_deadlines(jobs, config)
+    check_jobs(jobs, config)
     _check_seeds(seeds, "seeds")
     draws = _shared_draws(seeds) if kind.randomized else None
     profits = np.empty(len(seeds))
@@ -610,7 +611,7 @@ def expected_profit(
     a switch). A run flips at most one coin per job, so n jobs give at most
     2^n paths.
     """
-    check_deadlines(jobs, config)
+    check_jobs(jobs, config)
     terms = []
     pending: list[tuple[tuple[bool, ...], float]] = [((), 1.0)]
     while pending:

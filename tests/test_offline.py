@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,10 @@ from greensched.offline import (
     _ceiling,
     _ceiling_margins,
     _contiguous_options,
-    _cost_floor,
-    _job_bound,
+    _job_bounds,
     _prepared,
     _scattered_options,
     _slot_costs,
-    _window_costs,
     emit_lp,
     node_assignment,
     solve_nonpreemptive_exact,
@@ -37,7 +36,7 @@ from greensched.pricing import (
     random_fit_params,
     synthetic_solar,
 )
-from greensched.schedulers import SchedulerKind, run_online
+from greensched.schedulers import SchedulerKind, expected_profit, run_online, run_trials
 from greensched.workload import WorkloadSpec, generate
 
 from lputil import solve_lp_text
@@ -463,6 +462,55 @@ def test_a_search_deeper_than_the_recursion_limit_stops_with_a_budget_error():
             solver(jobs, zeros(n), TARIFF, cfg)
 
 
+def test_a_stopped_search_holds_memory_linear_in_its_jobs():
+    # set-up is one pass over the jobs, so a solve stopped at its first step
+    # holds about jobs x window length bits of memo masks: 3,000 one-slot
+    # jobs, each window running to the last deadline, peak at a few MB, where
+    # a per-depth table of the remaining jobs would hold n^2 / 2 entries
+    n = 3000
+    cfg = cfg_of(1, n)
+    jobs = [Job(id=i, release=i, deadline=i, proc_time=1, nodes=1) for i in range(n)]
+    green = zeros(n)
+    for solver in (solve_nonpreemptive_exact, solve_preemptive_exact):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBudgetError, match="step 2, past its budget of 1 "):
+                solver(jobs, green, TARIFF, cfg, max_steps=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
+
+def test_repeated_job_ids_raise_before_any_play_or_search():
+    # two jobs with id 0 would be two placements of one job: every entry
+    # point that takes a job list refuses it up front, naming the id, even
+    # under a budget that would stop the search at its first step
+    cfg = cfg_of(2, 4)
+    jobs = [
+        Job(id=0, release=0, deadline=3, proc_time=1, nodes=1),
+        Job(id=1, release=0, deadline=3, proc_time=2, nodes=1),
+        Job(id=0, release=1, deadline=3, proc_time=1, nodes=1),
+    ]
+    green = zeros(4)
+    rf = SchedulerKind("RF", random_fit_params(normalized_values(TARIFF, cfg)))
+    calls = [
+        lambda: solve_nonpreemptive_exact(jobs, green, TARIFF, cfg),
+        lambda: solve_preemptive_exact(jobs, green, TARIFF, cfg),
+        lambda: solve_nonpreemptive_exact(jobs, green, TARIFF, cfg, max_steps=1),
+        lambda: solve_preemptive_exact(jobs, green, TARIFF, cfg, max_steps=1),
+        lambda: emit_lp(jobs, green, TARIFF, cfg),
+        lambda: emit_lp(jobs, green, TARIFF, cfg, "preemptive"),
+        lambda: run_online(jobs, SchedulerKind("FF"), green, TARIFF, cfg),
+        lambda: run_online(jobs, rf, green, TARIFF, cfg, seed=0),
+        lambda: run_trials(jobs, rf, green, TARIFF, cfg, range(3)),
+        lambda: expected_profit(jobs, rf, green, TARIFF, cfg),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^job 0: id repeated$"):
+            call()
+
+
 def test_one_job_preemptive_solve_stops_at_its_budget():
     # one machine, p = 24 of 48 slots, green in slots 24..47 only: the cheapest
     # subset is the last one listed, so the one node the search enters would
@@ -516,7 +564,7 @@ def test_job_bound_covers_every_option_on_an_empty_grid():
         M = config.machines
         empty = [0] * config.horizon_slots
         for job, r in zip(order, rev):
-            bound = _job_bound(job, r, _window_costs(job, g, b), M)
+            bound, _ = _job_bounds(job, r, g, b, M)
             assert bound >= 0.0
             for options in (_contiguous_options, _scattered_options):
                 for slots, _ in options(job, 0, M):
@@ -530,10 +578,12 @@ def test_job_bound_sums_left_to_right():
     # ten 0.1 costs sum to 0.9999999999999999 left to right but to 1.0 by a
     # compensated sum (built-in sum() from Python 3.12 on); the bound must
     # not depend on the interpreter
+    # (no green and a 0.1 price make each slot cost 0.1)
     costs = [0.1] * 10
     assert math.fsum(costs) == 1.0
     job = Job(id=0, release=0, deadline=9, proc_time=10, nodes=1)
-    assert _job_bound(job, 1.0, costs, 1) == 1.0 - 0.9999999999999999 > 0.0
+    bound, _ = _job_bounds(job, 1.0, [0] * 10, costs, 1)
+    assert bound == 1.0 - 0.9999999999999999 > 0.0
 
 
 def reachable_demand(rng, order, M, T):
@@ -573,7 +623,7 @@ def test_cost_floor_is_below_every_option_to_the_bit():
         M = config.machines
         packed = pack(reachable_demand(rng, order, M, config.horizon_slots), M)
         for job in order:
-            floor = _cost_floor(job, _window_costs(job, g, b), M)
+            _, floor = _job_bounds(job, 0.0, g, b, M)
             assert (floor == math.inf) == (job.nodes > M)
             costs = _slot_costs(job, packed, M.bit_length() + 1, g, b)
             for options in (_contiguous_options, _scattered_options):
@@ -609,11 +659,11 @@ def test_ceiling_covers_every_leaf_below_it(preemptive):
             jobs, green, tariff, config = random_instance(rng, max_jobs=5, max_slots=8)
         order, g, b, rev = _prepared(jobs, green, tariff, config)
         M = config.machines
-        costs = [_window_costs(j, g, b) for j in order]
-        pairs = [(r, _cost_floor(j, c, M)) for j, r, c in zip(order, rev, costs)]
+        bounds = [_job_bounds(j, r, g, b, M) for j, r in zip(order, rev)]
+        pairs = [(r, floor) for r, (_, floor) in zip(rev, bounds)]
         suffix = [0.0] * (len(order) + 1)
         for i in range(len(order) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + _job_bound(order[i], rev[i], costs[i], M)
+            suffix[i] = suffix[i + 1] + bounds[i][0]
         margins = _ceiling_margins(order, rev, b)
         best = -math.inf
         for path, value in incremental_leaves(jobs, green, tariff, config, preemptive):
@@ -921,6 +971,46 @@ def test_node_assignment_answers_an_odd_triangle_of_wide_jobs_fast():
     start = time.perf_counter()
     assert node_assignment(sched) is None
     assert time.perf_counter() - start < 1.0
+
+
+def held(sched):
+    return [(p.job_id, p.active_slots, p.nodes) for p in sched.placements]
+
+
+def test_exact_answers_match_their_pinned_digest():
+    # sha256 over 4,000 solves: 1,000 random problems, every other one flat
+    # (no green, one brown price, many rounding ties), both solvers, each at
+    # a random budget of 1-299 steps and at the default. A finished solve
+    # adds its value's repr, placements and nodes entered; a stopped one its
+    # message and incumbent. A change to the search that should keep every
+    # answer must keep this digest; one that means to change answers re-pins
+    # it and says why
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(2026)
+    stops = empty = 0
+    for k in range(1000):
+        jobs, green, tariff, config = random_instance(rng, max_jobs=8, max_slots=12)
+        if k % 2:
+            T = config.horizon_slots
+            green, tariff = zeros(T), Tariff(peak_override=(False,) * T)
+        budget = int(rng.integers(1, 300))
+        for solver in (solve_nonpreemptive_exact, solve_preemptive_exact):
+            for max_steps in (budget, offline.MAX_STEPS):
+                try:
+                    (value, sched), nodes = counted_nodes(
+                        solver, jobs, green, tariff, config, max_steps
+                    )
+                    answer = (repr(value), held(sched), nodes)
+                except SearchBudgetError as stop:
+                    stops += 1
+                    empty += stop.incumbent is None
+                    value, sched = stop.incumbent or (None, None)
+                    answer = (str(stop), repr(value), sched and held(sched))
+                digest.update(repr(answer).encode())
+    assert stops > 200 and empty > 20
+    assert digest.hexdigest() == (
+        "e2197821557c1783b91fd38436e4a5e33b7659ce73757acf7a4b28dbfec0387a"
+    )
 
 
 # --- model emission -------------------------------------------------------
