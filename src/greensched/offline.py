@@ -20,9 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
+from typing import NamedTuple
+
+import numpy as np
 
 from .model import Job, Schedule, SimConfig, check_jobs, commit, release_order
 from .pricing import GreenTrace, Tariff, brown_cost_vector, horizon_supply, job_revenue
@@ -59,7 +63,7 @@ def _prepared(
 
 
 def _canonical_profit(
-    rev_selected: list[float], demand, g: list[int], b: list[float]
+    rev_selected: list[float], demand: np.ndarray, g: list[int], b: list[float]
 ) -> float:
     """Profit of a complete assignment in one fixed summation order.
 
@@ -71,10 +75,10 @@ def _canonical_profit(
     for v in rev_selected:
         revenue += v
     cost = 0.0
-    for t in range(len(b)):
-        over = int(demand[t]) - g[t]
+    for d, gt, bt in zip(demand.tolist(), g, b):
+        over = d - gt
         if over > 0:
-            cost += b[t] * over
+            cost += bt * over
     return revenue - cost
 
 
@@ -83,84 +87,152 @@ def _fields(n: int, w: int) -> int:
     return ((1 << (w * n)) - 1) // ((1 << w) - 1)
 
 
-def _slot_costs(job: Job, packed: int, w: int, g: list[int], b: list[float]) -> list[float]:
-    """Marginal cost of the job's nodes in each slot up to its deadline:
-    b[t] times the shortfall they add (never more than q), 0.0 before its
-    release. Slot t's demand is the w-bit field of ``packed`` at bit w * t.
-    An option's cost is its slots' costs added left to right from 0.0.
+def _field_width(M: int) -> int:
+    """Bits per slot of the packed demand: whole bytes, a power of two of
+    them, with the top bit spare as the guard (see ``_window``). That is 8
+    while M <= 127, then 16, 32 or 64, so a window decodes with one
+    ``int.to_bytes`` and, past one byte, a ``memoryview.cast``."""
+    w = 8
+    while M >> (w - 1):
+        w *= 2
+    if w > 64:
+        raise ValueError(f"{M} machines do not fit a 64-bit demand field")
+    return w
+
+
+def _cost_row(q: int, g: int, b: float, M: int) -> tuple[float, ...]:
+    """The marginal cost of q more nodes in a slot with green g and brown
+    price b, at each demand d = 0..M already there: b * min(q - g + d, q)
+    where that shortfall is positive, else 0.0. Built as its three runs
+    (0.0, the part shortfalls, b * q), so a wide cluster's rows stay cheap."""
+    none = min(max(g - q + 1, 0), M + 1)  # d <= g - q
+    part = min(g + 1, M + 1)  # d <= g
+    return (
+        (0.0,) * none
+        + tuple([b * over for over in range(q - g + none, q - g + part)])
+        + (b * q,) * (M + 1 - part)
+    )
+
+
+class _CostRows:
+    """One solve's cost rows, shared by every slot and job with equal
+    (q, g[t], b[t]): a job's rows hold one row per window slot, so slot
+    release + k at demand x costs ``rows[k][x]``. An option's cost is its
+    slots' costs added left to right from 0.0."""
+
+    def __init__(self, g: list[int], b: list[float], M: int):
+        self._pairs = list(zip(g, b))
+        self._by_nodes: dict[int, list[tuple[float, ...]]] = {}
+        self._M = M
+
+    def of(self, job: Job) -> list[tuple[float, ...]]:
+        """The job's rows, one per window slot."""
+        q = job.nodes
+        rows = self._by_nodes.get(q)
+        if rows is None:  # every slot's row for q nodes
+            rows = self._by_nodes[q] = []
+            shared: dict[tuple[int, float], tuple[float, ...]] = {}
+            for gb in self._pairs:
+                row = shared.get(gb)
+                if row is None:
+                    row = shared[gb] = _cost_row(q, *gb, self._M)
+                rows.append(row)
+        return rows[job.release : job.deadline + 1]
+
+
+_CASTS = {16: "H", 32: "I", 64: "Q"}  # memoryview formats of the wider fields
+_STEP = 1 if sys.byteorder == "little" else -1  # native-order fields, in slot order
+_REJECT = ((),)  # rejection, the last option of every job: no slots
+
+
+class _Window(NamedTuple):
+    """How a node reads one job's window of L slots out of the packed
+    demand; ``_solve`` builds it on its first entry at the job's depth.
+
+    Adding ``lift``, 2**(w-1) - 1 - (M - q) in each field, to a field of at
+    most M demand sets its top (guard) bit exactly where demand + q > M,
+    and never carries into the next field. A job wider than the cluster
+    gets no lift and no guard bits, so no slot has room for it.
     """
-    q = job.nodes
-    field = (1 << w) - 1
-    # the window's fields alone: d is 0 from its last loaded slot on
-    d = packed >> (w * job.release) & (1 << (w * (job.deadline - job.release + 1))) - 1
-    costs = [0.0] * job.release
-    for t in range(job.release, job.deadline + 1):
-        over = q - g[t]
-        if d:
-            over += d & field
-            d >>= w
-        costs.append(b[t] * (q if over > q else over) if over > 0 else 0.0)
-    return costs
+
+    shift: int  # bit of the release slot's field
+    mask: int  # the window's L fields
+    size: int  # bytes the window's fields fill
+    lift: int  # window-relative, as is guard
+    guard: int
+    width: int  # bytes per field
+    code: str | None  # memoryview format of a field wider than a byte
+    proc_time: int
+    runs: list[int]  # contiguous: shifts that AND runs of room up to proc_time slots
+    spans: list[tuple[int, ...]] | None  # contiguous: the offsets of the start at each offset
+    block: int  # contiguous: q in each of proc_time fields
 
 
-# Each variant of the search is one option generator: it lists the job's
-# placements under the packed demand in ascending lexicographic order, each
-# with the packed demand it adds. That is an int, or for a scattered option
-# the node's dict of per-slot parts, summed over the option's slots only for
-# a child past the bound.
-
-
-def _short(job: Job, packed: int, M: int) -> tuple[int, int]:
-    """The field width w, and the guard bits of the job's window slots that
-    lack room for its q nodes: slot release + k's is bit w * k + w - 1.
-
-    Fields are M.bit_length() + 1 bits wide, so adding 2**(w-1) - 1 - (M - q)
-    to a field of at most M demand sets its top (guard) bit exactly where
-    demand + q > M, and never carries into the next field.
-    """
-    w = M.bit_length() + 1
-    top = 1 << (w - 1)
-    ones = _fields(job.deadline - job.release + 1, w)
-    lifted = (packed >> (w * job.release)) + (top - 1 - (M - job.nodes)) * ones
-    return w, lifted & ones * top
-
-
-def _contiguous_options(job: Job, packed: int, M: int):
-    """Every window of proc_time consecutive slots with q spare nodes each."""
+def _window(job: Job, M: int, w: int, contiguous: bool) -> _Window:
     p, q = job.proc_time, job.nodes
-    if q > M:
-        return
-    w, short = _short(job, packed, M)
-    block = _fields(p, w)
-    need = block << (w - 1)
-    block *= q
-    for s in range(job.release, job.deadline - p + 2):
-        if not short & need:
-            yield range(s, s + p), block << (w * s)
-        short >>= w
+    L = job.deadline - job.release + 1
+    mask = (1 << w * L) - 1
+    ones = mask // ((1 << w) - 1)
+    fits = q <= M
+    runs = []  # a run of `have` slots with room, ANDed with itself `step` slots on
+    have = 1
+    while have < p:
+        step = min(have, p - have)
+        runs.append(w * step)
+        have += step
+    return _Window(
+        w * job.release,
+        mask,
+        w * L // 8,
+        ((1 << w - 1) - 1 - (M - q)) * ones if fits else 0,
+        ones << w - 1 if fits else 0,
+        w // 8,
+        _CASTS.get(w),
+        p,
+        runs,
+        [tuple(range(o, o + p)) for o in range(L - p + 1)] if contiguous else None,
+        q * _fields(p, w),
+    )
 
 
-def _scattered_options(job: Job, packed: int, M: int):
-    """Every proc_time-subset of the slots with q spare nodes."""
-    q = job.nodes
-    if q > M:
-        return ()
-    w, short = _short(job, packed, M)
-    top = 1 << (w - 1)
-    parts = {}  # spare slot -> the packed demand q nodes add there, in slot order
-    for t in range(job.release, job.deadline + 1):
-        if not short & top:
-            parts[t] = q << (w * t)
-        short >>= w
-    return zip(itertools.combinations(parts, job.proc_time), itertools.repeat(parts))
+def _decode(packed: int, window: _Window) -> tuple[bytes | memoryview, list | Iterator]:
+    """One node's read of its job's window under the packed demand: the
+    demand of each window slot, index k for slot release + k, and the job's
+    options as window offsets, rejection ``()`` last.
+
+    The window's fields are one shift and one mask, and its demand one
+    ``int.to_bytes``. The room int holds a guard bit in each slot where q
+    more nodes fit. A scattered option is any proc_time-subset of those
+    slots, in lexicographic order. A contiguous one is a start-table span:
+    ANDing the room int with itself shifted leaves a guard bit at each start
+    of proc_time slots with room, read as bytes.
+    """
+    shift, mask, size, lift, guard, width, code, p, runs, spans, _ = window
+    d = packed >> shift & mask
+    room = (d + lift & guard) ^ guard
+    if code is None:
+        demand = d.to_bytes(size, "little")
+    else:
+        demand = memoryview(d.to_bytes(size, sys.byteorder)).cast(code)[::_STEP]
+    if spans is None:
+        spare = room.to_bytes(size, "little")[width - 1 :: width]
+        return demand, itertools.chain(
+            itertools.combinations(itertools.compress(range(len(spare)), spare), p), _REJECT
+        )
+    for s in runs:
+        room &= room >> s
+    starts = room.to_bytes(size, "little")[width - 1 :: width]
+    options = list(itertools.compress(spans, starts))
+    options.append(())
+    return demand, options
 
 
 def _job_bounds(
-    job: Job, rev: float, g: list[int], b: list[float], M: int
+    job: Job, rev: float, rows: list[tuple[float, ...]], M: int
 ) -> tuple[float, float]:
-    """The job's bound and cost floor, from its slot costs over its window
-    [release, deadline] on an empty grid, cheapest first. On a loaded grid
-    a slot's marginal cost is never below its empty-grid cost.
+    """The job's bound and cost floor, from its cost rows at demand 0 (its
+    slot costs over its window on an empty grid), cheapest first. On a
+    loaded grid a slot's marginal cost is never below its empty-grid cost.
 
     The bound is the best profit the job could add, never below zero:
     revenue less its proc_time cheapest costs. Any placement, contiguous
@@ -172,9 +244,9 @@ def _job_bounds(
     placement: its bound is 0.0 and its floor ``math.inf``, so
     ``_ceiling`` never adds it.
     """
-    costs = sorted(_slot_costs(job, 0, 1, g, b)[job.release :])  # empty at any field width
     if job.nodes > M:
         return 0.0, math.inf
+    costs = sorted([row[0] for row in rows])
     cheapest = floor = 0.0
     for c in costs[: job.proc_time]:  # the window holds proc_time slots
         cheapest += c
@@ -222,32 +294,28 @@ def _ceiling_margins(order: list[Job], rev: list[float], b: list[float]) -> list
     return margins
 
 
-_REJECT = (((), 0),)  # rejection, the last option of every job: no slots
-
-
 def _solve(
     jobs: list[Job],
     green: GreenTrace,
     tariff: Tariff,
     config: SimConfig,
     max_steps: int,
-    label: str,
-    options,
+    contiguous: bool,
 ) -> tuple[float, Schedule]:
     """Depth-first branch and bound shared by both exact solvers.
 
-    Job i branches over ``options`` in order, then rejection. There is no
-    starting incumbent: the first leaf sets it and only strict improvements
-    replace it. A subtree is cut when its value so far plus the remaining
-    jobs' ``_job_bounds`` sum cannot beat the incumbent. A subtree is also
-    cut when an earlier one at the same depth held, over the slots the
+    Job i branches over its options in ``_decode``'s order, then rejection.
+    There is no starting incumbent: the first leaf sets it and only strict
+    improvements replace it. A subtree is cut when its value so far plus the
+    remaining jobs' ``_job_bounds`` sum cannot beat the incumbent. A subtree
+    is also cut when an earlier one at the same depth held, over the slots the
     remaining jobs can use, the same demand at no lower value, or pointwise
     no more demand at the same value. Marginal slot costs never fall as
     demand rises, and IEEE sums are monotone in each operand, so each of
     its leaves is then, to the bit, no better than a leaf already searched:
     the returned optimum and its tie rule are the same as without the cut.
     Both cuts run in the parent, before a child is entered, and a node
-    prices each slot of its job's window once for all its options.
+    reads its job's window once, with one ``_decode``, for all its options.
 
     The bound sum is tight but rounds apart from the leaves, so it can sit
     an ulp above an optimum already found. So a node also stops once its
@@ -259,18 +327,21 @@ def _solve(
     Each pass of a node's option loop is one step, whether its child is
     entered, cut or a leaf. Past ``max_steps`` steps the search raises
     ``SearchBudgetError``, which carries the incumbent. Set-up is one pass
-    over the jobs, linear in jobs times window length, and the memo and
-    peer lists grow by at most one key per step, so the budget bounds
+    over the jobs, linear in jobs times window length; a depth's window
+    table and memo masks are built on the search's first entry there. The
+    memo and peer lists grow by at most one key per step, so the budget bounds
     memory; a step's time is not fixed, as it scans the child's same-value
     peers. The search nests one call per job, so more jobs than Python's
     recursion limit allows raise ``SearchBudgetError`` too. Jobs that
     share an id raise ValueError before the search starts.
     """
+    label = "non-preemptive" if contiguous else "preemptive"
     order, g, b, rev = _prepared(jobs, green, tariff, config)
     n = len(order)
     T = config.horizon_slots
     M = config.machines
-    # A node's demand is one int, w bits per slot with the top one spare.
+    # A node's demand is one int, w bits per slot (``_field_width``) with the
+    # top one spare.
     # Jobs are in release order, so jobs i.. only touch slots from order[i]'s
     # release to the last deadline of jobs i..: their options and marginal
     # costs depend on the demand there alone. Masking out those slots gives
@@ -278,26 +349,28 @@ def _solve(
     # borrows, and each field of (key | guard) - peer keeps its guard bit
     # exactly where peer's is no larger. A child is its parent's int plus
     # its option's, so a child cut unentered writes nothing.
-    w = M.bit_length() + 1
+    w = _field_width(M)
+    costs = _CostRows(g, b, M)
+    rows = [costs.of(job) for job in order]
     suffix = [0.0] * (n + 1)
     floors = [0.0] * n
-    key_masks = [0] * n
-    guards = [0] * n
-    end = -1
+    ends = [-1] * (n + 1)  # the last deadline of jobs i..
     for i in range(n - 1, -1, -1):
         job = order[i]
-        bound, floors[i] = _job_bounds(job, rev[i], g, b, M)
+        bound, floors[i] = _job_bounds(job, rev[i], rows[i], M)
         suffix[i] = suffix[i + 1] + bound
-        end = max(end, job.deadline)
-        ones = _fields(end + 1 - job.release, w) << (w * job.release)
-        key_masks[i] = ones * ((1 << w) - 1)
-        guards[i] = ones << (w - 1)
+        ends[i] = max(ends[i + 1], job.deadline)
     margins = _ceiling_margins(order, rev, b)
+    # built on the search's first entry at depth i: job i's window, and the
+    # memo key mask and guard bits of the nodes at depth i + 1
+    windows: list[_Window | None] = [None] * n
+    key_masks = [0] * n
+    guards = [0] * n
 
     best_value = -math.inf
     best_assign: list = []
     steps = 0
-    chosen: list = [()] * n
+    chosen: list = [()] * n  # window offsets of each job's option
     memo: list[dict] = [{} for _ in range(n)]  # masked demand -> best cur
     peers: list[dict] = [{} for _ in range(n)]  # cur -> masked demands entered at cur
 
@@ -305,10 +378,11 @@ def _solve(
         # a complete assignment's schedule, valued in the canonical order
         schedule = Schedule(M, T)
         rev_selected = []
-        for i, slots in enumerate(assign):
-            if slots:
-                commit(order[i], slots, schedule)
-                rev_selected.append(rev[i])
+        for job, offsets, r in zip(order, assign, rev):
+            if offsets:
+                slots = [job.release + k for k in offsets]
+                commit(job, range(slots[0], slots[-1] + 1) if contiguous else slots, schedule)
+                rev_selected.append(r)
         return _canonical_profit(rev_selected, schedule.demand, g, b), schedule
 
     def expand(i: int, cur: float, packed: int) -> None:
@@ -316,21 +390,35 @@ def _solve(
         # node by bound and by memo; each child is cut here before it is
         # entered, and a child at depth n sets the incumbent directly.
         nonlocal best_value, best_assign, steps
-        job = order[i]
+        nxt = i + 1
+        leaf = nxt == n
+        window = windows[i]
+        if window is None:
+            window = windows[i] = _window(order[i], M, w, contiguous)
+            if not leaf:
+                r = order[nxt].release
+                ones = _fields(ends[nxt] + 1 - r, w) << w * r
+                key_masks[nxt] = ones * ((1 << w) - 1)
+                guards[nxt] = ones << w - 1
+        demand, options = _decode(packed, window)
+        cost = rows[i]  # slot release + k costs cost[k][demand[k]]
+        if not contiguous:
+            # subsets share their slots: read each slot's cost once for all
+            cost = list(map(operator.getitem, cost, demand))
         gain = rev[i]
         reach = cur + suffix[i]
         near = reach - margins[i]
         ceiled = False
-        costs = _slot_costs(job, packed, w, g, b)
-        nxt = i + 1
         rest = suffix[nxt]
-        leaf = nxt == n
         if not leaf:
             seen_at = memo[nxt]
             peers_at = peers[nxt]
             mask = key_masks[nxt]
             guard = guards[nxt]
-        for slots, add in itertools.chain(options(job, packed, M), _REJECT):
+            shift = window.shift
+            block = window.block
+            q = order[i].nodes
+        for offsets in options:
             steps += 1
             if steps > max_steps:
                 raise SearchBudgetError(
@@ -345,21 +433,33 @@ def _solve(
                     ceiled = True
                 if reach <= best_value:
                     break
-            if slots:
+            if offsets:
                 mc = 0.0
-                for t in slots:
-                    mc += costs[t]
+                if contiguous:
+                    for k in offsets:
+                        mc += cost[k][demand[k]]
+                else:
+                    for k in offsets:
+                        mc += cost[k]
                 value = cur + gain - mc
             else:
                 value = cur
             if value + rest <= best_value:
                 continue
-            chosen[i] = slots
+            chosen[i] = offsets
             if leaf:
                 best_value = value
                 best_assign = chosen.copy()
                 continue
-            child = packed + (add if add.__class__ is int else sum(map(add.__getitem__, slots)))
+            if not offsets:
+                child = packed
+            elif contiguous:
+                child = packed + (block << shift + w * offsets[0])
+            else:
+                add = 0
+                for k in offsets:
+                    add += q << w * k
+                child = packed + (add << shift)
             key = child & mask
             seen = seen_at.get(key)
             if seen is None or seen < value:
@@ -413,9 +513,7 @@ def solve_nonpreemptive_exact(
     sorting last) is lexicographically smallest in release order is returned.
     Raises ``SearchBudgetError`` past ``max_steps`` options priced.
     """
-    return _solve(
-        jobs, green, tariff, config, max_steps, "non-preemptive", _contiguous_options
-    )
+    return _solve(jobs, green, tariff, config, max_steps, contiguous=True)
 
 
 def solve_preemptive_exact(
@@ -434,7 +532,7 @@ def solve_preemptive_exact(
     ``node_assignment`` finds fixed node ids for it where they exist.
     Raises ``SearchBudgetError`` past ``max_steps`` options priced.
     """
-    return _solve(jobs, green, tariff, config, max_steps, "preemptive", _scattered_options)
+    return _solve(jobs, green, tariff, config, max_steps, contiguous=False)
 
 
 def _picks(free: list[int], group: dict[int, int], q: int) -> Iterator[tuple[int, ...]]:
@@ -560,16 +658,18 @@ def emit_lp(
 
     busy = [[(1.0, f"e_{t}")] for t in range(T)]
     binaries = [f"y_{i}" for i in range(len(order))]
+    w = _field_width(M)
     for i, job in enumerate(order):
         # a preemptive job runs as proc_time one-slot pieces, a contiguous one as one
         piece = replace(job, proc_time=1) if preemptive else job
         once = []
-        for slots, _ in _contiguous_options(piece, 0, M):
-            name = f"{prefix}_{i}_{slots[0]}"
+        _, options = _decode(0, _window(piece, M, w, contiguous=True))
+        for offsets in options[:-1]:  # rejection is last
+            name = f"{prefix}_{i}_{job.release + offsets[0]}"
             once.append((1.0, name))
             binaries.append(name)
-            for t in slots:
-                busy[t].append((-float(job.nodes), name))
+            for k in offsets:
+                busy[job.release + k].append((-float(job.nodes), name))
         count = float(job.proc_time if preemptive else 1)
         lines += _wrap_terms(f"once_{i}:", once + [(-count, f"y_{i}")], "= 0")
     for t in range(T):

@@ -258,24 +258,24 @@ def incremental_leaves(jobs, green, tariff, config, preemptive):
 def counted_nodes(solve, *args):
     """A solve's result and the number of search nodes it entered.
 
-    ``offline._solve`` prices each job's empty-grid window through
-    ``offline._slot_costs`` once, then calls it once per node it enters, so
-    the nodes are the calls less the job count.
+    ``offline._solve`` reads each node's window through one
+    ``offline._decode`` call, and nothing else calls it during a solve, so
+    the nodes are the calls.
     """
     calls = 0
-    priced = offline._slot_costs
+    decode = offline._decode
 
     def counting(*a):
         nonlocal calls
         calls += 1
-        return priced(*a)
+        return decode(*a)
 
-    offline._slot_costs = counting
+    offline._decode = counting
     try:
         result = solve(*args)
     finally:
-        offline._slot_costs = priced
-    return result, calls - len(args[0])
+        offline._decode = decode
+    return result, calls
 
 
 def per_seed_profits(jobs, kind, green, tariff, config, seeds) -> np.ndarray:
@@ -369,10 +369,10 @@ def decision_time_log(jobs, kind, green, tariff, config, seed=None):
     return log, state.schedule
 
 
-def random_instance(rng, max_jobs=5, max_slots=10, max_machines=3):
+def random_instance(rng, max_jobs=5, max_slots=10, max_machines=3, min_machines=1):
     """A small random problem: (jobs, green, tariff, config)."""
     T = int(rng.integers(3, max_slots + 1))
-    M = int(rng.integers(1, max_machines + 1))
+    M = int(rng.integers(min_machines, max_machines + 1))
     n = int(rng.integers(1, max_jobs + 1))
     config = SimConfig(machines=M, horizon_slots=T, forecast_slots=T)
     jobs = []

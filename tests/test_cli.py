@@ -321,6 +321,13 @@ def test_adversary_solves_each_optimum_once_before_printing(capsys, monkeypatch)
     assert capsys.readouterr().out == ADVERSARY_TABLE_4_MACHINES
 
 
+def test_adversary_table_on_a_cluster_past_the_one_byte_demand_field(capsys):
+    # 200 machines put the exact search's demand fields at two bytes; every
+    # ratio is scale-free, so the table is byte for byte the 4-machine one
+    assert main(["adversary", "--trials", "50", "--machines", "200"]) == 0
+    assert capsys.readouterr().out == ADVERSARY_TABLE_4_MACHINES
+
+
 def test_adversary_rejects_fewer_than_one_trial(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["adversary", "--trials", "0"])

@@ -13,13 +13,14 @@ from greensched import offline
 from greensched.model import Job, Schedule, SimConfig, commit
 from greensched.offline import (
     SearchBudgetError,
+    _CostRows,
     _ceiling,
     _ceiling_margins,
-    _contiguous_options,
+    _decode,
+    _field_width,
     _job_bounds,
     _prepared,
-    _scattered_options,
-    _slot_costs,
+    _window,
     emit_lp,
     node_assignment,
     solve_nonpreemptive_exact,
@@ -202,7 +203,7 @@ def test_solves_leave_no_reference_cycles():
 def test_a_solve_that_raises_frees_its_search(monkeypatch):
     # An error or interrupt mid-search must unlink the search closure too,
     # or it and its memo wait for the cyclic collector.
-    priced = offline._slot_costs
+    decode = offline._decode
     calls = 0
 
     def failing(*args):
@@ -210,12 +211,12 @@ def test_a_solve_that_raises_frees_its_search(monkeypatch):
         calls += 1
         if calls > 12:
             raise RuntimeError("stopped mid-search")
-        return priced(*args)
+        return decode(*args)
 
     cfg = cfg_of(2, 5)
     jobs = [Job(id=i, release=0, deadline=4, proc_time=2, nodes=1) for i in range(4)]
     green = GreenTrace(np.array([1, 0, 2, 0, 1]))
-    monkeypatch.setattr(offline, "_slot_costs", failing)
+    monkeypatch.setattr(offline, "_decode", failing)
     gc.collect()
     gc.disable()
     try:
@@ -463,14 +464,35 @@ def test_a_search_deeper_than_the_recursion_limit_stops_with_a_budget_error():
 
 
 def test_a_stopped_search_holds_memory_linear_in_its_jobs():
-    # set-up is one pass over the jobs, so a solve stopped at its first step
-    # holds about jobs x window length bits of memo masks: 3,000 one-slot
-    # jobs, each window running to the last deadline, peak at a few MB, where
-    # a per-depth table of the remaining jobs would hold n^2 / 2 entries
+    # set-up is one pass over the jobs, and a depth's memo masks are built
+    # on the search's first entry there, so a solve stopped at its first
+    # step holds a few MB: 3,000 one-slot jobs, each memo key running to the
+    # last deadline, where a per-depth table of the remaining jobs would
+    # hold n^2 / 2 entries
     n = 3000
     cfg = cfg_of(1, n)
     jobs = [Job(id=i, release=i, deadline=i, proc_time=1, nodes=1) for i in range(n)]
     green = zeros(n)
+    for solver in (solve_nonpreemptive_exact, solve_preemptive_exact):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBudgetError, match="step 2, past its budget of 1 "):
+                solver(jobs, green, TARIFF, cfg, max_steps=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
+
+def test_a_stopped_search_over_long_windows_builds_only_the_depths_it_entered():
+    # 600 jobs, each with a 480-slot window on 16 machines: a contiguous
+    # window table holds a span per start, so tables built for every depth
+    # up front would hold 600 x 477 of them (a 44 MB peak), where a solve
+    # stopped at its first step builds one (about 3 MB)
+    n = 600
+    cfg = cfg_of(16, n + 480)
+    jobs = [Job(id=i, release=i, deadline=i + 479, proc_time=4, nodes=3) for i in range(n)]
+    green = zeros(n + 480)
     for solver in (solve_nonpreemptive_exact, solve_preemptive_exact):
         tracemalloc.start()
         try:
@@ -563,11 +585,12 @@ def test_job_bound_covers_every_option_on_an_empty_grid():
         order, g, b, rev = _prepared(jobs, green, tariff, config)
         M = config.machines
         empty = [0] * config.horizon_slots
+        rows = _CostRows(g, b, M)
         for job, r in zip(order, rev):
-            bound, _ = _job_bounds(job, r, g, b, M)
+            bound, _ = _job_bounds(job, r, rows.of(job), M)
             assert bound >= 0.0
-            for options in (_contiguous_options, _scattered_options):
-                for slots, _ in options(job, 0, M):
+            for contiguous in (True, False):
+                for slots, _ in node_options(job, 0, M, rows.of(job), contiguous):
                     cost = marginal_cost(slots, empty, g, b, job.nodes)
                     assert bound >= max(0.0, r - cost) - math.ulp(r)
                     checked += 1
@@ -582,7 +605,7 @@ def test_job_bound_sums_left_to_right():
     costs = [0.1] * 10
     assert math.fsum(costs) == 1.0
     job = Job(id=0, release=0, deadline=9, proc_time=10, nodes=1)
-    bound, _ = _job_bounds(job, 1.0, [0] * 10, costs, 1)
+    bound, _ = _job_bounds(job, 1.0, _CostRows([0] * 10, costs, 1).of(job), 1)
     assert bound == 1.0 - 0.9999999999999999 > 0.0
 
 
@@ -598,39 +621,49 @@ def reachable_demand(rng, order, M, T):
 
 
 def pack(demand, M):
-    """A demand list as the search holds it: one int, M.bit_length() + 1
-    bits per slot, slot t's field at bit w * t."""
-    w = M.bit_length() + 1
+    """A demand list as the search holds it: one int of whole-byte fields,
+    ``_field_width(M)`` bits per slot, slot t's field at bit w * t."""
+    w = _field_width(M)
     return sum(d << (w * t) for t, d in enumerate(demand))
 
 
-def added(slots, add):
-    """The packed demand an option adds, given as an int, or as the per-slot
-    parts a scattered option sums over its slots once its child passes the
-    bound."""
-    return add if isinstance(add, int) else sum(add[t] for t in slots)
+def node_options(job, packed, M, rows, contiguous):
+    """(slots, cost) of each option a search node lists for the job under
+    the packed demand, in the node's order, rejection dropped. The cost is
+    summed as the search sums it: each slot's cost row read at the decoded
+    demand, added left to right from 0.0."""
+    demand, options = _decode(packed, _window(job, M, _field_width(M), contiguous))
+    listed = list(options)
+    assert listed[-1] == ()  # rejection is last
+    out = []
+    for offsets in listed[:-1]:
+        mc = 0.0
+        for k in offsets:
+            mc += rows[k][demand[k]]
+        out.append((tuple(job.release + k for k in offsets), mc))
+    return out
 
 
 def test_cost_floor_is_below_every_option_to_the_bit():
     # every option's cost, summed left to right as the search sums it, is at
     # least its job's floor, on any demand the search can reach: exactly,
     # with no ulp slack
+    # (every other instance on 126-129 machines, either side of the one-
+    # to two-byte field width)
     rng = np.random.default_rng(21)
     checked = 0
-    for _ in range(400):
-        jobs, green, tariff, config = random_instance(rng, max_jobs=4, max_slots=12)
+    for k in range(400):
+        wide = {"min_machines": 126, "max_machines": 129} if k % 2 else {}
+        jobs, green, tariff, config = random_instance(rng, max_jobs=4, max_slots=12, **wide)
         order, g, b, _ = _prepared(jobs, green, tariff, config)
         M = config.machines
         packed = pack(reachable_demand(rng, order, M, config.horizon_slots), M)
+        rows = _CostRows(g, b, M)
         for job in order:
-            _, floor = _job_bounds(job, 0.0, g, b, M)
+            _, floor = _job_bounds(job, 0.0, rows.of(job), M)
             assert (floor == math.inf) == (job.nodes > M)
-            costs = _slot_costs(job, packed, M.bit_length() + 1, g, b)
-            for options in (_contiguous_options, _scattered_options):
-                for slots, _ in options(job, packed, M):
-                    mc = 0.0
-                    for t in slots:
-                        mc += costs[t]
+            for contiguous in (True, False):
+                for _, mc in node_options(job, packed, M, rows.of(job), contiguous):
                     assert mc >= floor
                     checked += 1
     assert checked > 1000
@@ -659,7 +692,8 @@ def test_ceiling_covers_every_leaf_below_it(preemptive):
             jobs, green, tariff, config = random_instance(rng, max_jobs=5, max_slots=8)
         order, g, b, rev = _prepared(jobs, green, tariff, config)
         M = config.machines
-        bounds = [_job_bounds(j, r, g, b, M) for j, r in zip(order, rev)]
+        rows = _CostRows(g, b, M)
+        bounds = [_job_bounds(j, r, rows.of(j), M) for j, r in zip(order, rev)]
         pairs = [(r, floor) for r, (_, floor) in zip(rev, bounds)]
         suffix = [0.0] * (len(order) + 1)
         for i in range(len(order) - 1, -1, -1):
@@ -745,58 +779,114 @@ def test_ceiling_margin_skips_only_sums_that_cannot_cut(solver, monkeypatch):
     assert 0 < near_sums < summed / 4
 
 
+def child_add(window, offsets, q, w, contiguous):
+    """The packed demand a child adds to its parent's int, as ``_solve``
+    computes it from the job's window table."""
+    if contiguous:
+        return window.block << window.shift + w * offsets[0]
+    add = 0
+    for k in offsets:
+        add += q << w * k
+    return add << window.shift
+
+
 def test_slot_costs_sum_to_the_marginal_cost_on_loaded_grids():
-    # a node reads its window's demand from the packed int and prices each
-    # slot once. Every option, contiguous or scattered, must be one a scan
-    # of the demand list finds, add q to each of its slots' fields, and cost
-    # what the slot-by-slot oracle charges, to the bit. Field widths 2 to 6:
-    # M at and next to powers of two, q up to one wider than the cluster,
-    # and every demand from 0 to M, so a lift or guard one field off fails
+    # a node decodes its window's demand from the packed int and reads each
+    # slot's cost from its job's cost rows. Every option, contiguous or
+    # scattered, must be one a scan of the demand list finds, add q to each
+    # of its slots' fields, and cost what the slot-by-slot oracle charges,
+    # to the bit. M on both sides of the one- to two-byte field width and at
+    # the top of each, q of 1, M - 1, M and one wider than the cluster (and
+    # three drawn), and every demand from 0 to M, so a lift or guard one
+    # field off fails
     rng = np.random.default_rng(15)
     T = 8
     checked = 0
     branches = set()
-    for M in (1, 2, 3, 4, 7, 8, 15, 16):
-        w = M.bit_length() + 1
+    for M in (1, 2, 3, 126, 127, 128, 129, 255, 256):
+        w = _field_width(M)
+        assert w == (8 if M <= 127 else 16)
         loads = set()
-        for _ in range(40):
-            demand = [int(v) for v in rng.integers(0, M + 1, size=T)]
-            g = [int(v) for v in rng.integers(0, M + 1, size=T)]
+        for k in range(40):
+            # T consecutive demands (mod M + 1) per draw, shuffled: 320 in all
+            demand = [int(v) for v in rng.permutation((k * T + np.arange(T)) % (M + 1))]
+            g = [int(v) for v in rng.integers(0, M + 3, size=T)]  # green past M too
             b = [float(v) for v in rng.random(T)]
             packed = pack(demand, M)
-            for q in range(1, M + 2):
-                p = int(rng.integers(1, 4))
+            rows = _CostRows(g, b, M)
+            drawn = {int(v) for v in rng.integers(1, M + 2, size=3)}
+            for q in sorted({1, max(M - 1, 1), M, M + 1} | drawn):
+                p = int(rng.integers(1, 7))
                 r = int(rng.integers(0, T - p + 1))
                 d = int(rng.integers(r + p - 1, T))
+                if q == 1:
+                    r, d = 0, T - 1  # one window a draw spans every slot
                 job = Job(id=0, release=r, deadline=d, proc_time=p, nodes=q)
-                costs = _slot_costs(job, packed, w, g, b)
-                assert costs[:r] == [0.0] * r and len(costs) == d + 1
+                cost = rows.of(job)
+                assert len(cost) == d - r + 1
                 for t in range(r, d + 1):
+                    assert len(cost[t - r]) == M + 1
                     loads.add(demand[t])
                     over = demand[t] + q - g[t]
                     branches.add("none" if over <= 0 else "part" if over <= q else "full")
                 spare = [t for t in range(r, d + 1) if demand[t] + q <= M]
                 scans = {
-                    _contiguous_options: [
+                    True: [
                         tuple(range(s, s + p))
                         for s in range(r, d - p + 2)
                         if all(t in spare for t in range(s, s + p))
                     ],
-                    _scattered_options: list(itertools.combinations(spare, p)),
+                    False: list(itertools.combinations(spare, p)),
                 }
-                for options, scan in scans.items():
-                    listed = [(tuple(s), added(s, add)) for s, add in options(job, packed, M)]
-                    assert [slots for slots, _ in listed] == scan
-                    for slots, add in listed:
+                for contiguous, scan in scans.items():
+                    window = _window(job, M, w, contiguous)
+                    read, options = _decode(packed, window)
+                    assert list(read) == demand[r : d + 1]
+                    listed = list(options)
+                    assert listed[-1] == ()  # rejection is last
+                    assert [tuple(r + k for k in o) for o in listed[:-1]] == scan
+                    for offsets in listed[:-1]:
+                        slots = tuple(r + k for k in offsets)
+                        add = child_add(window, offsets, q, w, contiguous)
                         assert add == pack([q * (t in slots) for t in range(T)], M)
                         mc = 0.0
-                        for t in slots:
-                            mc += costs[t]
+                        for k in offsets:
+                            mc += cost[k][read[k]]
                         assert repr(mc) == repr(marginal_cost(slots, demand, g, b, q))
                         checked += 1
         assert loads == set(range(M + 1))
     assert checked > 5000
     assert branches == {"none", "part", "full"}
+
+
+@pytest.mark.parametrize("M", [127, 128, 200, 255, 256])
+def test_wide_clusters_match_enumeration(M):
+    # one- and two-byte demand fields: both solvers equal the brute force on
+    # clusters at and past the one-byte width, with jobs as wide as the
+    # cluster and one wider, so a guard or lift off by a field shows
+    rng = np.random.default_rng(M)
+    cfg = cfg_of(M, 6)
+    tariff = Tariff()
+    wide = 0
+    for _ in range(12):
+        jobs = []
+        for i in range(int(rng.integers(2, 5))):
+            p = int(rng.integers(1, 4))
+            r = int(rng.integers(0, 6 - p + 1))
+            d = int(rng.integers(r + p - 1, 6))
+            q = int(rng.choice([M, M + 1, M // 2, M // 3 + 1, int(rng.integers(1, M + 1))]))
+            wide += q >= M
+            jobs.append(Job(id=i, release=r, deadline=d, proc_time=p, nodes=q))
+        green = GreenTrace(rng.integers(0, M + 1, size=6))
+        for solve, enumerate_all in (
+            (solve_nonpreemptive_exact, enumerate_nonpreemptive),
+            (solve_preemptive_exact, enumerate_preemptive),
+        ):
+            expect, _, _ = enumerate_all(jobs, green, tariff, cfg)
+            got, sched = solve(jobs, green, tariff, cfg)
+            assert got == expect
+            assert (recomputed_demand(sched) <= M).all()
+    assert wide > 10
 
 
 def test_lexicographic_tie_rule():
