@@ -4,7 +4,7 @@
 import numpy as np
 
 from greensched.model import Job, SimConfig
-from greensched.pricing import Tariff, normalized_values, random_fit_params, synthetic_solar
+from greensched.pricing import Tariff, synthetic_solar
 from greensched.schedulers import SchedulerKind, decision_log, run_online
 
 # a 4-node cluster over one day of 15-minute slots
@@ -22,15 +22,9 @@ for i in range(10):
     jobs.append(Job(id=i, release=r, deadline=min(r + p + 30, 95), proc_time=p,
                     nodes=int(rng.integers(1, 3))))
 
-nv = normalized_values(tariff, sim)
-kinds = [
-    SchedulerKind("FF"),
-    SchedulerKind("BF"),
-    SchedulerKind("RF", rf_params=random_fit_params(nv)),
-]
-
+# random-fit takes its coin bias from the value ladder of the tariff it runs under
 schedules = {}
-for kind in kinds:
+for kind in map(SchedulerKind, ("FF", "BF", "RF")):
     sched, report = run_online(jobs, kind, green, tariff, sim, seed=0)
     schedules[kind.kind] = sched
     log = decision_log(jobs, sched, green, tariff, sim)

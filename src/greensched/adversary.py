@@ -57,7 +57,6 @@ class AdversarialInstance:
     expected_opt: float  # offline optimum, normalized units
     expected_alg: float  # target policy's (expected) profit, normalized units
     formula_ratio: float  # expected_opt / expected_alg in closed form
-    unit_value: float  # dollars per normalized unit
     opt_profit: float = field(init=False)  # exact offline optimum, dollars
 
     def __post_init__(self) -> None:
@@ -65,6 +64,11 @@ class AdversarialInstance:
             list(self.jobs), self.green, self.tariff, self.config
         )
         object.__setattr__(self, "opt_profit", opt)
+
+    @property
+    def unit_value(self) -> float:
+        """Dollars per normalized unit: one full-cluster slot of revenue."""
+        return self.tariff.charge_rate * self.config.slot_hours * self.config.machines
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,11 @@ def _build(
     cannot drift apart: price = (1 - v) * slot revenue / node-slot energy.
     """
     config = SimConfig(machines=machines, horizon_slots=2, forecast_slots=192)
-    charge_rate = Tariff().charge_rate
-    per_slot_revenue = charge_rate * config.slot_hours
+    per_slot_revenue = Tariff().charge_rate * config.slot_hours  # the stock charge rate
     kwh = config.node_slot_kwh
     tariff = Tariff(
         onpeak_price=(1.0 - nv.v_on) * per_slot_revenue / kwh,
         offpeak_price=(1.0 - nv.v_off) * per_slot_revenue / kwh,
-        charge_rate=charge_rate,
         peak_override=peak_pattern,
     )
     return AdversarialInstance(
@@ -115,7 +117,6 @@ def _build(
         expected_opt=expected_opt,
         expected_alg=expected_alg,
         formula_ratio=formula_ratio,
-        unit_value=tariff.charge_rate * config.slot_hours * machines,
     )
 
 
@@ -184,7 +185,7 @@ def rf_worst_case_suite(
     """
     params = random_fit_params(nv)
     p_on, p_off = params.p_on_to_off, params.p_off_to_on
-    rf = SchedulerKind("RF", rf_params=params)
+    rf = SchedulerKind("RF")
     one = (_full_job(0, 0, machines),)
     two = (_full_job(0, 0, machines), _full_job(1, 1, machines))
     return [

@@ -29,7 +29,6 @@ from .pricing import (
     load_solar_csv,
     normalized_values,
     onpeak_vector,
-    random_fit_params,
     synthetic_solar,
 )
 from .schedulers import KINDS, SchedulerKind, run_online
@@ -146,13 +145,6 @@ def cell_jobs(cfg: ExperimentConfig, family: str, point, seed: int, trace: list[
     return generate(cell_spec(cfg, family, point, seed), cfg.sim, cfg.tariff)
 
 
-def _kind(name: str, cfg: ExperimentConfig) -> SchedulerKind:
-    if name in ("RF", "PRF"):
-        params = random_fit_params(normalized_values(cfg.tariff, cfg.sim))
-        return SchedulerKind(name, rf_params=params)
-    return SchedulerKind(name)
-
-
 def _run_row(cfg, family, point, rep, name, jobs, schedule, report) -> dict:
     total = cfg.sim.machines * cfg.sim.horizon_slots
     placed = report.green_total + report.brown_total
@@ -231,7 +223,8 @@ def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, l
     bases = [a for a in cfg.algorithms if not a.startswith("P")] if preemption else []
     extra = dict.fromkeys("P" + a for a in bases if "P" + a not in cfg.algorithms)
     plays = cfg.algorithms + tuple(extra)
-    kinds = {name: _kind(name, cfg) for name in plays}
+    if any(SchedulerKind(name).randomized for name in plays):
+        normalized_values(cfg.tariff, cfg.sim)  # no value ladder, no coin: raise before any play
     runs: list[dict] = []
     for family in cfg.families:
         for point in _points(cfg, family):
@@ -241,7 +234,7 @@ def run_suite(cfg: ExperimentConfig, *, preemption: bool = False) -> dict[str, l
                 for name in plays:
                     aseed = stable_seed(cfg.master_seed, family, point, rep, name)
                     sched, report = run_online(
-                        jobs, kinds[name], green, cfg.tariff, cfg.sim, seed=aseed
+                        jobs, SchedulerKind(name), green, cfg.tariff, cfg.sim, seed=aseed
                     )
                     runs.append(
                         _run_row(cfg, family, point, rep, name, jobs, sched, report)

@@ -23,7 +23,6 @@ import math
 import operator
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -658,18 +657,16 @@ def emit_lp(
 
     busy = [[(1.0, f"e_{t}")] for t in range(T)]
     binaries = [f"y_{i}" for i in range(len(order))]
-    w = _field_width(M)
     for i, job in enumerate(order):
         # a preemptive job runs as proc_time one-slot pieces, a contiguous one as one
-        piece = replace(job, proc_time=1) if preemptive else job
+        p = 1 if preemptive else job.proc_time
         once = []
-        _, options = _decode(0, _window(piece, M, w, contiguous=True))
-        for offsets in options[:-1]:  # rejection is last
-            name = f"{prefix}_{i}_{job.release + offsets[0]}"
+        for s in range(job.release, job.deadline - p + 2) if job.nodes <= M else ():
+            name = f"{prefix}_{i}_{s}"
             once.append((1.0, name))
             binaries.append(name)
-            for k in offsets:
-                busy[job.release + k].append((-float(job.nodes), name))
+            for t in range(s, s + p):
+                busy[t].append((-float(job.nodes), name))
         count = float(job.proc_time if preemptive else 1)
         lines += _wrap_terms(f"once_{i}:", once + [(-count, f"y_{i}")], "= 0")
     for t in range(T):

@@ -54,11 +54,10 @@ class Tariff:
             object.__setattr__(self, "peak_override", flags)
 
 
-# The two vectors below are built once per (tariff, config) and shared:
-# every engine play asks for both at set-up and for the cost again when it
-# is priced, and an exact solve asks once, so a sweep or a Monte Carlo run
-# asks again and again for the same few pairs. The cache is bounded, and
-# the arrays are read-only so no caller can alter another's.
+# The two vectors below and ``coin_bias`` are built once per (tariff, config)
+# and shared: every engine play and exact solve asks for them, and a sweep or
+# a Monte Carlo run plays again and again on the same few pairs. The caches
+# are bounded, and hold read-only arrays or frozen values no caller can alter.
 _VECTOR_CACHE = 32
 
 
@@ -303,7 +302,7 @@ class NormalizedValues:
 
     v_on: float
     v_off: float
-    v_g: float = 1.0
+    v_g = 1.0
 
 
 def normalized_values(tariff: Tariff, config: SimConfig) -> NormalizedValues:
@@ -325,7 +324,7 @@ def normalized_values(tariff: Tariff, config: SimConfig) -> NormalizedValues:
         raise ValueError("tariff must price on-peak strictly above off-peak")
     if v_off >= 1.0:
         raise ValueError("off-peak energy must cost something (v_off < 1 required)")
-    return NormalizedValues(v_on=v_on, v_off=v_off, v_g=1.0)
+    return NormalizedValues(v_on=v_on, v_off=v_off)
 
 
 @dataclass(frozen=True)
@@ -336,9 +335,7 @@ class RandomFitParams:
     job arrives on-peak; ``p_off_to_on`` the same for off-peak arrivals.
     ``ratio_on``/``ratio_off`` are the worst-case profit ratios these
     probabilities guarantee on two-slot dilemmas. Values built by
-    ``random_fit_params`` satisfy 0 < p < 1 and 1 < ratio <= 1.25; the
-    dataclass itself stays unvalidated so degenerate probabilities (0 or 1)
-    can be forced in equivalence checks.
+    ``random_fit_params`` satisfy 0 < p < 1 and 1 < ratio <= 1.25.
     """
 
     p_on_to_off: float
@@ -363,3 +360,9 @@ def random_fit_params(nv: NormalizedValues) -> RandomFitParams:
         ratio_on=ratio_on,
         ratio_off=ratio_off,
     )
+
+
+@lru_cache(maxsize=_VECTOR_CACHE)
+def coin_bias(tariff: Tariff, config: SimConfig) -> RandomFitParams:
+    """``random_fit_params`` of the tariff's value ladder under config (shared)."""
+    return random_fit_params(normalized_values(tariff, config))

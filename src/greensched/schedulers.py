@@ -19,10 +19,8 @@ Python. The horizon-length visible green and prices are built only where
 best-fit prices a pick: every BF and PBF decision, and a random-fit
 decision whose coin switches.
 
-An ``OnlineState`` holds the per-slot prices and on-peak flags of the
-tariff it was created under, and its config; every decision on it uses
-them. The coin is random-fit's only randomness, so a run is fixed by its
-coin path, the outcomes of its flips.
+The coin is random-fit's only randomness, so a run is fixed by its coin
+path, the outcomes of its flips.
 ``_play`` is the one place a run is played: it plays with the coin it is
 given and reports every flip. ``run_online`` plays one seed's coin.
 ``run_trials`` draws every seed's coins in one batched numpy pass, bit-equal
@@ -70,6 +68,7 @@ from .pricing import (
     Tariff,
     account,
     brown_cost_vector,
+    coin_bias,
     horizon_supply,
     job_revenue,
     onpeak_vector,
@@ -83,16 +82,13 @@ Coin = Callable[[float], bool]
 
 @dataclass(frozen=True)
 class SchedulerKind:
-    """Which policy to run; RF and PRF carry their mixing probabilities."""
+    """Which policy to run: one of ``KINDS``."""
 
     kind: str
-    rf_params: RandomFitParams | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown scheduler kind {self.kind!r}")
-        if self.randomized and self.rf_params is None:
-            raise ValueError(f"{self.kind} needs rf_params")
 
     @property
     def randomized(self) -> bool:
@@ -106,8 +102,8 @@ class OnlineState:
     ``green`` is the true supply and is never written; the residual pool is
     max(0, green - demand), derived where a decision or a draw needs it.
     ``brown_cost`` and ``on_peak`` are the shared per-slot vectors of the
-    tariff the state was created under, and ``config`` its config, so every
-    decision on it prices with them. ``coin(keep_first)`` is
+    ``tariff`` the state was created under, and ``config`` its config, so
+    every decision on it prices with them. ``coin(keep_first)`` is
     random-fit's coin: it returns True to keep first-fit's pick, which a
     fair draw does with probability ``keep_first``.
     """
@@ -116,6 +112,7 @@ class OnlineState:
     green: np.ndarray  # true supply per slot over the horizon, read-only
     brown_cost: np.ndarray  # $ per node-slot, indexed by slot, read-only
     on_peak: np.ndarray  # tariff's on-peak flag per slot, read-only
+    tariff: Tariff
     config: SimConfig
     coin: Coin | None = None
 
@@ -130,8 +127,14 @@ class OnlineState:
             green=supply,
             brown_cost=brown_cost_vector(tariff, config),
             on_peak=onpeak_vector(tariff, config),
+            tariff=tariff,
             config=config,
         )
+
+    @functools.cached_property
+    def rf_params(self) -> RandomFitParams:
+        """Random-fit's coin bias under the state's tariff and config, at first use."""
+        return coin_bias(self.tariff, self.config)
 
 
 def _seeded_coin(seed: int) -> Coin:
@@ -364,10 +367,10 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> Sequence[int] 
     feasible start where best-fit prices them all. First-fit takes the
     earliest, best-fit the cheapest marginal brown energy given the visible
     green (earliest on ties). Random-fit takes first-fit's pick when visible
-    green covers all of it; otherwise its coin keeps that pick with
-    p_on_to_off when the release slot is on-peak and p_off_to_on otherwise,
-    and takes best-fit's pick on a miss. No randomness is consumed on the
-    green path.
+    green covers all of it; otherwise its coin keeps that pick with the
+    state's p_on_to_off when the release slot is on-peak and p_off_to_on
+    otherwise, and takes best-fit's pick on a miss. No randomness is consumed
+    on the green path.
 
     Random-fit tests the green on the pick's own slots: they are visible
     when the last lies inside the forecast, and each must hold q nodes of
@@ -405,7 +408,7 @@ def _choose(job: Job, state: OnlineState, kind: SchedulerKind) -> Sequence[int] 
             (state.green[first_idx] - state.schedule.demand[first_idx]).tolist()
         ) >= job.nodes:
             return first  # fully green, no coin spent
-        params = kind.rf_params
+        params = state.rf_params
         on_peak = state.on_peak[job.release]
         keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
         if state.coin is None:
@@ -435,9 +438,9 @@ def place(job: Job, state: OnlineState, kind: SchedulerKind) -> tuple[int, ...] 
     """Offer one job to the policy; the committed slots, or None on a reject.
 
     First-fit takes the earliest feasible slots, best-fit the cheapest
-    marginal brown energy (earliest on ties), random-fit flips the coin of
-    ``kind.rf_params`` between the two (see ``_choose``). Prices and on-peak
-    flags come from the state's tariff vectors, the forecast from its config.
+    marginal brown energy (earliest on ties), random-fit flips a coin between
+    the two (see ``_choose``). Prices, on-peak flags and the coin's bias come
+    from the state's tariff, the forecast from its config.
     The slots returned are the committed placement's ``active_slots``, an
     ascending tuple, whatever form ``_choose`` picked them in.
     """
@@ -470,6 +473,8 @@ def _play(
 
     state = OnlineState.create(green, tariff, config)
     state.coin = recorded
+    if kind.randomized:
+        state.rf_params  # a tariff with no value ladder raises here, before any placement
     for job in release_order(jobs):
         place(job, state, kind)
     return state.schedule, account(state.schedule, green, tariff, config), flips
@@ -488,8 +493,8 @@ def run_online(
     Jobs are processed sorted by (release, deadline, id); commitments are
     irrevocable. ``decision_log`` derives the per-job log from the returned
     schedule. ``seed`` feeds the RF/PRF coin only, and those kinds require
-    it. A seed outside [0, 2**64), a deadline past the horizon or two jobs
-    that share an id raise ValueError before any play.
+    it. A seed outside [0, 2**64), a deadline past the horizon, a repeated
+    id or an RF/PRF tariff with no value ladder raise ValueError up front.
     """
     if kind.randomized and seed is None:
         raise ValueError(f"{kind.kind} needs a seed for its coin")

@@ -26,6 +26,8 @@ from greensched.pricing import (
     account,
     brown_cost_vector,
     job_revenue,
+    normalized_values,
+    random_fit_params,
 )
 from greensched.schedulers import LogEntry, OnlineState, _seeded_coin, place, run_online
 
@@ -407,9 +409,10 @@ def full_horizon_choice(job, state, kind, tariff):
     A plain restatement of the decision rule: residual green is computed for
     every slot and zeroed past the forecast, best-fit prices every slot, and
     random-fit tests its green path slot by slot and takes the release
-    slot's peak flag from ``is_on_peak`` under ``tariff``, the one the state
-    was created with. The engine prices only [0, deadline]; both must pick
-    the same slots and draw the same coins.
+    slot's peak flag from ``is_on_peak`` and its coin bias from the value
+    ladder of ``tariff``, the one the state was created with. The engine
+    prices only [0, deadline]; both must pick the same slots and draw the
+    same coins.
     """
     p = job.proc_time
     preemptive = kind.kind.startswith("P")
@@ -432,7 +435,7 @@ def full_horizon_choice(job, state, kind, tariff):
     if base == "RF":
         if all(vis[t] >= job.nodes for t in first):
             return first
-        params = kind.rf_params
+        params = random_fit_params(normalized_values(tariff, state.config))
         on_peak = is_on_peak(job.release, tariff, state.config)
         keep_first = params.p_on_to_off if on_peak else params.p_off_to_on
         if state.coin(keep_first):

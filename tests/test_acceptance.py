@@ -35,7 +35,6 @@ from greensched.pricing import (
     Tariff,
     account,
     normalized_values,
-    random_fit_params,
     synthetic_solar,
 )
 from greensched.schedulers import SchedulerKind, expected_profit, run_online
@@ -99,8 +98,7 @@ def test_02_randomized_bound(capfd):
 def test_03_randomized_dominance(capfd):
     # on each deterministic policy's own trap, the coin policy must come
     # out strictly ahead of that policy, beyond Monte Carlo noise
-    nv = normalized_values(Tariff(), SimConfig())
-    rf = SchedulerKind("RF", rf_params=random_fit_params(nv))
+    rf = SchedulerKind("RF")
     lines = []
     ok = True
     for inst in standard_suite():
@@ -174,12 +172,7 @@ def test_06_offline_ceiling(capfd):
     sim = SimConfig(machines=4, horizon_slots=42, forecast_slots=42)
     tariff = Tariff()
     green = synthetic_solar(sim)
-    nv = normalized_values(tariff, sim)
-    kinds = {
-        "FF": SchedulerKind("FF"),
-        "BF": SchedulerKind("BF"),
-        "RF": SchedulerKind("RF", rf_params=random_fit_params(nv)),
-    }
+    kinds = {name: SchedulerKind(name) for name in ("FF", "BF", "RF")}
     worst_ratio = 0.0
     dominance = True
     for rep in range(4):

@@ -15,7 +15,13 @@ from greensched.adversary import (
 )
 from greensched.model import Job, SimConfig
 from greensched.offline import solve_nonpreemptive_exact, solve_preemptive_exact
-from greensched.pricing import GreenTrace, Tariff, normalized_values, random_fit_params
+from greensched.pricing import (
+    GreenTrace,
+    Tariff,
+    coin_bias,
+    normalized_values,
+    random_fit_params,
+)
 from greensched.schedulers import SchedulerKind, expected_profit, run_online, run_trials
 
 from oracles import per_seed_profits
@@ -157,7 +163,6 @@ def test_loss_making_tariff_flags_infinite_ratio():
         expected_opt=1.0,
         expected_alg=0.0,
         formula_ratio=float("inf"),
-        unit_value=inst.unit_value,
     )
     m = measure_ratio(degenerate, trials=1)
     assert m.mean_alg_profit < 0
@@ -261,8 +266,7 @@ def test_measure_ratio_rejects_a_negative_base_seed(monkeypatch):
 
 @pytest.mark.parametrize("machines", [1, 3, 16])
 def test_run_trials_equals_per_seed_runs_on_the_suite(machines):
-    nv = normalized_values(Tariff(), SimConfig(machines=machines))
-    rf = SchedulerKind("RF", random_fit_params(nv))
+    rf = SchedulerKind("RF")
     for inst in standard_suite(machines):
         jobs = list(inst.jobs)
         for kind in (inst.target, rf):
@@ -273,6 +277,18 @@ def test_run_trials_equals_per_seed_runs_on_the_suite(machines):
                     jobs, kind, inst.green, inst.tariff, inst.config, seeds
                 )
                 assert got.tobytes() == want.tobytes(), (inst.name, kind.kind, trials)
+
+
+@pytest.mark.parametrize("machines", [1, 2, 3, 4, 16, 200, 100_000])
+def test_rebuilt_tariffs_return_the_stock_ladder_exactly(machines):
+    # a run takes RF's coin bias from its instance's two-slot tariff, whose
+    # prices are rebuilt from nv: on the stock ladder that is nv's bias to
+    # the last bit, so the closed forms and the recorded Monte Carlo ratios
+    # describe the coin the runs flip
+    nv = normalized_values(Tariff(), SimConfig(machines=machines))
+    for inst in rf_worst_case_suite(nv, machines):
+        assert normalized_values(inst.tariff, inst.config) == nv, inst.name
+        assert coin_bias(inst.tariff, inst.config) == random_fit_params(nv), inst.name
 
 
 def test_monte_carlo_plays_each_coin_path_once(engine_plays):
@@ -314,8 +330,8 @@ def online_profit(jobs, kind, green, tariff, config):
 
 
 NV2 = normalized_values(Tariff(), SimConfig(machines=2))
-RF2 = SchedulerKind("RF", random_fit_params(NV2))
-P_ON2 = RF2.rf_params.p_on_to_off
+RF2 = SchedulerKind("RF")
+P_ON2 = random_fit_params(NV2).p_on_to_off
 
 
 def test_best_fit_trap_on_three_slots_beats_the_two_slot_forms():
@@ -347,7 +363,7 @@ def test_random_fit_on_a_lone_on_peak_job_with_green_next():
     closed_form = 1 / (1 - P_ON2 * (1 - NV2.v_on))
     assert abs(ratio - closed_form) <= 1e-12
     assert round(closed_form, 5) == 1.31066
-    assert ratio > RF2.rf_params.ratio_on
+    assert ratio > random_fit_params(NV2).ratio_on
 
 
 def test_mixed_sizes_break_every_closed_form():

@@ -34,7 +34,6 @@ from greensched.pricing import (
     brown_cost_vector,
     job_revenue,
     normalized_values,
-    random_fit_params,
     synthetic_solar,
 )
 from greensched.schedulers import SchedulerKind, expected_profit, run_online, run_trials
@@ -515,7 +514,7 @@ def test_repeated_job_ids_raise_before_any_play_or_search():
         Job(id=0, release=1, deadline=3, proc_time=1, nodes=1),
     ]
     green = zeros(4)
-    rf = SchedulerKind("RF", random_fit_params(normalized_values(TARIFF, cfg)))
+    rf = SchedulerKind("RF")
     calls = [
         lambda: solve_nonpreemptive_exact(jobs, green, TARIFF, cfg),
         lambda: solve_preemptive_exact(jobs, green, TARIFF, cfg),
@@ -566,8 +565,7 @@ def test_seventeen_job_solve_finishes_under_the_default_budget():
     assert [(p.job_id, p.active_slots) for p in sched.placements] == [
         (j, tuple(range(s, s + 4))) for j, s in enumerate(starts)
     ]
-    params = random_fit_params(normalized_values(Tariff(), sim))
-    for kind in (SchedulerKind("FF"), SchedulerKind("BF"), SchedulerKind("RF", params)):
+    for kind in map(SchedulerKind, ("FF", "BF", "RF")):
         _, report = run_online(jobs, kind, green, Tariff(), sim, seed=0)
         assert report.net_profit <= value
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from greensched.model import Job, Schedule, SimConfig, commit
 from greensched.pricing import (
     GreenTrace,
+    NormalizedValues,
     Tariff,
     account,
     brown_cost_vector,
@@ -159,6 +160,8 @@ def test_normalized_values_frozen():
     assert nv.v_off == pytest.approx(V_OFF, abs=1e-12)
     assert nv.v_g == 1.0
     assert 0 < nv.v_on < nv.v_off < nv.v_g
+    with pytest.raises(TypeError):  # green's value is a constant, not a field
+        NormalizedValues(nv.v_on, nv.v_off, v_g=2.0)
 
 
 def test_normalized_values_rejects_degenerate_tariffs():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -45,7 +46,15 @@ def small_cfg(machines=2, horizon=10):
 
 TARIFF = Tariff()
 PARAMS = random_fit_params(normalized_values(TARIFF, SimConfig()))
-FF, BF, RF = SchedulerKind("FF"), SchedulerKind("BF"), SchedulerKind("RF", PARAMS)
+FF, BF, RF = SchedulerKind("FF"), SchedulerKind("BF"), SchedulerKind("RF")
+# sure coins: keep-first probability 1 always keeps first-fit's pick, 0 never
+ALWAYS_FF = RandomFitParams(1.0, 1.0, 0.0, 0.0)
+ALWAYS_BF = RandomFitParams(0.0, 0.0, 0.0, 0.0)
+
+
+def force_bias(monkeypatch, params):
+    """Give every state created from now on the coin bias ``params``, whatever its tariff."""
+    monkeypatch.setattr(schedulers, "coin_bias", lambda tariff, config: params)
 
 
 def fresh_state(cfg, green=None, tariff=TARIFF, seed=None):
@@ -78,9 +87,9 @@ def test_state_rejects_an_onpeak_window_past_the_day():
 def test_kind_validation():
     with pytest.raises(ValueError):
         SchedulerKind("XX")
-    with pytest.raises(ValueError):
-        SchedulerKind("RF")  # params missing
-    assert SchedulerKind("PRF", PARAMS).randomized
+    assert SchedulerKind("PRF").randomized
+    # a kind is only its name: random-fit's coin bias comes from the state
+    assert [f.name for f in dataclasses.fields(SchedulerKind)] == ["kind"]
 
 
 def test_ff_takes_earliest():
@@ -199,6 +208,68 @@ def test_rf_flips_only_when_green_short():
     assert asked == [PARAMS.p_off_to_on]  # slot 0 is off-peak under the stock tariff
 
 
+def test_rf_takes_its_coin_bias_from_the_run_tariff():
+    # one on-peak job on 1x2 slots, off-peak next, under a dearer on-peak
+    # price: every flip asks that tariff's keep-first probability (0.0854),
+    # not the stock one (0.2865), in a state made by hand and in an engine
+    # run, and the exact expectation weighs its two paths with it
+    cfg = SimConfig(machines=1, horizon_slots=2, forecast_slots=2)
+    tariff = Tariff(onpeak_price=0.15, peak_override=(True, False))
+    job = Job(id=0, release=0, deadline=1, proc_time=1, nodes=1)
+    green = GreenTrace.zeros(cfg)
+    nv = normalized_values(tariff, cfg)
+    p = random_fit_params(nv).p_on_to_off
+    assert round(p, 4) == 0.0854 and round(PARAMS.p_on_to_off, 4) == 0.2865
+    asked = []
+    state = fresh_state(cfg, green, tariff)
+    state.coin = counting(lambda keep_first: True, asked)
+    assert place(job, state, RF) == (0,)
+    _, _, flips = schedulers._play([job], RF, green, tariff, cfg, lambda keep_first: False)
+    assert asked + [keep_first for keep_first, _ in flips] == [p, p]
+    unit = tariff.charge_rate * cfg.slot_hours
+    expect = unit * (p * nv.v_on + (1 - p) * nv.v_off)
+    assert expected_profit([job], RF, green, tariff, cfg) == pytest.approx(expect, rel=1e-12)
+
+
+def test_random_fit_without_a_value_ladder_raises_before_any_placement(monkeypatch):
+    # equal prices leave no value ladder and so no coin bias: RF and PRF
+    # raise from every entry point before any job is placed, even where
+    # green covers the pick and no coin would be flipped, and before a sweep
+    # plays its first policy; FF, BF, PFF and PBF run under the same tariff
+    placed = []
+    offer = schedulers.place
+
+    def counted(job, state, kind):
+        placed.append(kind.kind)
+        return offer(job, state, kind)
+
+    monkeypatch.setattr(schedulers, "place", counted)
+    flat = Tariff(onpeak_price=0.08, offpeak_price=0.08)
+    cfg = small_cfg(machines=4, horizon=48)
+    jobs = [Job(id=0, release=0, deadline=9, proc_time=2, nodes=1)]
+    green = GreenTrace(np.full(48, 4, dtype=np.int64))
+    sweep = ExperimentConfig(
+        sim=cfg, tariff=flat, green="zero", families=("UE",), utilization=(0.3,),
+        fixed_p=3, fixed_q=2, repetitions=1,
+    )
+    for name in ("RF", "PRF"):
+        kind = SchedulerKind(name)
+        for call in (
+            lambda: run_online(jobs, kind, green, flat, cfg, seed=0),
+            lambda: run_trials(jobs, kind, green, flat, cfg, range(3)),
+            lambda: expected_profit(jobs, kind, green, flat, cfg),
+            lambda: run_suite(dataclasses.replace(sweep, algorithms=("FF", "BF", name))),
+        ):
+            with pytest.raises(ValueError, match="strictly above off-peak"):
+                call()
+    assert placed == []
+    deterministic = ("FF", "BF", "PFF", "PBF")
+    for name in deterministic:
+        run_online(jobs, SchedulerKind(name), green, flat, cfg)
+    run_suite(dataclasses.replace(sweep, algorithms=deterministic))
+    assert set(placed) == set(deterministic) and len(placed) > 8
+
+
 def test_rf_unseeded_coin_raises():
     cfg = small_cfg()
     state = fresh_state(cfg)  # no rng
@@ -227,10 +298,8 @@ def _random_jobs(rng, T, M, n):
 
 
 @pytest.mark.parametrize("preemptive", [False, True])
-def test_rf_degenerate_coins_match_parents(preemptive):
+def test_rf_degenerate_coins_match_parents(preemptive, monkeypatch):
     # force the coin: p=1 reproduces first-fit, p=0 reproduces best-fit
-    always_ff = RandomFitParams(1.0, 1.0, 0.0, 0.0)
-    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0)
     rng = np.random.default_rng(42)
     for trial in range(100):
         T = int(rng.integers(4, 12))
@@ -239,13 +308,14 @@ def test_rf_degenerate_coins_match_parents(preemptive):
         cfg = SimConfig(machines=M, horizon_slots=T, forecast_slots=T)
         green = GreenTrace(rng.integers(0, M + 1, size=T))
         base = "PFF" if preemptive else "FF"
-        kind_rf = SchedulerKind("PRF" if preemptive else "RF", always_ff)
+        kind_rf = SchedulerKind("PRF" if preemptive else "RF")
+        force_bias(monkeypatch, ALWAYS_FF)
         s_rf, _ = run_online(jobs, kind_rf, green, TARIFF, cfg, seed=trial)
         s_ff, _ = run_online(jobs, SchedulerKind(base), green, TARIFF, cfg)
         assert s_rf.placements == s_ff.placements
-        kind_rf0 = SchedulerKind("PRF" if preemptive else "RF", always_bf)
         base_bf = "PBF" if preemptive else "BF"
-        s_rf0, _ = run_online(jobs, kind_rf0, green, TARIFF, cfg, seed=trial)
+        force_bias(monkeypatch, ALWAYS_BF)
+        s_rf0, _ = run_online(jobs, kind_rf, green, TARIFF, cfg, seed=trial)
         s_bf, _ = run_online(jobs, SchedulerKind(base_bf), green, TARIFF, cfg)
         assert s_rf0.placements == s_bf.placements
 
@@ -260,7 +330,7 @@ def test_rf_expected_profit_on_dilemma():
     nv = normalized_values(tariff, cfg)
     params = random_fit_params(nv)
     unit = tariff.charge_rate * cfg.slot_hours
-    kind = SchedulerKind("RF", params)
+    kind = SchedulerKind("RF")
     trials = 40_000
     # per-seed profits, bit for bit (see test_run_trials_equals_per_seed_runs)
     mean = run_trials([job], kind, green, tariff, cfg, range(trials)).mean()
@@ -302,7 +372,7 @@ def test_admit_draws_true_residual_green(name):
     rng = np.random.default_rng(5)
     jobs = _random_jobs(rng, 8, 3, 8)
     green = GreenTrace(rng.integers(0, 4, size=8))
-    kind = SchedulerKind(name, PARAMS if name in ("RF", "PRF") else None)
+    kind = SchedulerKind(name)
     sched, _ = run_online(jobs, kind, green, TARIFF, cfg, seed=7)
     nodes = {job.id: job.nodes for job in jobs}
     demand = np.zeros(8, dtype=np.int64)
@@ -323,7 +393,7 @@ def test_choice_priced_to_the_deadline_matches_full_horizon(name):
     # the engine prices [0, deadline] only; the slots and the coins it draws
     # must equal pricing over the whole horizon, with the forecast ending
     # before, inside or after the horizon
-    kind = SchedulerKind(name, PARAMS if name in ("RF", "PRF") else None)
+    kind = SchedulerKind(name)
     rng = np.random.default_rng(17)
     forecasts = set()
     decisions = 0
@@ -366,7 +436,7 @@ def test_contiguous_picks_reach_commit_as_unit_step_ranges(name, monkeypatch):
         return commit(job, slots, schedule)
 
     monkeypatch.setattr(schedulers, "commit", recorded)
-    kind = SchedulerKind(name, PARAMS if name in ("RF", "PRF") else None)
+    kind = SchedulerKind(name)
     rng = np.random.default_rng(5)
     cfg = small_cfg(machines=3, horizon=16)
     green = GreenTrace(rng.integers(0, 4, size=16))
@@ -412,9 +482,9 @@ def test_rf_scans_capacity_once_per_job(monkeypatch):
     calls = count_scans(monkeypatch)
     cfg = small_cfg(machines=2, horizon=10)
     jobs = [Job(id=i, release=i, deadline=9, proc_time=2, nodes=1) for i in range(4)]
-    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0)
+    force_bias(monkeypatch, ALWAYS_BF)
     green = GreenTrace(np.zeros(10, dtype=np.int64))
-    sched, _ = run_online(jobs, SchedulerKind("RF", always_bf), green, TARIFF, cfg, seed=1)
+    sched, _ = run_online(jobs, RF, green, TARIFF, cfg, seed=1)
     log = decision_log(jobs, sched, green, TARIFF, cfg)
     assert [e.decision for e in log] == ["admit"] * 4
     assert calls == {"first_start": [0, 1, 2, 3], "nonpreemptive_starts": [0, 1, 2, 3]}
@@ -447,10 +517,6 @@ def count_pricing(monkeypatch):
     return calls
 
 
-ALWAYS_FF = RandomFitParams(1.0, 1.0, 0.0, 0.0)
-ALWAYS_BF = RandomFitParams(0.0, 0.0, 0.0, 0.0)
-
-
 @pytest.mark.parametrize(
     "name, params, supply, priced",
     [
@@ -459,8 +525,8 @@ ALWAYS_BF = RandomFitParams(0.0, 0.0, 0.0, 0.0)
         pytest.param("BF", None, 1, True, id="BF-green"),
         pytest.param("RF", ALWAYS_FF, 0, False, id="RF-keeps"),
         pytest.param("PRF", ALWAYS_FF, 0, False, id="PRF-keeps"),
-        pytest.param("RF", PARAMS, 1, False, id="RF-green"),
-        pytest.param("PRF", PARAMS, 1, False, id="PRF-green"),
+        pytest.param("RF", None, 1, False, id="RF-green"),
+        pytest.param("PRF", None, 1, False, id="PRF-green"),
         pytest.param("RF", ALWAYS_BF, 0, True, id="RF-switches"),
         pytest.param("PRF", ALWAYS_BF, 0, True, id="PRF-switches"),
     ],
@@ -468,13 +534,16 @@ ALWAYS_BF = RandomFitParams(0.0, 0.0, 0.0, 0.0)
 def test_visible_green_is_built_only_to_price_a_best_fit_pick(name, params, supply, priced, monkeypatch):
     # best-fit prices every job the scan finds room for; random-fit builds
     # the prices only after its coin switches, never when it keeps first-fit
-    # or when green covers the pick. A job with no room is never priced
+    # or when green covers the pick. A job with no room is never priced.
+    # ``params`` forces the coin bias; None keeps the tariff's own
     calls = count_pricing(monkeypatch)
+    if params is not None:
+        force_bias(monkeypatch, params)
     cfg = small_cfg(machines=1, horizon=10)
     sizes = (4, 4, 4, 2, 3)
     jobs = [Job(id=i, release=i, deadline=9, proc_time=p, nodes=1) for i, p in enumerate(sizes)]
     green = GreenTrace(np.full(10, supply, dtype=np.int64))
-    sched, _ = run_online(jobs, SchedulerKind(name, params), green, TARIFF, cfg, seed=3)
+    sched, _ = run_online(jobs, SchedulerKind(name), green, TARIFF, cfg, seed=3)
     admitted = [e.job_id for e in decision_log(jobs, sched, green, TARIFF, cfg) if e.decision == "admit"]
     assert 0 < len(admitted) < len(jobs)
     assert calls == (admitted if priced else [])
@@ -485,7 +554,7 @@ def test_random_fit_sees_green_up_to_the_forecast_edge(name, pick):
     # green covers the pick. It is visible, and the decision spends no coin,
     # while its last slot is before release + forecast_slots; one slot
     # further, the forecast ends on the pick and the coin is flipped
-    kind = SchedulerKind(name, PARAMS)
+    kind = SchedulerKind(name)
     job = Job(id=0, release=1, deadline=7, proc_time=3, nodes=1)
     for forecast, flips in ((pick[-1] - job.release + 1, 0), (pick[-1] - job.release, 1)):
         cfg = SimConfig(machines=2, horizon_slots=8, forecast_slots=forecast)
@@ -502,7 +571,7 @@ def test_run_online_needs_seed_for_randomized_kinds():
     cfg = small_cfg()
     jobs = [Job(id=0, release=0, deadline=9, proc_time=1, nodes=1)]
     green = GreenTrace(np.zeros(10, dtype=np.int64))
-    for kind in (RF, SchedulerKind("PRF", PARAMS)):
+    for kind in (RF, SchedulerKind("PRF")):
         with pytest.raises(ValueError, match="seed"):
             run_online(jobs, kind, green, TARIFF, cfg)
 
@@ -538,7 +607,7 @@ def test_decision_log_equals_decision_time_pricing(name):
     # forecast shorter than the horizon and random green: the log rebuilt
     # from the schedule equals, by repr, the log priced as each job was
     # decided
-    kind = SchedulerKind(name, PARAMS if name in ("RF", "PRF") else None)
+    kind = SchedulerKind(name)
     rng = np.random.default_rng(61)
     admits = 0
     for seed in range(15):
@@ -676,7 +745,7 @@ def test_log_csv_format(tmp_path):
 
 @pytest.mark.parametrize("name", ["RF", "PRF"])
 def test_run_trials_equals_per_seed_runs(name, engine_plays):
-    kind = SchedulerKind(name, PARAMS)
+    kind = SchedulerKind(name)
     rng = np.random.default_rng(31)
     seeds = range(40, 140)
     most_paths = 0
@@ -724,7 +793,7 @@ def seed_paths(jobs, kind, green, tariff, cfg, seeds, monkeypatch):
 def test_each_trial_group_plays_its_first_seeds_own_run(name, monkeypatch):
     # a group's play is the whole run of its lowest-index seed, flip 0 on,
     # with the same probabilities and outcomes as that seed's run_online
-    kind = SchedulerKind(name, PARAMS)
+    kind = SchedulerKind(name)
     rng = np.random.default_rng(97)
     seeds = range(11, 71)
     rows, plays = [], []
@@ -761,7 +830,7 @@ def test_run_trials_plays_only_the_paths_its_seeds_take(
 ):
     # neither playing every path up front nor playing the untaken branches
     # ahead of need may pass: one run per distinct path among the seeds
-    kind = SchedulerKind(name, PARAMS)
+    kind = SchedulerKind(name)
     rng = np.random.default_rng(53)
     seeds = range(7, 7 + n_seeds)
     flipped = 0
@@ -839,7 +908,7 @@ def test_run_trials_seeds_a_range_once(monkeypatch):
     assert seeded == [50]
     run_trials(jobs, BF, green, tariff, cfg, range(3))
     run_trials(jobs, BF, green, tariff, cfg, seeds)
-    again = run_trials(jobs, SchedulerKind("PRF", PARAMS), green, tariff, cfg, range(7, 57))
+    again = run_trials(jobs, SchedulerKind("PRF"), green, tariff, cfg, range(7, 57))
     assert seeded == [50] and again.tobytes() == first.tobytes()
     run_trials(jobs, RF, green, tariff, cfg, range(7, 57, 2))
     assert seeded == [50, 25]
@@ -852,7 +921,7 @@ def test_shared_draws_equal_per_seed_runs_cold_or_warm(name, monkeypatch):
     # overlapping ranges of other steps or lengths share no column; every
     # call equals the per-seed runs, on a cold cache or on one that holds
     # the columns another instance drew on the same range
-    kind = SchedulerKind(name, PARAMS)
+    kind = SchedulerKind(name)
     rng = np.random.default_rng(71)
     cases = []
     for _ in range(12):
@@ -958,7 +1027,7 @@ def test_run_trials_equals_per_seed_runs_at_and_above_2_64(engine_plays):
     )
     rng = np.random.default_rng(61)
     for name in ("RF", "PRF"):
-        kind = SchedulerKind(name, PARAMS)
+        kind = SchedulerKind(name)
         plays = [0] * len(seed_sets)
         for _ in range(20):
             jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
@@ -987,7 +1056,7 @@ def test_run_trials_equals_per_seed_runs_on_a_deep_tree(monkeypatch, engine_play
     ]
     seeds = range(300)
     for name in ("RF", "PRF"):
-        kind = SchedulerKind(name, PARAMS)
+        kind = SchedulerKind(name)
         paths = seed_paths(jobs, kind, green, tariff, cfg, seeds, monkeypatch)
         assert min(map(len, paths)) >= 6
         want = per_seed_profits(jobs, kind, green, tariff, cfg, seeds)
@@ -1031,17 +1100,16 @@ def test_run_trials_without_seeds_plays_nothing(engine_plays):
 
 
 @pytest.mark.parametrize("preemptive", [False, True])
-def test_expected_profit_with_sure_coins_is_the_parent_policy(preemptive):
-    always_ff = RandomFitParams(1.0, 1.0, 0.0, 0.0)
-    always_bf = RandomFitParams(0.0, 0.0, 0.0, 0.0)
+def test_expected_profit_with_sure_coins_is_the_parent_policy(preemptive, monkeypatch):
     prefix = "P" if preemptive else ""
     rng = np.random.default_rng(8)
     for _ in range(40):
         jobs, green, tariff, cfg = random_instance(rng, max_jobs=6)
-        for params, parent in ((always_ff, "FF"), (always_bf, "BF")):
+        for params, parent in ((ALWAYS_FF, "FF"), (ALWAYS_BF, "BF")):
             parent_kind = SchedulerKind(prefix + parent)
             _, report = run_online(jobs, parent_kind, green, tariff, cfg)
-            kind = SchedulerKind(prefix + "RF", params)
+            kind = SchedulerKind(prefix + "RF")
+            force_bias(monkeypatch, params)
             assert expected_profit(jobs, kind, green, tariff, cfg) == report.net_profit
 
 
@@ -1052,7 +1120,7 @@ def test_expected_profit_on_desk_instances(engine_plays):
     sim = SimConfig(machines=4, horizon_slots=42, forecast_slots=42)
     tariff = Tariff()
     green = synthetic_solar(sim)
-    rf = SchedulerKind("RF", random_fit_params(normalized_values(tariff, sim)))
+    rf = SchedulerKind("RF")
     ratios = []
     for rep in range(4):
         spec = WorkloadSpec(
@@ -1075,7 +1143,7 @@ def test_expected_profit_on_desk_instances(engine_plays):
 def test_expected_profit_equals_the_path_enumeration(name, engine_plays):
     # the oracle scripts every outcome sequence through place; the engine
     # must match it exactly and play each of its paths once
-    kind = SchedulerKind(name, PARAMS)
+    kind = SchedulerKind(name)
     rng = np.random.default_rng(83)
     most_paths = 0
     for _ in range(20):
